@@ -190,6 +190,8 @@ class BallProblem:
     q: ExponentVector
 
     def __post_init__(self):
+        if any(isinstance(v, (bool, np.bool_)) for v in self.k):
+            raise ValidationError(f"box sides must be integers, not booleans: {self.k}")
         object.__setattr__(self, "k", tuple(int(v) for v in self.k))
         object.__setattr__(self, "p", as_exponents(self.p))
         object.__setattr__(self, "q", as_exponents(self.q))
@@ -198,7 +200,7 @@ class BallProblem:
         d = len(self.k)
         if not (self.p.d == self.q.d == d):
             raise ValidationError("dimension mismatch among k, p, q")
-        if not isinstance(self.n, int) or self.n < 0:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
             raise ValidationError(f"n must be a nonnegative integer, got {self.n}")
         if 2 * self.n > self.K:
             raise ValidationError(

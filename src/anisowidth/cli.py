@@ -8,7 +8,8 @@ Subcommands
 ``report``     run every suite, write a summary JSON and CSV artifacts
 
 Exit codes: 0 success, 2 validation error (including non-compact embeddings
-and malformed input), 3 property violation, 4 desk-scale guard refusal.
+and malformed input), 3 property violation, 4 desk-scale guard refusal,
+5 any other error (an internal failure such as a singular linear solve).
 
 Output is deterministic for a fixed (input, seed, budget) triple: reports
 are JSON with sorted keys, floats rendered by ``repr``, and no timestamps.
@@ -70,6 +71,11 @@ def _scalar(v):
     return v
 
 
+def _is_int(v) -> bool:
+    """A JSON/TOML integer; ``true``/``false`` are not integers here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _vector(obj, key):
     if key not in obj:
         raise ValidationError(f"problem file is missing {key!r}")
@@ -106,14 +112,14 @@ def load_problem(path: str) -> dict:
         )
     out = {"kind": kind}
     if "nu_split" in obj:
-        if not isinstance(obj["nu_split"], int):
+        if not _is_int(obj["nu_split"]):
             raise ValidationError("nu_split must be an integer")
         out["nu_split"] = obj["nu_split"]
     if kind == "ball":
         k = obj.get("k")
-        if not isinstance(k, list) or not all(isinstance(v, int) for v in k):
+        if not isinstance(k, list) or not all(_is_int(v) for v in k):
             raise ValidationError("'k' must be a list of integers")
-        if not isinstance(obj.get("n"), int):
+        if not _is_int(obj.get("n")):
             raise ValidationError("'n' must be an integer")
         out["k"] = tuple(k)
         out["n"] = obj["n"]
@@ -679,6 +685,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # the CLI boundary: one line, no traceback
+        message = " ".join(str(exc).split())
+        print(f"error: internal error ({type(exc).__name__}): {message}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

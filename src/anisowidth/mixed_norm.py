@@ -25,6 +25,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -93,12 +94,31 @@ def _recip_of(value) -> Union[Fraction, float]:
     raise ValidationError(f"unsupported exponent type {type(value).__name__}")
 
 
+def _axis_step(recip) -> tuple:
+    """How the kernels reduce an axis with reciprocal exponent ``recip``.
+
+    Returns ``(kind, pf)``: kind is "max" (p = inf), "sum" (p = 1), "two"
+    (p = 2) or "pow", and ``pf`` is the exponent as a float (inf for "max").
+    """
+    if recip == 0:
+        return ("max", math.inf)
+    pf = float(Fraction(1, 1) / recip) if isinstance(recip, Fraction) else 1.0 / recip
+    if recip == 1:
+        return ("sum", pf)
+    if 2 * recip == 1:
+        return ("two", pf)
+    return ("pow", pf)
+
+
 @dataclass(frozen=True)
 class ExponentVector:
     """Vector of norm exponents in ``[1, inf]``, stored as reciprocals.
 
     ``recip[j] == 0`` encodes ``p_j = inf``.  Entries are ``Fraction`` when
-    the exponent was given exactly, ``float`` otherwise.
+    the exponent was given exactly, ``float`` otherwise.  ``plan`` holds the
+    per-axis reduction step ``(kind, pf)`` of :func:`_axis_step`, decided on
+    first use and cached, so the norm kernels do no ``Fraction`` arithmetic
+    per call.
     """
 
     recip: tuple
@@ -111,6 +131,10 @@ class ExponentVector:
                 raise ValidationError(
                     f"reciprocal exponent {r} outside [0, 1] (i.e. p outside [1, inf])"
                 )
+
+    @cached_property
+    def plan(self) -> tuple:
+        return tuple(_axis_step(r) for r in self.recip)
 
     @classmethod
     def from_p(cls, values) -> "ExponentVector":
@@ -208,19 +232,48 @@ class Tensor:
         return hash((self.shape, self._flat.tobytes()))
 
 
-def _reduce_axis0(a: np.ndarray, recip) -> np.ndarray:
-    """Collapse axis 0 of a nonnegative array with exponent 1/recip."""
-    if recip == 0:
+def _reduce_axis0(a: np.ndarray, step: tuple) -> np.ndarray:
+    """Collapse axis 0 of a nonnegative array by one ``ExponentVector.plan`` step."""
+    kind, pf = step
+    if kind == "max":
         return a.max(axis=0)
-    if recip == 1:
+    if kind == "sum":
         return a.sum(axis=0)
-    if 2 * recip == 1:
+    if kind == "two":
         return np.sqrt((a * a).sum(axis=0))
-    pf = float(Fraction(1, 1) / recip) if isinstance(recip, Fraction) else 1.0 / recip
     m = a.max(axis=0)
+    pos = m > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(m > 0, a / np.where(m > 0, m, 1.0), 0.0)
+        scaled = np.where(pos, a / np.where(pos, m, 1.0), 0.0)
     return m * (scaled**pf).sum(axis=0) ** (1.0 / pf)
+
+
+# A mixed norm below this, or an infinite one from finite data, may have lost
+# digits to squares or sums that underflowed or overflowed; such a norm is
+# recomputed on the data rescaled by a power of two (no rounding).
+_SAFE_NORM_MIN = 2.0**-400
+
+
+def _mixed_norm_array(a: np.ndarray, p: ExponentVector) -> float:
+    """:func:`mixed_norm` of a d-way array laid out like ``Tensor.array``."""
+    a = np.abs(a)
+    if np.isnan(a).any():
+        raise ValidationError("NaN in tensor data")
+    r = a
+    for step in p.plan:
+        r = _reduce_axis0(r, step)
+    r = float(r)
+    if _SAFE_NORM_MIN <= r < math.inf:
+        return r
+    m = float(a.max())
+    if not 0.0 < m < math.inf:
+        return r
+    # The rescaled maximum lies in [1/2, 1), so its norm is in the safe range.
+    e = math.frexp(m)[1]
+    try:
+        return math.ldexp(_mixed_norm_array(np.ldexp(a, -e), p), e)
+    except OverflowError:
+        return math.inf
 
 
 def mixed_norm(x: Tensor, p) -> float:
@@ -235,17 +288,14 @@ def mixed_norm(x: Tensor, p) -> float:
     -------
     float
         ``||x||_p >= 0``; exact sums/maxima are used for p in {1, 2, inf},
-        a max-factored power sum otherwise.
+        a max-factored power sum otherwise.  A result below ``2**-400``, or
+        an infinite one from finite data, is recomputed on the data rescaled
+        by a power of two.
     """
     p = as_exponents(p)
     if p.d != x.d:
         raise ValidationError(f"exponent vector has {p.d} axes, tensor has {x.d}")
-    a = np.abs(x.array)
-    if np.isnan(a).any():
-        raise ValidationError("NaN in tensor data")
-    for recip in p.recip:
-        a = _reduce_axis0(a, recip)
-    return float(a)
+    return _mixed_norm_array(x.array, p)
 
 
 def norming_functional(x: Tensor, p) -> Tensor:
@@ -261,17 +311,16 @@ def norming_functional(x: Tensor, p) -> Tensor:
     if np.isnan(a).any():
         raise ValidationError("NaN in tensor data")
     partials = [a]
-    for recip in p.recip:
-        partials.append(_reduce_axis0(partials[-1], recip))
+    for step in p.plan:
+        partials.append(_reduce_axis0(partials[-1], step))
     y = np.sign(x.array).astype(np.float64)
-    for k, recip in enumerate(p.recip):
+    for k, (kind, pf) in enumerate(p.plan):
         prev, cur = partials[k], partials[k + 1]
-        if recip == 0:
+        if kind == "max":
             w = np.zeros_like(prev)
             idx = np.expand_dims(np.argmax(prev, axis=0), axis=0)
             np.put_along_axis(w, idx, 1.0, axis=0)
         else:
-            pf = float(Fraction(1, 1) / recip) if isinstance(recip, Fraction) else 1.0 / recip
             cur_safe = np.where(cur > 0, cur, 1.0)
             w = np.where(cur > 0, prev / cur_safe, 0.0) ** (pf - 1.0)
         y = y * w

@@ -30,7 +30,6 @@ from functools import reduce
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .mixed_norm import (
     DeskScaleError,
@@ -40,6 +39,7 @@ from .mixed_norm import (
     ValidationError,
     as_exponents,
     mixed_norm,
+    _mixed_norm_array,
     _reduce_axis0,
 )
 from .ball_widths import (
@@ -159,25 +159,24 @@ def harmonic_frame(K: int, n: int) -> np.ndarray:
 
 def _mixed_norm_batch(arr: np.ndarray, q: ExponentVector) -> np.ndarray:
     a = np.abs(arr)
-    for recip in q.recip:
-        a = _reduce_axis0(a, recip)
+    for step in q.plan:
+        a = _reduce_axis0(a, step)
     return a
 
 
 def _norming_batch(arr: np.ndarray, q: ExponentVector) -> np.ndarray:
     a = np.abs(arr)
     partials = [a]
-    for recip in q.recip:
-        partials.append(_reduce_axis0(partials[-1], recip))
+    for step in q.plan:
+        partials.append(_reduce_axis0(partials[-1], step))
     y = np.sign(arr)
-    for k, recip in enumerate(q.recip):
+    for k, (kind, pf) in enumerate(q.plan):
         prev, cur = partials[k], partials[k + 1]
-        if recip == 0:
+        if kind == "max":
             w = np.zeros_like(prev)
             idx = np.expand_dims(np.argmax(prev, axis=0), axis=0)
             np.put_along_axis(w, idx, 1.0, axis=0)
         else:
-            pf = float(Fraction(1, 1) / recip) if isinstance(recip, Fraction) else 1.0 / recip
             cur_safe = np.where(cur > 0, cur, 1.0)
             w = np.where(cur > 0, prev / cur_safe, 0.0) ** (pf - 1.0)
         y = y * w
@@ -226,8 +225,12 @@ def _is_flat_two(q: ExponentVector) -> bool:
 
 
 def _polish_point(x_flat, B, q, shape, c0, tol):
+    # Imported here: scipy.optimize is most of the package's import time and
+    # only this polish needs it.
+    from scipy.optimize import minimize
+
     def fun(c):
-        return mixed_norm(Tensor(shape, x_flat - B @ c), q)
+        return _mixed_norm_array((x_flat - B @ c).reshape(shape, order="F"), q)
 
     best_c = np.asarray(c0, dtype=float)
     best = fun(best_c)
@@ -342,14 +345,12 @@ def width_upper(
     n: int,
     q,
     cfg: Optional[OracleConfig] = None,
-    warm_starts: Sequence[np.ndarray] = (),
 ) -> WidthEstimate:
     """Upper estimate of the n-width of the hull of ``points`` in ``q``.
 
     Runs the smoothed Stiefel descent from a harmonic frame, a Euclidean
-    dual eigenbasis, any supplied warm starts, and ``cfg.restarts`` seeded
-    random orthonormal bases; reports the best subspace found and its
-    certified max distance.  Deterministic for fixed (cfg.seed, restarts).
+    dual eigenbasis, and ``cfg.restarts`` seeded random orthonormal bases;
+    reports the best subspace found and its certified max distance.  Deterministic for fixed (cfg.seed, restarts).
     """
     cfg = cfg or OracleConfig()
     q = as_exponents(q)
@@ -377,15 +378,6 @@ def width_upper(
     M = X.T @ X
     _, vecs = np.linalg.eigh(M)
     inits.append(vecs[:, ::-1][:, :n])
-    for W in warm_starts:
-        W = np.asarray(W, dtype=float)
-        if W.shape[0] != K:
-            raise ValidationError("warm start has wrong ambient dimension")
-        if W.shape[1] < n:
-            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 977)))
-            W = np.column_stack([W, rng.standard_normal((K, n - W.shape[1]))])
-        Wq, _ = np.linalg.qr(W[:, :n])
-        inits.append(Wq)
     for ridx in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, ridx)))
         G = rng.standard_normal((K, n))

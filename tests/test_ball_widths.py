@@ -104,6 +104,15 @@ def test_ball_problem_guards():
     assert bp.K == 12 and bp.d == 2
 
 
+def test_ball_problem_rejects_booleans():
+    with pytest.raises(ValidationError):
+        BallProblem(k=(True, 3), n=1, p=(2, 2), q=(2, 2))
+    with pytest.raises(ValidationError):
+        BallProblem(k=(np.True_, 3), n=1, p=(2, 2), q=(2, 2))
+    with pytest.raises(ValidationError):
+        BallProblem(k=(4, 3), n=True, p=(2, 2), q=(2, 2))
+
+
 def test_phi_requires_target_exponent_range():
     with pytest.raises(ValidationError):
         phi(BallProblem(k=(4,), n=1, p=(2,), q=(1.5,)))

@@ -246,3 +246,37 @@ def test_console_help():
     res = run_cli(["--help"])
     assert res.returncode == 0
     assert b"anisowidth" in res.stdout
+
+
+# ---------------------------------------------------------------------------
+# booleans and unexpected errors
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "ball", "k": [True, 3], "n": 1, "p": [2, 2], "q": [2, 2]},
+        {"kind": "ball", "k": [4, 3], "n": True, "p": [2, 2], "q": [2, 2]},
+        {"kind": "ball", "k": [4, 3], "n": 1, "p": [1, 2], "q": [2, 2], "nu_split": True},
+    ],
+)
+def test_booleans_are_not_integers(tmp_path, capsys, obj):
+    path = write(tmp_path, "bool.json", obj)
+    assert main(["phi", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_unexpected_error_exit_five(sobolev_file, capsys, monkeypatch):
+    import numpy as np
+
+    from anisowidth import cli
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix\nsecond line")
+
+    monkeypatch.setattr(cli, "width_exponent", singular)
+    assert main(["exponent", "--input", sobolev_file]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error (LinAlgError): Singular matrix second line\n"

@@ -188,6 +188,46 @@ def test_duality_lower_bounds_norm(arr, pidx):
         assert att >= 0.2 * n
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    hnp.arrays(
+        dtype=np.float64,
+        shape=st.sampled_from([(5,), (3, 4), (2, 3, 2)]),
+        elements=st.one_of(st.just(0.0), st.floats(1e-3, 100), st.floats(-100, -1e-3)),
+    ),
+    st.integers(0, 10_000),
+    st.integers(-1000, 1000),
+)
+def test_homogeneity_across_the_exponent_range(arr, pidx, e):
+    # Scaling by 2**e is exact and keeps these entries normal, so the norm
+    # must scale with it even where their squares underflow or overflow.
+    x = Tensor.from_array(arr)
+    p = _pvec(pidx, x.d)
+    expected = math.ldexp(mixed_norm(x, p), e)
+    assert mixed_norm(Tensor.from_array(np.ldexp(arr, e)), p) == pytest.approx(
+        expected, rel=1e-12
+    )
+
+
+def test_two_norm_of_tiny_and_huge_entries():
+    for v in (1e-200, 1e300):
+        assert mixed_norm(Tensor.from_array([v, v]), (2,)) == pytest.approx(
+            math.sqrt(2) * v, rel=1e-15
+        )
+        x = Tensor.from_array(np.full((2, 2), v))
+        assert mixed_norm(x, (2, 2)) == pytest.approx(2 * v, rel=1e-15)
+        assert mixed_norm(x, (2, 1)) == pytest.approx(2 * math.sqrt(2) * v, rel=1e-15)
+    assert mixed_norm(Tensor.from_array([1e308, 1e308]), (1,)) == math.inf
+    assert mixed_norm(Tensor.from_array([0.0, 0.0]), (2,)) == 0.0
+
+
+def test_interpolation_holds_for_underflowing_squares():
+    arr = np.array([9.79970543e-296, 0.0, 0.0, 0.0, 0.0, 0.0])
+    assert holder_interpolation_check(Tensor.from_array(arr), (3.0,), 0.5).holds
+    arr = np.full(6, 1.32341629e-224)
+    assert holder_interpolation_check(Tensor.from_array(arr), (3.0,), 0.5).holds
+
+
 # ---------------------------------------------------------------------------
 # interpolation inequality
 
