@@ -49,6 +49,11 @@ __all__ = [
 
 _HALF = Fraction(1, 2)
 
+# Relative rounding slack on the domain end s_mu when it is computed in float
+# arithmetic: a float s_mu in [1 - _S_MU_RTOL, 1) is taken to be 1.  Exact
+# (Fraction) input gets no slack.
+_S_MU_RTOL = 1e-12
+
 
 class NotCompactError(ValidationError):
     """The class is not compactly embedded in the target space."""
@@ -377,7 +382,9 @@ def h_family_minimize(p, q, r) -> HFamily:
     ``mu-1``, ``mu .. nu-1``, and ``d-1`` when the tail carries a target
     exponent above 2), on the domain ``[1, s_mu]`` cut by the breakpoints
     ``s_t``.  Its envelope minimum equals the width order exponent; the two
-    routes are computed independently and cross-checked in tests.
+    routes are computed independently and cross-checked in tests.  A float
+    ``s_mu`` within relative ``_S_MU_RTOL`` below 1 is rounding and is
+    clamped to 1; an exact ``s_mu < 1`` is refused.
     """
     prof, ir_s, rq_s, rp_s, om_s = _tables(p, q, r)
     margin = _embedding_margin(prof, ir_s, rq_s, rp_s)
@@ -413,6 +420,8 @@ def h_family_minimize(p, q, r) -> HFamily:
         lines[d - 1] = (a, _HALF)
 
     s_hi = breakpoints[mu]
+    if isinstance(s_hi, float) and 1 - _S_MU_RTOL <= s_hi < 1:
+        s_hi = breakpoints[mu] = 1.0
     lo, hi = 1, s_hi
     if s_hi < 1:
         raise ValidationError(f"degenerate domain: s_mu = {s_hi} < 1")

@@ -242,9 +242,7 @@ def _reduce_axis0(a: np.ndarray, step: tuple) -> np.ndarray:
     if kind == "two":
         return np.sqrt((a * a).sum(axis=0))
     m = a.max(axis=0)
-    pos = m > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(pos, a / np.where(pos, m, 1.0), 0.0)
+    scaled = np.divide(a, m, out=np.zeros_like(a), where=m > 0)
     return m * (scaled**pf).sum(axis=0) ** (1.0 / pf)
 
 
@@ -290,30 +288,48 @@ def mixed_norm(x: Tensor, p) -> float:
         ``||x||_p >= 0``; exact sums/maxima are used for p in {1, 2, inf},
         a max-factored power sum otherwise.  A result below ``2**-400``, or
         an infinite one from finite data, is recomputed on the data rescaled
-        by a power of two.
+        by a power of two.  Data with a NaN or infinite entry is refused with
+        :class:`ValidationError`.
     """
     p = as_exponents(p)
     if p.d != x.d:
         raise ValidationError(f"exponent vector has {p.d} axes, tensor has {x.d}")
+    _check_finite(x)
     return _mixed_norm_array(x.array, p)
+
+
+def _check_finite(x: Tensor) -> None:
+    if not np.isfinite(x.data).all():
+        raise ValidationError("non-finite entry (NaN or inf) in tensor data")
 
 
 def norming_functional(x: Tensor, p) -> Tensor:
     """A tensor ``y`` with ``<x, y> = ||x||_p`` and ``||y||_{p'} = 1``.
 
-    For ``x = 0`` returns the zero tensor.  Infinite exponents pick the
-    first maximizing index along their axis, so the result is deterministic.
+    For ``x = 0`` returns the zero tensor; non-finite data is refused.
+    Infinite exponents pick the first maximizing index along their axis, so
+    the result is deterministic.  ``y`` does not change when ``x`` is scaled, so when ``||x||_p`` falls
+    outside ``[2**-400, inf)`` it is computed from ``x`` rescaled by a power
+    of two, as in :func:`mixed_norm`.
     """
     p = as_exponents(p)
     if p.d != x.d:
         raise ValidationError(f"exponent vector has {p.d} axes, tensor has {x.d}")
-    a = np.abs(x.array)
-    if np.isnan(a).any():
-        raise ValidationError("NaN in tensor data")
+    _check_finite(x)
+    return Tensor.from_array(_norming_array(x.array, p))
+
+
+def _norming_array(arr: np.ndarray, p: ExponentVector) -> np.ndarray:
+    a = np.abs(arr)
     partials = [a]
     for step in p.plan:
         partials.append(_reduce_axis0(partials[-1], step))
-    y = np.sign(x.array).astype(np.float64)
+    if not _SAFE_NORM_MIN <= float(partials[-1]) < math.inf:
+        m = float(a.max())
+        if m > 0.0:
+            # The rescaled maximum lies in [1/2, 1), so its norm is in range.
+            return _norming_array(np.ldexp(arr, -math.frexp(m)[1]), p)
+    y = np.sign(arr).astype(np.float64)
     for k, (kind, pf) in enumerate(p.plan):
         prev, cur = partials[k], partials[k + 1]
         if kind == "max":
@@ -324,7 +340,7 @@ def norming_functional(x: Tensor, p) -> Tensor:
             cur_safe = np.where(cur > 0, cur, 1.0)
             w = np.where(cur > 0, prev / cur_safe, 0.0) ** (pf - 1.0)
         y = y * w
-    return Tensor.from_array(y)
+    return y
 
 
 def norm_duality_lower(x: Tensor, p, trials: int = 64, seed: int = 0) -> float:

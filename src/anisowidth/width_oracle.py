@@ -291,7 +291,7 @@ def _stack_points(points: Sequence[Tensor]):
     return X, shape
 
 
-def _descend(X, B0, q, shape, cfg, flat2):
+def _descend(X, B0, q, shape, cfg):
     B = B0
     P, K = X.shape
     n = B.shape[1]
@@ -321,23 +321,43 @@ def _descend(X, B0, q, shape, cfg, flat2):
     return best_val, best_B
 
 
-def _evaluate_exact(X, B, q, shape, tol, polish_top=6):
-    """Certified per-point distances at a fixed basis (max is the value)."""
+# Points polished by :func:`_evaluate_exact`: the ones farthest from the
+# subspace after the batched solve.
+_POLISH_TOP = 6
+
+
+def _evaluate_exact(X, B, q, shape, tol, cutoff=math.inf) -> float:
+    """Certified max distance of the points from the span of ``B``.
+
+    After the batched solve the ``_POLISH_TOP`` farthest points are polished
+    by Powell, farthest first, and each keeps the smaller of its two values.
+
+    Cutoff contract: the caller uses the result only in the test
+    ``result < cutoff``.  A polish can only lower a point's value, so the
+    maximum of the values already polished and of the largest value outside
+    the polished top is a lower bound on the full result.  As soon as that
+    bound reaches ``cutoff`` the remaining polishes are skipped and the
+    bound is returned; it is ``>= cutoff``, so the test reads false exactly
+    as it would on the full result.  Below the cutoff, and with the default
+    ``cutoff = inf``, every polish runs and the result is the full maximum.
+    """
     if B.shape[1] == 0:
-        return _mixed_norm_batch(
-            X.T.reshape(shape + (X.shape[0],), order="F"), q
+        return float(
+            _mixed_norm_batch(X.T.reshape(shape + (X.shape[0],), order="F"), q).max()
         )
     C = np.linalg.lstsq(B, X.T, rcond=None)[0]
     if _is_flat_two(q):
         R = X.T - B @ C
-        return np.sqrt((R * R).sum(axis=0))
+        return float(np.sqrt((R * R).sum(axis=0)).max())
     C, f = _inner_solve(X, B, q, shape, C, iters=120)
-    order = np.argsort(f)[::-1][:polish_top]
-    f = f.copy()
-    for i in order:
+    order = np.argsort(f)[::-1]
+    bound = float(f[order[_POLISH_TOP]]) if f.size > _POLISH_TOP else -math.inf
+    for i in order[:_POLISH_TOP]:
+        if bound >= cutoff:
+            break
         val, _ = _polish_point(X[i], B, q, shape, C[:, i], tol)
-        f[i] = min(f[i], val)
-    return f
+        bound = max(bound, float(min(f[i], val)))
+    return bound
 
 
 def width_upper(
@@ -360,12 +380,11 @@ def width_upper(
         raise ValidationError("exponent vector and point dimension mismatch")
     if not (0 <= n <= K):
         raise ValidationError(f"need 0 <= n <= {K}, got n={n}")
-    flat2 = _is_flat_two(q)
     if n == 0:
-        vals = _evaluate_exact(X, np.zeros((K, 0)), q, shape, cfg.inner_tolerance)
+        val = _evaluate_exact(X, np.zeros((K, 0)), q, shape, cfg.inner_tolerance)
         return WidthEstimate(
-            value=float(vals.max()),
-            witness=SubspaceCandidate(np.zeros((K, 0)), quality=float(vals.max())),
+            value=val,
+            witness=SubspaceCandidate(np.zeros((K, 0)), quality=val),
             iterations=0,
         )
     if n == K:
@@ -385,15 +404,15 @@ def width_upper(
 
     best_val, best_B = math.inf, None
     iterations = 0
+    # After the first evaluation a value only matters if it beats best_val,
+    # so best_val is each later evaluation's cutoff (see _evaluate_exact).
     for B0 in inits:
-        val0 = float(
-            _evaluate_exact(X, B0, q, shape, cfg.inner_tolerance).max()
-        )
+        val0 = _evaluate_exact(X, B0, q, shape, cfg.inner_tolerance, best_val)
         if val0 < best_val:
             best_val, best_B = val0, B0
-        val, B = _descend(X, B0, q, shape, cfg, flat2)
+        _, B = _descend(X, B0, q, shape, cfg)
         iterations += cfg.outer_iterations
-        valx = float(_evaluate_exact(X, B, q, shape, cfg.inner_tolerance).max())
+        valx = _evaluate_exact(X, B, q, shape, cfg.inner_tolerance, best_val)
         if valx < best_val:
             best_val, best_B = valx, B
     return WidthEstimate(
@@ -594,16 +613,21 @@ def sandwich_report(
     cfg: Optional[OracleConfig] = None,
     ledger_path: Optional[str] = None,
 ) -> SandwichReport:
-    """Bracket the width of ``B_p`` in ``l_q`` between certified bounds.
+    """Bracket the width of a finite point set of ``B_p`` in ``l_q``.
 
     Desk-scale guard: total dimension at most 64 and n at most 8.  The
     lower route scales the planned corner block into the ball and uses the
     exact Euclidean bound plus the norm comparison ``||x||_q >= prod
-    k^(1/q-1/2) ||x||_2``; the upper route runs :func:`width_upper` on the
-    block orbit plus ball extremes.  When the orbit is fully enumerated the
-    bracket must hold and is asserted; a violated bracket raises
-    :class:`PropertyViolation`.  Appends one CSV row per call when
-    ``ledger_path`` is given.
+    k^(1/q-1/2) ||x||_2``; it is a certified lower bound on ``d_n(B_p,
+    l_q)``.  The upper route runs :func:`width_upper` on the block orbit
+    plus ball points, so ``upper`` is the width witnessed by one subspace
+    for the hull of those sampled points, not a certified upper bound on
+    the ball's width: the hull is the whole ball only when every ``p_j`` is
+    1 or inf and all of the ball's vertices fit in the point budget;
+    otherwise the ball points are random boundary samples.  When the orbit
+    is fully enumerated the bracket must hold and is asserted; a violated
+    bracket raises :class:`PropertyViolation`.  Appends one CSV row per
+    call when ``ledger_path`` is given.
     """
     cfg = cfg or OracleConfig()
     if prob.K > 64 or prob.n > 8:

@@ -280,3 +280,39 @@ def test_unexpected_error_exit_five(sobolev_file, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal error (LinAlgError): Singular matrix second line\n"
+
+
+def test_float_problem_with_s_mu_at_one(tmp_path, capsys):
+    path = write(
+        tmp_path,
+        "nik.json",
+        {"kind": "nikolskii", "p": [1.5, 2, 4, "inf"], "q": [2, 2, 3, 6], "r": [0.5, 3, 0.5, 1]},
+    )
+    assert main(["exponent", "--input", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["h_min_crosscheck"]["agrees"] is True
+
+
+def test_non_finite_tensor_data_exit_two(sobolev_file, capsys, monkeypatch):
+    import math
+
+    from anisowidth import Tensor, cli, mixed_norm
+
+    def report_with_inf(prob):
+        return {"norm": mixed_norm(Tensor.from_array([1.0, math.inf]), (3,))}
+
+    monkeypatch.setattr(cli, "_exponent_report", report_with_inf)
+    assert main(["exponent", "--input", sobolev_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: non-finite entry")
+
+
+def test_package_runs_as_module(sobolev_file):
+    res = subprocess.run(
+        [sys.executable, "-m", "anisowidth", "exponent", "--input", sobolev_file],
+        capture_output=True,
+        timeout=300,
+    )
+    assert res.returncode == 0
+    assert res.stdout == run_cli(["exponent", "--input", sobolev_file]).stdout

@@ -302,3 +302,16 @@ def test_tie_reported_not_strict():
     assert wo.all_theta[0] == wo.all_theta[1]
     assert not wo.conditions.strict_min_ok
     assert wo.exponent == Fraction(1, 2)
+
+
+def test_float_s_mu_rounding_below_one_is_accepted():
+    # Every axis with p <= q has q = 2, so s_mu is exactly 1; the float route
+    # gives 0.9999999999999999.
+    p, q, r = (1.5, 2, 4, math.inf), (2, 2, 3, 6), (0.5, 3, 0.5, 1)
+    hf = h_family_minimize(p, q, r)
+    assert hf.domain == (1, 1.0)
+    assert hf.breakpoints[min(hf.breakpoints)] == 1.0
+    exact = (Fraction(3, 2), 2, 4, math.inf), q, (Fraction(1, 2), 3, Fraction(1, 2), 1)
+    assert h_family_minimize(*exact).value == Fraction(1, 8)
+    assert hf.value == pytest.approx(0.125, rel=1e-12)
+    assert hf.value == pytest.approx(float(width_exponent(p, q, r).exponent), rel=1e-12)

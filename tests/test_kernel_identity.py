@@ -4,16 +4,20 @@ The Powell polish turns a last-bit change in any norm into a different upper
 value, so the kernels are compared with ``==`` here, never approximately:
 against a copy of the per-call reference kernel that derives each exponent
 from its ``Fraction`` on every call, and against frozen sandwich values.
+The oracle's polish cutoff is held to the same standard: ``width_upper`` must
+give exactly what the loop that polishes every top point gives.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from anisowidth import width_oracle
 from anisowidth import (
     BallProblem,
     ExponentVector,
@@ -23,9 +27,18 @@ from anisowidth import (
     mixed_norm,
     norming_functional,
     sandwich_report,
+    width_upper,
 )
 from anisowidth.mixed_norm import _mixed_norm_array
-from anisowidth.width_oracle import _mixed_norm_batch, _norming_batch
+from anisowidth.width_oracle import (
+    _descend,
+    _inner_solve,
+    _mixed_norm_batch,
+    _norming_batch,
+    _polish_point,
+    _stack_points,
+    harmonic_frame,
+)
 
 EXPONENTS = [1, 2, 4, math.inf, Fraction(3, 2), 2.5]
 # 9/5 is an exponent whose float reads 1.8 through Fraction arithmetic but
@@ -149,3 +162,79 @@ def test_sandwich_golden_values():
             lower,
             "24",
         )
+
+
+def _full_polish_value(X, B, q, shape, tol):
+    """The oracle's exact evaluation with no cutoff: all six top points polished."""
+    C = np.linalg.lstsq(B, X.T, rcond=None)[0]
+    C, f = _inner_solve(X, B, q, shape, C, iters=120)
+    f = f.copy()
+    for i in np.argsort(f)[::-1][:6]:
+        val, _ = _polish_point(X[i], B, q, shape, C[:, i], tol)
+        f[i] = min(f[i], val)
+    return float(f.max())
+
+
+def _full_polish_width_upper(points, n, q, cfg):
+    """``width_upper`` for 0 < n < dim and q not flat 2, every evaluation in full."""
+    q = as_exponents(q)
+    X, shape = _stack_points(points)
+    K = X.shape[1]
+    inits = [harmonic_frame(K, n), np.linalg.eigh(X.T @ X)[1][:, ::-1][:, :n]]
+    for ridx in range(cfg.restarts):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, ridx)))
+        inits.append(np.linalg.qr(rng.standard_normal((K, n)))[0])
+    best_val, best_B = math.inf, None
+    for B0 in inits:
+        val0 = _full_polish_value(X, B0, q, shape, cfg.inner_tolerance)
+        if val0 < best_val:
+            best_val, best_B = val0, B0
+        _, B = _descend(X, B0, q, shape, cfg)
+        valx = _full_polish_value(X, B, q, shape, cfg.inner_tolerance)
+        if valx < best_val:
+            best_val, best_B = valx, B
+    return best_val, best_B, cfg.outer_iterations * len(inits), 12 * len(inits)
+
+
+def _unit_vectors_and_l1_points(shape, extra, seed):
+    """The unit vectors of the box and ``extra`` random points of the l1 sphere.
+
+    The near-symmetric set makes several starts finish within a polish of
+    each other, which is where a wrong cutoff would show.
+    """
+    K = math.prod(shape)
+    points = [Tensor(shape, np.eye(K)[i]) for i in range(K)]
+    rng = np.random.default_rng(seed)
+    for _ in range(extra):
+        x = rng.standard_normal(shape)
+        points.append(Tensor.from_array(x / np.abs(x).sum()))
+    return points
+
+
+@pytest.mark.parametrize(
+    "shape, n, q, extra",
+    [
+        ((4,), 1, (4,), 4),
+        ((4,), 2, (4,), 8),
+        ((5,), 3, (4,), 0),
+        ((3, 2), 2, (4, 2), 4),
+        ((2, 3), 1, (2, 4), 4),
+    ],
+)
+def test_polish_cutoff_keeps_width_upper_exact(monkeypatch, shape, n, q, extra):
+    points = _unit_vectors_and_l1_points(shape, extra, seed=n)
+    cfg = OracleConfig(restarts=2, outer_iterations=10)
+    value, basis, iterations, full_polishes = _full_polish_width_upper(points, n, q, cfg)
+
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _polish_point(*args)
+
+    monkeypatch.setattr(width_oracle, "_polish_point", counted)
+    est = width_upper(points, n, q, cfg)
+    assert est.value == value
+    assert est.iterations == iterations
+    assert np.array_equal(est.witness.basis, basis)
+    assert len(calls) < full_polishes

@@ -99,6 +99,16 @@ def test_nan_rejected():
         mixed_norm(x, (2,))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_data_rejected(bad):
+    x = Tensor((2,), [1.0, bad])
+    for p in ((3,), (2,), (1,), ("inf",)):
+        with pytest.raises(ValidationError, match="non-finite"):
+            mixed_norm(x, p)
+        with pytest.raises(ValidationError, match="non-finite"):
+            norming_functional(x, p)
+
+
 def test_dimension_mismatch_rejected():
     x = Tensor((2, 2), [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ValidationError):
@@ -219,6 +229,15 @@ def test_two_norm_of_tiny_and_huge_entries():
         assert mixed_norm(x, (2, 1)) == pytest.approx(2 * math.sqrt(2) * v, rel=1e-15)
     assert mixed_norm(Tensor.from_array([1e308, 1e308]), (1,)) == math.inf
     assert mixed_norm(Tensor.from_array([0.0, 0.0]), (2,)) == 0.0
+
+
+def test_norming_functional_of_tiny_and_huge_entries():
+    for v in (1e-200, 1e300, 5e-324):
+        y = norming_functional(Tensor.from_array([v, v]), (2,))
+        assert y.data.tolist() == pytest.approx([math.sqrt(0.5)] * 2, rel=1e-15)
+        x = Tensor.from_array(np.array([[1.0, 3.0], [0.0, 2.0]]) * v)
+        ref = norming_functional(Tensor.from_array(x.array / v), (2, 4))
+        assert np.allclose(norming_functional(x, (2, 4)).data, ref.data, rtol=1e-15)
 
 
 def test_interpolation_holds_for_underflowing_squares():
