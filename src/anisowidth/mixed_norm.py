@@ -246,32 +246,92 @@ def _reduce_axis0(a: np.ndarray, step: tuple) -> np.ndarray:
     return m * (scaled**pf).sum(axis=0) ** (1.0 / pf)
 
 
-# A mixed norm below this, or an infinite one from finite data, may have lost
-# digits to squares or sums that underflowed or overflowed; such a norm is
-# recomputed on the data rescaled by a power of two (no rounding).
+# Range policy.  The entry points move data whose largest magnitude lies
+# outside [_SAFE_DATA_MIN, _SAFE_DATA_MAX] into [1/2, 1) by a power of two
+# (no rounding) and scale the result back, so no reduction overflows.  Inside
+# the kernel, a norm below _SAFE_NORM_MIN may have lost digits to squares that
+# underflowed, and its column is recomputed the same way.
+_SAFE_DATA_MIN, _SAFE_DATA_MAX = 2.0**-300, 2.0**300
 _SAFE_NORM_MIN = 2.0**-400
 
 
-def _mixed_norm_array(a: np.ndarray, p: ExponentVector) -> float:
-    """:func:`mixed_norm` of a d-way array laid out like ``Tensor.array``."""
-    a = np.abs(a)
-    if np.isnan(a).any():
-        raise ValidationError("NaN in tensor data")
-    r = a
-    for step in p.plan:
-        r = _reduce_axis0(r, step)
-    r = float(r)
-    if _SAFE_NORM_MIN <= r < math.inf:
-        return r
-    m = float(a.max())
-    if not 0.0 < m < math.inf:
-        return r
-    # The rescaled maximum lies in [1/2, 1), so its norm is in the safe range.
+def _prescaled(arr: np.ndarray) -> tuple:
+    """``(arr * 2**-e, e)``: ``e = 0`` when the largest magnitude lies in
+    ``[2**-300, 2**300]`` or is 0, else the exponent that moves it into
+    ``[1/2, 1)``.  NaN or infinite entries are refused."""
+    m = float(np.abs(arr).max())
+    if _SAFE_DATA_MIN <= m <= _SAFE_DATA_MAX or m == 0.0:
+        return arr, 0
+    if not m < math.inf:
+        raise ValidationError("non-finite entry (NaN or inf) in tensor data")
     e = math.frexp(m)[1]
+    return np.ldexp(arr, -e), e
+
+
+def _ldexp(x: float, e: int) -> float:
+    """``x * 2**e``, or inf where that overflows."""
     try:
-        return math.ldexp(_mixed_norm_array(np.ldexp(a, -e), p), e)
+        return math.ldexp(x, e)
     except OverflowError:
         return math.inf
+
+
+def _in_range(r: np.ndarray) -> bool:
+    """Whether no column of ``r`` needs :func:`_rescue`; false on a NaN."""
+    return (r if r.ndim == 0 else r.min()) >= _SAFE_NORM_MIN
+
+
+def _rescue(arr: np.ndarray, p: ExponentVector, r: np.ndarray, y=None):
+    """Recompute the columns whose norm ``r`` is below ``_SAFE_NORM_MIN``.
+
+    A column with nonzero data is rescaled by a power of two so that its
+    maximum lies in [1/2, 1), where its norm is at least 1/2, and its norm is
+    scaled back; its norming functional, which does not change with scale,
+    replaces the column of ``y`` when ``y`` is given.  NaN data are refused.
+    """
+    if np.isnan(arr).any():
+        raise ValidationError("NaN in tensor data")
+    r = np.array(r)
+    for idx in map(tuple, np.argwhere(r < _SAFE_NORM_MIN)):
+        col = arr[(...,) + idx]
+        m = float(np.abs(col).max())
+        if m > 0.0:
+            e = math.frexp(m)[1]
+            norm, col_y = _norming_array(np.ldexp(col, -e), p)
+            r[idx] = math.ldexp(float(norm), e)
+            if y is not None:
+                y[(...,) + idx] = col_y
+    return r if y is None else (r, y)
+
+
+def _mixed_norm_array(a: np.ndarray, p: ExponentVector) -> np.ndarray:
+    """Mixed norm over the first ``p.d`` axes of ``a``, laid out like
+    ``Tensor.array``; trailing axes are a batch.  0-d for a single tensor."""
+    r = np.abs(a)
+    for step in p.plan:
+        r = _reduce_axis0(r, step)
+    return r if _in_range(r) else _rescue(a, p, r)
+
+
+def _norming_array(arr: np.ndarray, p: ExponentVector) -> tuple:
+    """``(norm, y)``: :func:`_mixed_norm_array` and the norming functional
+    of ``arr``, from one set of partial reductions."""
+    partials = [np.abs(arr)]
+    for step in p.plan:
+        partials.append(_reduce_axis0(partials[-1], step))
+    y = np.sign(arr)
+    for k, (kind, pf) in enumerate(p.plan):
+        prev, cur = partials[k], partials[k + 1]
+        if kind == "max":
+            w = np.zeros_like(prev)
+            idx = np.expand_dims(np.argmax(prev, axis=0), axis=0)
+            np.put_along_axis(w, idx, 1.0, axis=0)
+        else:
+            cur_safe = np.where(cur > 0, cur, 1.0)
+            w = np.where(cur > 0, prev / cur_safe, 0.0) ** (pf - 1.0)
+        y = y * w
+    r = partials[-1]
+    return (r, y) if _in_range(r) else _rescue(arr, p, r, y)
 
 
 def mixed_norm(x: Tensor, p) -> float:
@@ -286,21 +346,18 @@ def mixed_norm(x: Tensor, p) -> float:
     -------
     float
         ``||x||_p >= 0``; exact sums/maxima are used for p in {1, 2, inf},
-        a max-factored power sum otherwise.  A result below ``2**-400``, or
-        an infinite one from finite data, is recomputed on the data rescaled
-        by a power of two.  Data with a NaN or infinite entry is refused with
-        :class:`ValidationError`.
+        a max-factored power sum otherwise.  Data whose largest magnitude
+        lies outside ``[2**-300, 2**300]`` are rescaled by a power of two
+        (no rounding) and the norm is scaled back, inf where it overflows;
+        so no square or sum overflows, and the result is exact under
+        power-of-two scaling of such data.  Data with a NaN or infinite
+        entry is refused with :class:`ValidationError`.
     """
     p = as_exponents(p)
     if p.d != x.d:
         raise ValidationError(f"exponent vector has {p.d} axes, tensor has {x.d}")
-    _check_finite(x)
-    return _mixed_norm_array(x.array, p)
-
-
-def _check_finite(x: Tensor) -> None:
-    if not np.isfinite(x.data).all():
-        raise ValidationError("non-finite entry (NaN or inf) in tensor data")
+    arr, e = _prescaled(x.array)
+    return _ldexp(float(_mixed_norm_array(arr, p)), e)
 
 
 def norming_functional(x: Tensor, p) -> Tensor:
@@ -308,39 +365,14 @@ def norming_functional(x: Tensor, p) -> Tensor:
 
     For ``x = 0`` returns the zero tensor; non-finite data is refused.
     Infinite exponents pick the first maximizing index along their axis, so
-    the result is deterministic.  ``y`` does not change when ``x`` is scaled, so when ``||x||_p`` falls
-    outside ``[2**-400, inf)`` it is computed from ``x`` rescaled by a power
-    of two, as in :func:`mixed_norm`.
+    the result is deterministic.  ``y`` does not change when ``x`` is scaled,
+    so it is computed on ``x`` rescaled by a power of two under the range
+    policy of :func:`mixed_norm`.
     """
     p = as_exponents(p)
     if p.d != x.d:
         raise ValidationError(f"exponent vector has {p.d} axes, tensor has {x.d}")
-    _check_finite(x)
-    return Tensor.from_array(_norming_array(x.array, p))
-
-
-def _norming_array(arr: np.ndarray, p: ExponentVector) -> np.ndarray:
-    a = np.abs(arr)
-    partials = [a]
-    for step in p.plan:
-        partials.append(_reduce_axis0(partials[-1], step))
-    if not _SAFE_NORM_MIN <= float(partials[-1]) < math.inf:
-        m = float(a.max())
-        if m > 0.0:
-            # The rescaled maximum lies in [1/2, 1), so its norm is in range.
-            return _norming_array(np.ldexp(arr, -math.frexp(m)[1]), p)
-    y = np.sign(arr).astype(np.float64)
-    for k, (kind, pf) in enumerate(p.plan):
-        prev, cur = partials[k], partials[k + 1]
-        if kind == "max":
-            w = np.zeros_like(prev)
-            idx = np.expand_dims(np.argmax(prev, axis=0), axis=0)
-            np.put_along_axis(w, idx, 1.0, axis=0)
-        else:
-            cur_safe = np.where(cur > 0, cur, 1.0)
-            w = np.where(cur > 0, prev / cur_safe, 0.0) ** (pf - 1.0)
-        y = y * w
-    return y
+    return Tensor.from_array(_norming_array(_prescaled(x.array)[0], p)[1])
 
 
 def norm_duality_lower(x: Tensor, p, trials: int = 64, seed: int = 0) -> float:

@@ -502,12 +502,7 @@ def trig_lp_norm(t: TrigPoly, p, oversample: int = 8) -> float:
     if oversample < 4:
         raise ValidationError("oversample must be >= 4")
     grid = tuple(oversample * max(N, 1) + 1 for N in t.degree)
-    vals = np.abs(t.values(grid))
-    raw = mixed_norm(Tensor.from_array(vals), p)
-    scale = 1.0
-    for G, recip in zip(grid, p.recip):
-        scale *= float(G) ** (-float(recip))
-    return raw * scale
+    return _grid_norm(t.values(grid), p)
 
 
 def nikolskii_ratio(t: TrigPoly, p, q) -> float:

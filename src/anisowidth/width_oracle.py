@@ -39,8 +39,10 @@ from .mixed_norm import (
     ValidationError,
     as_exponents,
     mixed_norm,
+    _ldexp,
     _mixed_norm_array,
-    _reduce_axis0,
+    _norming_array,
+    _prescaled,
 )
 from .ball_widths import (
     BallProblem,
@@ -152,37 +154,6 @@ def harmonic_frame(K: int, n: int) -> np.ndarray:
     return B[:, :n]
 
 
-# ---------------------------------------------------------------------------
-# batched mixed-norm helpers (batch axis last, so the reduction code from
-# mixed_norm applies unchanged)
-
-
-def _mixed_norm_batch(arr: np.ndarray, q: ExponentVector) -> np.ndarray:
-    a = np.abs(arr)
-    for step in q.plan:
-        a = _reduce_axis0(a, step)
-    return a
-
-
-def _norming_batch(arr: np.ndarray, q: ExponentVector) -> np.ndarray:
-    a = np.abs(arr)
-    partials = [a]
-    for step in q.plan:
-        partials.append(_reduce_axis0(partials[-1], step))
-    y = np.sign(arr)
-    for k, (kind, pf) in enumerate(q.plan):
-        prev, cur = partials[k], partials[k + 1]
-        if kind == "max":
-            w = np.zeros_like(prev)
-            idx = np.expand_dims(np.argmax(prev, axis=0), axis=0)
-            np.put_along_axis(w, idx, 1.0, axis=0)
-        else:
-            cur_safe = np.where(cur > 0, cur, 1.0)
-            w = np.where(cur > 0, prev / cur_safe, 0.0) ** (pf - 1.0)
-        y = y * w
-    return y
-
-
 def _batch_residual(X: np.ndarray, B: np.ndarray, C: np.ndarray, shape) -> np.ndarray:
     R = X.T - B @ C
     return R.reshape(shape + (X.shape[0],), order="F")
@@ -196,24 +167,21 @@ def _inner_solve(X, B, q, shape, C0, iters):
     """
     C = B.T @ X.T if C0 is None else C0.copy()
     if _is_flat_two(q):
-        f = _mixed_norm_batch(_batch_residual(X, B, C, shape), q)
-        return C, f
+        return C, _mixed_norm_array(_batch_residual(X, B, C, shape), q)
     best_C = C.copy()
-    best_f = _mixed_norm_batch(_batch_residual(X, B, C, shape), q)
+    best_f = np.full(X.shape[0], math.inf)
     step = 1.0
-    for t in range(iters):
-        resh = _batch_residual(X, B, C, shape)
-        f = _mixed_norm_batch(resh, q)
+    for _ in range(iters):
+        f, Y = _norming_array(_batch_residual(X, B, C, shape), q)
         improved = f < best_f
         best_f = np.where(improved, f, best_f)
         best_C[:, improved] = C[:, improved]
-        Y = _norming_batch(resh, q)
         G = -(B.T @ Y.reshape(X.shape[1], X.shape[0], order="F"))
         gn2 = (G * G).sum(axis=0) + 1e-30
         eta = step * 0.5 * f / gn2
         C = C - eta[None, :] * G
         step *= 0.97
-    f = _mixed_norm_batch(_batch_residual(X, B, C, shape), q)
+    f = _mixed_norm_array(_batch_residual(X, B, C, shape), q)
     improved = f < best_f
     best_f = np.where(improved, f, best_f)
     best_C[:, improved] = C[:, improved]
@@ -230,7 +198,7 @@ def _polish_point(x_flat, B, q, shape, c0, tol):
     from scipy.optimize import minimize
 
     def fun(c):
-        return _mixed_norm_array((x_flat - B @ c).reshape(shape, order="F"), q)
+        return float(_mixed_norm_array((x_flat - B @ c).reshape(shape, order="F"), q))
 
     best_c = np.asarray(c0, dtype=float)
     best = fun(best_c)
@@ -254,7 +222,10 @@ def distance_to_subspace(x: Tensor, L, q, tol: float = 1e-8) -> float:
     from the Euclidean projection (and from zero), so the result is an upper
     value that meets the true distance to within the solver tolerance on
     desk-scale problems.  ``L`` may be a SubspaceCandidate or a (dim x n)
-    array; ``n = 0`` returns the norm itself.
+    array; ``n = 0`` returns the norm itself.  Data are rescaled under the
+    range policy of :func:`mixed_norm`, so on data whose largest magnitude
+    lies outside ``[2**-300, 2**300]`` the result is exact under
+    power-of-two scaling.
     """
     q = as_exponents(q)
     B = L.basis if isinstance(L, SubspaceCandidate) else np.asarray(L, dtype=float)
@@ -266,11 +237,12 @@ def distance_to_subspace(x: Tensor, L, q, tol: float = 1e-8) -> float:
         raise ValidationError("exponent vector and tensor dimension mismatch")
     if B.shape[1] == 0:
         return mixed_norm(x, q)
-    c0, *_ = np.linalg.lstsq(B, x.data, rcond=None)
+    xs, e = _prescaled(x.data)
+    c0, *_ = np.linalg.lstsq(B, xs, rcond=None)
     if _is_flat_two(q):
-        return float(np.linalg.norm(x.data - B @ c0))
-    val, _ = _polish_point(x.data, B, q, x.shape, c0, tol)
-    return val
+        return _ldexp(float(np.linalg.norm(xs - B @ c0)), e)
+    val, _ = _polish_point(xs, B, q, x.shape, c0, tol)
+    return _ldexp(val, e)
 
 
 @dataclass
@@ -307,7 +279,7 @@ def _descend(X, B0, q, shape, cfg):
         tau = max(0.02 * fmax, 0.35 * spread * (0.9 ** it)) + 1e-30
         wts = np.exp((f - fmax) / tau)
         wts /= wts.sum()
-        Y = _norming_batch(_batch_residual(X, B, C, shape), q)
+        _, Y = _norming_array(_batch_residual(X, B, C, shape), q)
         Yflat = Y.reshape(K, P, order="F")
         G = Yflat @ (wts[:, None] * C.T)
         gn = np.linalg.norm(G) + 1e-30
@@ -343,7 +315,7 @@ def _evaluate_exact(X, B, q, shape, tol, cutoff=math.inf) -> float:
     """
     if B.shape[1] == 0:
         return float(
-            _mixed_norm_batch(X.T.reshape(shape + (X.shape[0],), order="F"), q).max()
+            _mixed_norm_array(X.T.reshape(shape + (X.shape[0],), order="F"), q).max()
         )
     C = np.linalg.lstsq(B, X.T, rcond=None)[0]
     if _is_flat_two(q):
@@ -370,7 +342,12 @@ def width_upper(
 
     Runs the smoothed Stiefel descent from a harmonic frame, a Euclidean
     dual eigenbasis, and ``cfg.restarts`` seeded random orthonormal bases;
-    reports the best subspace found and its certified max distance.  Deterministic for fixed (cfg.seed, restarts).
+    reports the best subspace found and its certified max distance.
+    Deterministic for fixed (cfg.seed, restarts).  The points are rescaled
+    under the range policy of :func:`mixed_norm` and the value is scaled
+    back, so no stage overflows, and on points whose largest magnitude lies
+    outside ``[2**-300, 2**300]`` the value is exact under power-of-two
+    scaling.
     """
     cfg = cfg or OracleConfig()
     q = as_exponents(q)
@@ -380,8 +357,10 @@ def width_upper(
         raise ValidationError("exponent vector and point dimension mismatch")
     if not (0 <= n <= K):
         raise ValidationError(f"need 0 <= n <= {K}, got n={n}")
+    X, e = _prescaled(X)
     if n == 0:
         val = _evaluate_exact(X, np.zeros((K, 0)), q, shape, cfg.inner_tolerance)
+        val = _ldexp(val, e)
         return WidthEstimate(
             value=val,
             witness=SubspaceCandidate(np.zeros((K, 0)), quality=val),
@@ -415,6 +394,7 @@ def width_upper(
         valx = _evaluate_exact(X, B, q, shape, cfg.inner_tolerance, best_val)
         if valx < best_val:
             best_val, best_B = valx, B
+    best_val = _ldexp(best_val, e)
     return WidthEstimate(
         value=best_val,
         witness=SubspaceCandidate(best_B, quality=best_val),
@@ -487,14 +467,17 @@ def width_lower_vset(v: VSet, n: int, q) -> float:
     return out.value()
 
 
-def _orbit_points(v: VSet, cap: int):
+def _orbit_points(k, s, cap: int):
+    """Every corner-block point with ``s_j`` signed ones on axis j, one of
+    each +- pair, in a fixed order; None when the orbit exceeds ``4 * cap``
+    before the +- pairs are merged."""
     total = 1
-    for kj, sj in zip(v.k, v.s):
+    for kj, sj in zip(k, s):
         total *= math.comb(kj, sj) * 2**sj
         if total > 4 * cap:
             return None
     per_axis = []
-    for kj, sj in zip(v.k, v.s):
+    for kj, sj in zip(k, s):
         opts = []
         for subset in itertools.combinations(range(kj), sj):
             for signs in itertools.product((-1.0, 1.0), repeat=sj):
@@ -506,15 +489,11 @@ def _orbit_points(v: VSet, cap: int):
     seen = set()
     for combo in itertools.product(*per_axis):
         arr = reduce(np.multiply.outer, combo)
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
         key = arr.tobytes()
         if key in seen or (-arr).tobytes() in seen:
             continue
         seen.add(key)
         points.append(arr)
-    if len(points) > cap:
-        return None
     return points
 
 
@@ -524,41 +503,13 @@ def _ball_extras(prob: BallProblem, cap: int, rng) -> list:
     if cap <= 0:
         return []
     shape = prob.k
-    enumerable = all(r in (0, 1) for r in prob.p.recip)
-    if enumerable:
-        total = 1
-        for kj, rpj in zip(prob.k, prob.p.recip):
-            total *= 2 * kj if rpj == 1 else 2**kj
-            if total > 4 * cap:
-                enumerable = False
-                break
-    if enumerable:
-        per_axis = []
-        for kj, rpj in zip(prob.k, prob.p.recip):
-            opts = []
-            if rpj == 1:
-                for i in range(kj):
-                    for sgn in (-1.0, 1.0):
-                        u = np.zeros(kj)
-                        u[i] = sgn
-                        opts.append(u)
-            else:
-                for signs in itertools.product((-1.0, 1.0), repeat=kj):
-                    opts.append(np.array(signs))
-            per_axis.append(opts)
-        out = []
-        seen = set()
-        for combo in itertools.product(*per_axis):
-            arr = reduce(np.multiply.outer, combo)
-            if arr.ndim == 0:
-                arr = arr.reshape(1)
-            if arr.tobytes() in seen or (-arr).tobytes() in seen:
-                continue
-            seen.add(arr.tobytes())
-            out.append(arr)
-            if len(out) >= cap:
-                break
-        return out
+    if all(r in (0, 1) for r in prob.p.recip):
+        # The vertices of B_p: one signed one on a p_j = 1 axis, a sign on
+        # every entry of a p_j = inf axis.
+        s = tuple(1 if r == 1 else kj for kj, r in zip(prob.k, prob.p.recip))
+        vertices = _orbit_points(prob.k, s, cap)
+        if vertices is not None:
+            return vertices[:cap]
     out = []
     for _ in range(cap):
         arr = rng.standard_normal(shape) if len(shape) > 1 else rng.standard_normal(shape[0])
@@ -642,9 +593,9 @@ def sandwich_report(
     scale = scale_pp.value()
 
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 31337)))
-    orbit = _orbit_points(v, cfg.point_budget)
-    certified = orbit is not None
-    if orbit is None:
+    orbit = _orbit_points(v.k, v.s, cfg.point_budget)
+    certified = orbit is not None and len(orbit) <= cfg.point_budget
+    if not certified:
         orbit = []
         seen = set()
         for _ in range(cfg.point_budget // 2):

@@ -23,18 +23,17 @@ from anisowidth import (
     ExponentVector,
     OracleConfig,
     Tensor,
+    ValidationError,
     as_exponents,
     mixed_norm,
     norming_functional,
     sandwich_report,
     width_upper,
 )
-from anisowidth.mixed_norm import _mixed_norm_array
+from anisowidth.mixed_norm import _mixed_norm_array, _norming_array
 from anisowidth.width_oracle import (
     _descend,
     _inner_solve,
-    _mixed_norm_batch,
-    _norming_batch,
     _polish_point,
     _stack_points,
     harmonic_frame,
@@ -126,8 +125,37 @@ def test_scalar_kernels_match_reference(case):
 @given(tensors_and_exponents(batch=True))
 def test_batched_kernels_match_reference(case):
     arr, q = case
-    assert np.array_equal(_mixed_norm_batch(arr, q), _reference_norm(arr, q))
-    assert np.array_equal(_norming_batch(arr, q), _reference_norming(arr, q))
+    assert np.array_equal(_mixed_norm_array(arr, q), _reference_norm(arr, q))
+    norm, y = _norming_array(arr, q)
+    assert np.array_equal(norm, _reference_norm(arr, q))
+    assert np.array_equal(y, _reference_norming(arr, q))
+
+
+@pytest.mark.parametrize(
+    "shape, q",
+    [
+        ((5,), (2,)),
+        ((3, 4), (2, 4)),
+        ((3, 4), (Fraction(3, 2), 2)),
+        ((2, 3, 2), (2, math.inf, 1)),
+    ],
+)
+def test_batched_kernel_rescues_each_column_like_a_single_tensor(shape, q):
+    # The squares of the 1e-200 column underflow: that column is recomputed
+    # on its own, and every column must equal the single-tensor call.
+    q = as_exponents(q)
+    batch = np.random.default_rng(7).standard_normal(shape + (3,))
+    batch[..., 1] *= 1e-200
+    norm, y = _norming_array(batch, q)
+    assert np.array_equal(_mixed_norm_array(batch, q), norm)
+    assert norm[1] > 0
+    for j in range(3):
+        x = Tensor.from_array(batch[..., j])
+        assert norm[j] == mixed_norm(x, q)
+        assert np.array_equal(y[..., j], norming_functional(x, q).array)
+    batch[(0,) * len(shape) + (2,)] = math.nan
+    with pytest.raises(ValidationError, match="NaN"):
+        _mixed_norm_array(batch, q)
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from anisowidth import width_oracle
 from anisowidth import (
     BallProblem,
     OracleConfig,
@@ -179,6 +180,46 @@ def test_certified_q2_lower_below_upper():
 
 
 # ---------------------------------------------------------------------------
+# power-of-two scaling
+
+# (shape, n, q): flat and mixed targets, with and without the q = 2 route.
+SCALE_CASES = [
+    ((4,), 1, (4,)),
+    ((2, 2), 2, (4, 2)),
+    ((4,), 2, (2,)),
+    ((2, 2), 1, (2, 4)),
+]
+
+
+def unit_scale_points(shape, count, seed):
+    """``count`` random points whose largest entry lies in [1/2, 1)."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((count,) + shape)
+    X = np.ldexp(X, -math.frexp(float(np.abs(X).max()))[1])
+    return [Tensor.from_array(x) for x in X]
+
+
+@pytest.mark.parametrize("shape, n, q", SCALE_CASES)
+@pytest.mark.parametrize("s", [700, -700])
+def test_width_upper_exact_under_power_of_two_scaling(shape, n, q, s):
+    pts = unit_scale_points(shape, 8, seed=n)
+    cfg = OracleConfig(restarts=1, outer_iterations=8)
+    base = width_upper(pts, n, q, cfg).value
+    scaled = [Tensor.from_array(np.ldexp(x.array, s)) for x in pts]
+    assert width_upper(scaled, n, q, cfg).value == math.ldexp(base, s)
+
+
+@pytest.mark.parametrize("shape, n, q", SCALE_CASES)
+@pytest.mark.parametrize("s", [700, -700])
+def test_distance_exact_under_power_of_two_scaling(shape, n, q, s):
+    x = unit_scale_points(shape, 1, seed=n)[0]
+    B = np.linalg.qr(np.random.default_rng(n).standard_normal((x.size, n)))[0]
+    base = distance_to_subspace(x, B, q)
+    scaled = Tensor.from_array(np.ldexp(x.array, s))
+    assert distance_to_subspace(scaled, B, q) == math.ldexp(base, s)
+
+
+# ---------------------------------------------------------------------------
 # corner-block lower bounds
 
 
@@ -223,6 +264,24 @@ def test_sandwich_certified_and_ordered(tmp_path):
     assert len(rows) == 3
     assert rows[0]["problem_hash"] == sandwich_report(problems[0]).problem_hash
     assert {"regime", "upper", "certified_lower"} <= set(rows[0])
+
+
+def test_ball_extras_enumerate_the_vertices():
+    # p = (1, inf) on a 3 x 2 box: a signed unit vector times a sign vector,
+    # 24 vertices, one of each +- pair kept, in the enumeration order.
+    prob = BallProblem(k=(3, 2), n=1, p=(1, "inf"), q=(2, 2))
+    rng = np.random.default_rng(0)
+    vertices = width_oracle._ball_extras(prob, 64, rng)
+    assert len(vertices) == 12
+    keys = {v.tobytes() for v in vertices} | {(-v).tobytes() for v in vertices}
+    assert len(keys) == 24
+    for v in vertices:
+        assert mixed_norm(Tensor.from_array(v), prob.p) == 1.0
+        assert sorted(np.abs(v).sum(axis=0)) == [1.0, 1.0]
+    # With cap 6 the 24 vertices still fit the 4 * cap enumeration budget.
+    first = width_oracle._ball_extras(prob, 6, rng)
+    assert len(first) == 6
+    assert all(np.array_equal(a, b) for a, b in zip(first, vertices))
 
 
 def test_sandwich_desk_scale_guard():
