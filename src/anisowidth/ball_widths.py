@@ -2,9 +2,11 @@
 
 Width orders of ``B_p`` in ``l_q`` over a ``k_1 x ... x k_d`` index box are
 pure products ``prod base^exponent`` with rational exponents, so this module
-carries them in :class:`PowerProduct`, an exact positive-product type whose
-comparisons clear denominators and compare big integers.  Float exponents
-degrade a product to float comparisons but keep the same interface.
+carries them in :class:`PowerProduct`, an exact positive-product type.  A
+comparison decides on the float logarithm of the ratio when it lies beyond
+its rounding error bound, and clears denominators to compare integers only
+for near-ties, refusing integers longer than ``_EXACT_BITS`` bits.  Float
+exponents degrade a product to float comparisons but keep the same interface.
 
 The V-set machinery (convex hulls of permuted, sign-flipped corner blocks)
 provides matching lower bounds: :func:`lower_bound_plan` picks the block
@@ -15,6 +17,7 @@ Euclidean width bound for that block.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -29,7 +32,7 @@ from .mixed_norm import (
     ValidationError,
     as_exponents,
 )
-from .exponents import sorted_profile
+from .exponents import _HALF, _require_two_blocks, _sorted_axes
 
 __all__ = [
     "PowerProduct",
@@ -45,15 +48,18 @@ __all__ = [
     "vset_l2_lower",
 ]
 
-_HALF = Fraction(1, 2)
+# A near-tie between exact products is settled on integers of at most this
+# many bits; a larger one is refused rather than left to run for minutes.
+_EXACT_BITS = 1 << 22
+_TRIAL_LIMIT = 1 << 16
 
 
 class PowerProduct:
     """Positive quantity ``coeff * prod base_i ** exp_i`` with exact order.
 
     Bases are integers ``>= 2`` after normalization, ``coeff`` is a positive
-    ``Fraction``.  Exponents are ``Fraction`` (exact path) or float (the
-    comparison then falls back to logarithms).
+    ``Fraction``.  Exponents are ``Fraction`` (exact path), or ``int`` or
+    float (the comparison then falls back to logarithms).
     """
 
     __slots__ = ("coeff", "factors")
@@ -89,11 +95,20 @@ class PowerProduct:
             isinstance(e, Fraction) for _, e in self.factors
         )
 
+    def _log(self) -> tuple:
+        """``(log of the value, sum of the magnitudes of its terms)``."""
+        terms = [float(e) * math.log(b) for b, e in self.factors]
+        c = self.coeff
+        try:
+            head = math.log(float(c))
+            mass = abs(head)
+        except (OverflowError, ValueError):  # a coefficient beyond float range
+            head = math.log(c.numerator) - math.log(c.denominator)
+            mass = math.log(c.numerator) + math.log(c.denominator)
+        return head + sum(terms), mass + sum(map(abs, terms))
+
     def value(self) -> float:
-        logv = math.log(float(self.coeff)) + sum(
-            float(e) * math.log(b) for b, e in self.factors
-        )
-        return math.exp(logv)
+        return math.exp(self._log()[0])
 
     def __mul__(self, other) -> "PowerProduct":
         other = _as_power(other)
@@ -120,23 +135,38 @@ class PowerProduct:
 
     def _cmp(self, other) -> int:
         ratio = self / _as_power(other)
-        if ratio.is_exact:
-            lcm = 1
-            for _, e in ratio.factors:
-                lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
-            num = ratio.coeff.numerator**lcm
-            den = ratio.coeff.denominator**lcm
-            for b, e in ratio.factors:
-                scaled = e * lcm
-                if scaled > 0:
-                    num *= b ** int(scaled)
-                else:
-                    den *= b ** int(-scaled)
-            return (num > den) - (num < den)
-        logv = math.log(float(ratio.coeff)) + sum(
-            float(e) * math.log(b) for b, e in ratio.factors
-        )
+        logv, mass = ratio._log()
+        # |logv - log(ratio)| <= slack for an exact ratio of m factors: with
+        # u = 2**-53 and math.log within one ulp, each term is within 5u of
+        # its size plus u, and summing m + 1 terms adds (m + 1)u of the mass.
+        slack = (len(ratio.factors) + 8) * 2.0**-52 * (1 + mass)
+        if ratio.is_exact and abs(logv) <= slack:
+            return ratio._exact_sign()
         return (logv > 0) - (logv < 0)
+
+    def _exact_sign(self) -> int:
+        """Sign of ``log(self)`` on integers: every exponent times the lcm of
+        their denominators."""
+        lcm = math.lcm(*(e.denominator for _, e in self.factors))
+        c = self.coeff
+        bits = lcm * (
+            c.numerator.bit_length()
+            + c.denominator.bit_length()
+            + sum(abs(e) * b.bit_length() for b, e in self.factors)
+        )
+        if bits > _EXACT_BITS:
+            raise ValidationError(
+                f"exact comparison of power products needs about {int(bits)} "
+                f"bits, over the limit of {_EXACT_BITS}"
+            )
+        num, den = c.numerator**lcm, c.denominator**lcm
+        for b, e in self.factors:
+            scaled = int(e * lcm)
+            if scaled > 0:
+                num *= b**scaled
+            else:
+                den *= b ** (-scaled)
+        return (num > den) - (num < den)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -156,7 +186,36 @@ class PowerProduct:
         return self._cmp(other) == 0
 
     def __hash__(self):
-        return hash(round(self.value(), 12))
+        """Hash of the unique form ``r * prod prime^f``, ``r`` rational and
+        each ``f`` in (0, 1); a rational value hashes as the equal ``int`` or
+        ``Fraction``, with ``r`` reduced modulo the hash modulus.  Exact for
+        bases below ``_TRIAL_LIMIT**2``.  Products with a float exponent
+        compare in floating point, which is not transitive: one shared hash.
+        """
+        if not (
+            isinstance(self.coeff, Fraction)
+            and all(isinstance(e, (int, Fraction)) for _, e in self.factors)
+        ):
+            return 0
+        powers = {}
+        for b, e in self.factors:
+            for prime, k in _factorise(b).items():
+                powers[prime] = powers.get(prime, 0) + k * e
+        whole = {prime: math.floor(x) for prime, x in powers.items()}
+        frac = tuple(
+            (prime, x - whole[prime])
+            for prime, x in sorted(powers.items())
+            if x != whole[prime]
+        )
+        mod = sys.hash_info.modulus
+        c = self.coeff
+        try:
+            h = c.numerator * pow(c.denominator, -1, mod) % mod
+            for prime, w in whole.items():
+                h = h * pow(prime, w, mod) % mod
+        except ValueError:  # the hash modulus divides a denominator
+            h = hash(c * math.prod(Fraction(pr) ** w for pr, w in whole.items()))
+        return hash((h, frac)) if frac else h
 
     def ceil_int(self) -> int:
         """Smallest integer >= the product value (exact for exact products)."""
@@ -170,6 +229,21 @@ class PowerProduct:
     def __repr__(self):
         body = " * ".join(f"{b}^({e})" for b, e in self.factors)
         return f"PowerProduct({self.coeff}{' * ' + body if body else ''})"
+
+
+def _factorise(m: int) -> dict:
+    """Prime factorisation of ``m`` by trial division below ``_TRIAL_LIMIT``;
+    a cofactor without such a factor is taken as prime."""
+    out = {}
+    d = 2
+    while d < _TRIAL_LIMIT and d * d <= m:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
+        d += 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
 
 
 def _as_power(v) -> PowerProduct:
@@ -216,10 +290,19 @@ class BallProblem:
         return len(self.k)
 
 
-def _require_q_range(q: ExponentVector):
-    for rqj in q.recip:
-        if rqj == 0 or rqj > _HALF:
-            raise ValidationError("every target exponent q_j must lie in [2, inf)")
+def _corner(ks, rqs, rps, lo, hi) -> list:
+    """Factors of the corner order ``prod_(lo <= j < hi) k_j^(1/q_j - 1/p_j)``."""
+    return [(ks[j], rqs[j] - rps[j]) for j in range(lo, hi)]
+
+
+def _bracket(n, ks, rqs, t) -> list:
+    """Factors of Gluskin's bracket ``n^(-1/2) prod_(j<t) k_j^(1/2)
+    prod_(j>=t) k_j^(1/q_j)`` (Gluskin 1983), in this order.
+
+    With float exponents the merged exponent of a repeated base depends on
+    the order of the factors, so every caller multiplies them in this order.
+    """
+    return [(n, -_HALF)] + [(k, _HALF) for k in ks[:t]] + list(zip(ks[t:], rqs[t:]))
 
 
 @dataclass(frozen=True)
@@ -239,37 +322,22 @@ def phi(prob: BallProblem) -> PhiResult:
     branch and the constant branch report the constant branch; ties among
     ``t`` branches report the smallest ``t``.
     """
-    _require_q_range(prob.q)
-    prof = sorted_profile(prob.p, prob.q)
+    prof, rqs, rps, oms, ks = _sorted_axes(prob.p, prob.q, prob.k)
     d, mu = prof.d, prof.mu
-    pos = [a - 1 for a in prof.sigma]
-    ks = [prob.k[a] for a in pos]
-    rqs = [prob.q.recip[a] for a in pos]
-    rps = [prob.p.recip[a] for a in pos]
-    oms = [prof.omega[a] for a in pos]
+    prefix = PowerProduct(1, _corner(ks, rqs, rps, 0, mu))
 
-    prefix = PowerProduct.one()
-    for j in range(mu):
-        prefix = prefix * PowerProduct.power(ks[j], rqs[j] - rps[j])
-
-    best = None
-    best_t = None
+    best = best_t = None
     for t in range(mu + 1, d + 1):
-        pre = PowerProduct.one()
-        for j in range(mu, t - 1):
-            pre = pre * PowerProduct.power(ks[j], rqs[j] - min(rps[j], _HALF))
+        pre = PowerProduct(
+            1, [(ks[j], rqs[j] - min(rps[j], _HALF)) for j in range(mu, t - 1)]
+        )
         w = oms[t - 1]
         if w == 0:
             term = pre
         elif prob.n == 0:
             continue
         else:
-            bracket = PowerProduct.power(prob.n, -_HALF)
-            for j in range(t - 1):
-                bracket = bracket * PowerProduct.power(ks[j], _HALF)
-            for j in range(t - 1, d):
-                bracket = bracket * PowerProduct.power(ks[j], rqs[j])
-            term = pre * bracket**w
+            term = pre * PowerProduct(1, _bracket(prob.n, ks, rqs, t - 1)) ** w
         if best is None or term < best:
             best, best_t = term, t
 
@@ -288,21 +356,9 @@ def ball_order_low_q(prob: BallProblem, nu_split: int) -> float:
     the rest ``q_j <= p_j``.  The order is ``prod_(j>nu) k_j^(1/q_j-1/p_j)``,
     constant in ``n`` over the admissible range ``2n <= prod k``.
     """
-    d = prob.d
-    if not (0 <= nu_split <= d):
-        raise ValidationError(f"nu_split={nu_split} outside 0..{d}")
-    for j in range(nu_split):
-        if not (prob.p.recip[j] >= prob.q.recip[j] >= _HALF):
-            raise ValidationError(
-                f"axis {j + 1}: need 1 <= p <= q <= 2 in the first block"
-            )
-    for j in range(nu_split, d):
-        if not (prob.q.recip[j] >= prob.p.recip[j]):
-            raise ValidationError(f"axis {j + 1}: need q <= p in the second block")
-    out = PowerProduct.one()
-    for j in range(nu_split, d):
-        out = out * PowerProduct.power(prob.k[j], prob.q.recip[j] - prob.p.recip[j])
-    return out.value()
+    _require_two_blocks(prob.p, prob.q, nu_split)
+    corner = _corner(prob.k, prob.q.recip, prob.p.recip, nu_split, prob.d)
+    return PowerProduct(1, corner).value()
 
 
 @dataclass(frozen=True)
@@ -327,66 +383,37 @@ def lower_bound_plan(prob: BallProblem) -> PlanResult:
     ``s`` is in original axis order; ``predicted`` is the matching order
     value, a pure power product.
     """
-    _require_q_range(prob.q)
-    prof = sorted_profile(prob.p, prob.q)
+    prof, rqs, rps, oms, ks = _sorted_axes(prob.p, prob.q, prob.k)
     d, mu, nu = prof.d, prof.mu, prof.nu
-    pos = [a - 1 for a in prof.sigma]
-    ks = [prob.k[a] for a in pos]
-    rqs = [prob.q.recip[a] for a in pos]
-    rps = [prob.p.recip[a] for a in pos]
-    oms = [prof.omega[a] for a in pos]
 
     def threshold(t):
-        out = PowerProduct.one()
-        for j in range(t):
-            out = out * PowerProduct.power(ks[j], 1)
-        for j in range(t, d):
-            out = out * PowerProduct.power(ks[j], 2 * rqs[j])
-        return out
-
-    def order_prefix(upto):
-        out = PowerProduct.one()
-        for j in range(upto):
-            out = out * PowerProduct.power(ks[j], rqs[j] - rps[j])
-        return out
+        squares = [(k, 2 * rq) for k, rq in zip(ks[t:], rqs[t:])]
+        return PowerProduct(1, [(k, 1) for k in ks[:t]] + squares)
 
     npp = PowerProduct(Fraction(prob.n)) if prob.n > 0 else None
 
     if npp is None or npp <= threshold(mu):
         s_sorted = [ks[j] if j < mu else 1 for j in range(d)]
-        exact = order_prefix(mu)
+        exact = PowerProduct(1, _corner(ks, rqs, rps, 0, mu))
         regime, t_out = "corner", None
     else:
-        t_found = None
-        for t in range(mu + 1, nu + 1):
-            if npp <= threshold(t):
-                t_found = t
-                break
-        if t_found is not None:
-            t = t_found
+        t = next((t for t in range(mu + 1, nu + 1) if npp <= threshold(t)), None)
+        if t is not None:
             rq_t = rqs[t - 1]
             if not rq_t < _HALF:
                 raise PropertyViolation(
                     "window regime requires q > 2 on the window axis"
                 )
-            base = PowerProduct.power(prob.n, _HALF)
-            for j in range(t - 1):
-                base = base * PowerProduct.power(ks[j], -_HALF)
-            for j in range(t - 1, d):
-                base = base * PowerProduct.power(ks[j], -rqs[j])
-            side = base ** (1 / (_HALF - rq_t))
+            bracket = PowerProduct(1, _bracket(prob.n, ks, rqs, t - 1))
+            side = (PowerProduct.one() / bracket) ** (1 / (_HALF - rq_t))
             s_t = side.ceil_int()
             if not (1 <= s_t <= ks[t - 1]):
                 raise PropertyViolation(
                     f"window side {s_t} escapes [1, {ks[t - 1]}]"
                 )
             s_sorted = [ks[j] for j in range(t - 1)] + [s_t] + [1] * (d - t)
-            bracket = PowerProduct.power(prob.n, -_HALF)
-            for j in range(t - 1):
-                bracket = bracket * PowerProduct.power(ks[j], _HALF)
-            for j in range(t - 1, d):
-                bracket = bracket * PowerProduct.power(ks[j], rqs[j])
-            exact = order_prefix(t - 1) * bracket ** oms[t - 1]
+            prefix = PowerProduct(1, _corner(ks, rqs, rps, 0, t - 1))
+            exact = prefix * bracket ** oms[t - 1]
             regime, t_out = "window", t
         else:
             if nu >= d:
@@ -394,11 +421,10 @@ def lower_bound_plan(prob: BallProblem) -> PlanResult:
                     "tail regime reached with nu = d; thresholds are inconsistent"
                 )
             s_sorted = [ks[j] if j < nu else 1 for j in range(d)]
-            exact = order_prefix(nu) * PowerProduct.power(prob.n, -_HALF)
-            for j in range(nu):
-                exact = exact * PowerProduct.power(ks[j], _HALF)
-            for j in range(nu, d):
-                exact = exact * PowerProduct.power(ks[j], rqs[j])
+            # one product of corner and bracket factors: the float bits need it
+            exact = PowerProduct(
+                1, _corner(ks, rqs, rps, 0, nu) + _bracket(prob.n, ks, rqs, nu)
+            )
             regime, t_out = "tail", None
 
     s = [0] * d

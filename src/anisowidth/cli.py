@@ -39,7 +39,6 @@ from .mixed_norm import (
     norming_functional,
 )
 from .exponents import (
-    NotCompactError,
     h_family_minimize,
     sorted_profile,
     width_exponent,
@@ -670,21 +669,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NotCompactError as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DeskScaleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except PropertyViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValidationError as exc:
+    except DeskScaleError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 4
     except Exception as exc:  # the CLI boundary: one line, no traceback
         message = " ".join(str(exc).split())
         print(f"error: internal error ({type(exc).__name__}): {message}", file=sys.stderr)

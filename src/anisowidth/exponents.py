@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Union
 
 from .mixed_norm import (
@@ -173,8 +174,25 @@ def sorted_profile(p, q) -> SortedProfile:
     return SortedProfile(d=d, omega=om, sigma=sigma, mu=mu, nu=nu, J=tuple(J))
 
 
+def _require_q_range(q: ExponentVector):
+    for rqj in q.recip:
+        if rqj == 0 or rqj > _HALF:
+            raise ValidationError("every target exponent q_j must lie in [2, inf)")
+
+
+def _sorted_axes(p: ExponentVector, q: ExponentVector, column):
+    """Checked ``q_j in [2, inf)``, the sorted profile of ``(p, q)`` and the
+    sigma-ordered tables ``1/q``, ``1/p``, ``omega`` and ``column`` (one
+    entry per axis, in axis order)."""
+    _require_q_range(q)
+    prof = sorted_profile(p, q)
+    pos = [a - 1 for a in prof.sigma]
+    tables = (q.recip, p.recip, prof.omega, column)
+    return (prof,) + tuple([col[a] for a in pos] for col in tables)
+
+
 def _tables(p, q, r):
-    """Shared validation and sigma-ordered reciprocal tables."""
+    """Validated ``(p, q, r)`` as :func:`_sorted_axes` tables, ``1/r`` last."""
     p = as_exponents(p)
     q = as_exponents(q)
     rr = smoothness_vector(r)
@@ -182,45 +200,51 @@ def _tables(p, q, r):
         raise ValidationError(
             f"dimension mismatch: p has {p.d}, q has {q.d}, r has {len(rr)} axes"
         )
-    for rqj in q.recip:
-        if rqj == 0 or rqj > _HALF:
-            raise ValidationError("every target exponent q_j must lie in [2, inf)")
-    prof = sorted_profile(p, q)
-    ir = [1 / v for v in rr]
-    pos = [a - 1 for a in prof.sigma]
-    ir_s = [ir[a] for a in pos]
-    rq_s = [q.recip[a] for a in pos]
-    rp_s = [p.recip[a] for a in pos]
-    om_s = [prof.omega[a] for a in pos]
-    return prof, ir_s, rq_s, rp_s, om_s
+    return _sorted_axes(p, q, [1 / v for v in rr])
 
 
-def _embedding_margin(prof, ir_s, rq_s, rp_s):
-    mu = prof.mu
-    d = prof.d
-    return (
-        1
-        + sum(ir_s[j] * rq_s[j] for j in range(mu, d))
-        - sum(ir_s[j] * rp_s[j] for j in range(mu, d))
-    )
+def _dot(a, b, lo=0, hi=None):
+    """``sum_(lo <= j < hi) a_j b_j``, summed in index order."""
+    return sum(x * y for x, y in zip(a[lo:hi], b[lo:hi]))
+
+
+def _margin(ir, rq, rp, lo=0, hi=None):
+    """``1 + sum_j 1/(r_j q_j) - sum_j 1/(r_j p_j)`` over ``lo <= j < hi``."""
+    return 1 + _dot(ir, rq, lo, hi) - _dot(ir, rp, lo, hi)
+
+
+def _denominator(ir_s, rq_s, t):
+    """``sum_(j<t) 1/r_j + 2 sum_(j>=t) 1/(r_j q_j)``, shared by ``theta_t``
+    and the breakpoint ``s_t``."""
+    return sum(ir_s[:t]) + 2 * _dot(ir_s, rq_s, t)
 
 
 def _theta_value(prof, ir_s, rq_s, rp_s, t):
-    d = prof.d
-    if t == d and prof.nu < d:
-        inv_sum = sum(ir_s)
-        a = sum(ir_s[j] for j in range(prof.nu, d)) * _HALF
-        b = sum(ir_s[j] * rp_s[j] for j in range(prof.nu, d))
-        return (1 + a - b) / inv_sum
-    s1 = sum(ir_s[j] for j in range(t))
-    s2 = sum(ir_s[j] * rq_s[j] for j in range(t, d))
-    s3 = sum(ir_s[j] * rp_s[j] for j in range(t, d))
-    return (1 + s2 - s3) / (s1 + 2 * s2)
+    nu = prof.nu
+    if t == prof.d and nu < prof.d:
+        return (1 + sum(ir_s[nu:]) * _HALF - _dot(ir_s, rp_s, nu)) / sum(ir_s)
+    return _margin(ir_s, rq_s, rp_s, t) / _denominator(ir_s, rq_s, t)
+
+
+def _require_two_blocks(p: ExponentVector, q: ExponentVector, nu_split: int):
+    """The two-block pattern: ``1 <= p_j <= q_j <= 2`` on the first
+    ``nu_split`` axes, ``q_j <= p_j`` on the rest."""
+    d = p.d
+    if not (0 <= nu_split <= d):
+        raise ValidationError(f"nu_split={nu_split} outside 0..{d}")
+    for j in range(nu_split):
+        if not (p.recip[j] >= q.recip[j] >= _HALF):
+            raise ValidationError(
+                f"axis {j + 1}: need 1 <= p <= q <= 2 in the first block"
+            )
+    for j in range(nu_split, d):
+        if not (q.recip[j] >= p.recip[j]):
+            raise ValidationError(f"axis {j + 1}: need q <= p in the second block")
 
 
 def theta_t(p, q, r, t: int, profile: Optional[SortedProfile] = None):
     """Candidate width exponent for boundary index ``t`` (``t`` must be in J)."""
-    prof, ir_s, rq_s, rp_s, _ = _tables(p, q, r)
+    prof, rq_s, rp_s, _, ir_s = _tables(p, q, r)
     if profile is not None and profile != prof:
         raise ValidationError("supplied profile disagrees with (p, q)")
     if t not in prof.J:
@@ -254,8 +278,8 @@ def width_exponent(p, q, r) -> WidthOrder:
     reported via ``conditions.strict_min_ok = False`` (the exponent is still
     the minimum value).
     """
-    prof, ir_s, rq_s, rp_s, _ = _tables(p, q, r)
-    margin = _embedding_margin(prof, ir_s, rq_s, rp_s)
+    prof, rq_s, rp_s, _, ir_s = _tables(p, q, r)
+    margin = _margin(ir_s, rq_s, rp_s, prof.mu)
     if not margin > 0:
         raise NotCompactError(
             "not compactly embedded: 1 + sum_(j>mu) 1/(r q) - sum_(j>mu) 1/(r p) = "
@@ -290,25 +314,9 @@ def width_exponent_low_q(p, q, r, nu_split: int) -> WidthOrder:
     d = p.d
     if not (q.d == d == len(rr)):
         raise ValidationError("dimension mismatch among p, q, r")
-    if not (0 <= nu_split <= d):
-        raise ValidationError(f"nu_split={nu_split} outside 0..{d}")
-    for j in range(nu_split):
-        if not (p.recip[j] >= q.recip[j] >= _HALF):
-            raise ValidationError(
-                f"axis {j + 1}: need 1 <= p <= q <= 2 in the first block"
-            )
-    for j in range(nu_split, d):
-        if not (q.recip[j] >= p.recip[j]):
-            raise ValidationError(
-                f"axis {j + 1}: need q <= p in the second block"
-            )
+    _require_two_blocks(p, q, nu_split)
     ir = [1 / v for v in rr]
-    inv_sum = sum(ir)
-    theta = (
-        1
-        + sum(ir[j] * q.recip[j] for j in range(nu_split))
-        - sum(ir[j] * p.recip[j] for j in range(nu_split))
-    ) / inv_sum
+    theta = _margin(ir, q.recip, p.recip, 0, nu_split) / sum(ir)
     if not theta > 0:
         raise NotCompactError(
             f"width order exponent {theta} is not positive; no compact embedding"
@@ -353,7 +361,7 @@ def dyadic_schedule(p, q, r) -> DyadicSchedule:
         raise ValidationError("dimension mismatch among p, q, r")
     ir = [1 / v for v in rr]
     total = sum(ir)
-    beta = tuple(v / total for v in ir)
+    beta = dyadic_beta(rr)
     r_mean = len(rr) / total
     gap = [p.recip[j] - q.recip[j] for j in range(len(rr))]
     gamma0 = 1 - sum(ir[j] * max(gap[j], 0) for j in range(len(rr)))
@@ -372,7 +380,11 @@ class HFamily:
     lines: dict
 
     def envelope(self, s):
-        return max(a * s + b for a, b in self.lines.values())
+        return _envelope(self.lines, s)
+
+
+def _envelope(lines, s):
+    return max(a * s + b for a, b in lines.values())
 
 
 def h_family_minimize(p, q, r) -> HFamily:
@@ -386,37 +398,25 @@ def h_family_minimize(p, q, r) -> HFamily:
     ``s_mu`` within relative ``_S_MU_RTOL`` below 1 is rounding and is
     clamped to 1; an exact ``s_mu < 1`` is refused.
     """
-    prof, ir_s, rq_s, rp_s, om_s = _tables(p, q, r)
-    margin = _embedding_margin(prof, ir_s, rq_s, rp_s)
+    prof, rq_s, rp_s, om_s, ir_s = _tables(p, q, r)
+    d, mu, nu = prof.d, prof.mu, prof.nu
+    margin = _margin(ir_s, rq_s, rp_s, mu)
     if not margin > 0:
         raise NotCompactError(
             f"not compactly embedded: envelope margin {margin} <= 0"
         )
-    d = prof.d
-    mu, nu = prof.mu, prof.nu
     inv_sum = sum(ir_s)
     coef = 1 / inv_sum
+    breakpoints = {t: inv_sum / _denominator(ir_s, rq_s, t) for t in range(mu, nu + 1)}
 
-    breakpoints = {}
-    for t in range(mu, nu + 1):
-        denom = sum(ir_s[:t]) + 2 * sum(ir_s[j] * rq_s[j] for j in range(t, d))
-        breakpoints[t] = inv_sum / denom
-
-    def suff_q(t):
-        return sum(ir_s[j] * rq_s[j] for j in range(t, d))
-
-    def suff_p(t):
-        return sum(ir_s[j] * rp_s[j] for j in range(t, d))
-
-    lines = {}
-    lines[mu - 1] = (coef * (1 + suff_q(mu) - suff_p(mu)), Fraction(0))
+    lines = {mu - 1: (coef * margin, Fraction(0))}
     for t in range(mu, nu):
-        a = coef * (1 + suff_q(t) - suff_p(t))
-        b = coef * (sum(ir_s[:t]) * _HALF + suff_q(t))
+        a = coef * _margin(ir_s, rq_s, rp_s, t)
+        b = coef * (sum(ir_s[:t]) * _HALF + _dot(ir_s, rq_s, t))
         w = om_s[t]
         lines[t] = (a - w * b, w * _HALF)
     if d in prof.J and nu < d:
-        a = coef * (1 - sum(ir_s[:nu]) * _HALF - suff_p(nu))
+        a = coef * (1 - sum(ir_s[:nu]) * _HALF - _dot(ir_s, rp_s, nu))
         lines[d - 1] = (a, _HALF)
 
     s_hi = breakpoints[mu]
@@ -430,28 +430,16 @@ def h_family_minimize(p, q, r) -> HFamily:
     for s in breakpoints.values():
         if lo <= s <= hi:
             candidates.add(s)
-    labels = sorted(lines)
-    for i in range(len(labels)):
-        a1, b1 = lines[labels[i]]
-        for k in range(i + 1, len(labels)):
-            a2, b2 = lines[labels[k]]
-            if a1 == a2:
-                continue
+    for (a1, b1), (a2, b2) in combinations([lines[t] for t in sorted(lines)], 2):
+        if a1 != a2:
             s = (b2 - b1) / (a1 - a2)
             if lo <= s <= hi:
                 candidates.add(s)
 
-    def envelope(s):
-        return max(a * s + b for a, b in lines.values())
-
-    s_star, value = None, None
-    for s in sorted(candidates):
-        v = envelope(s)
-        if value is None or v < value:
-            s_star, value = s, v
+    s_star = min(sorted(candidates), key=lambda s: _envelope(lines, s))
     return HFamily(
         s_star=s_star,
-        value=value,
+        value=_envelope(lines, s_star),
         domain=(lo, hi),
         breakpoints=breakpoints,
         lines=lines,

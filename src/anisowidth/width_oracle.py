@@ -44,6 +44,7 @@ from .mixed_norm import (
     _norming_array,
     _prescaled,
 )
+from .exponents import _HALF, _require_q_range
 from .ball_widths import (
     BallProblem,
     PowerProduct,
@@ -67,9 +68,6 @@ __all__ = [
     "SandwichReport",
     "sandwich_report",
 ]
-
-_HALF = Fraction(1, 2)
-
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -410,6 +408,9 @@ def point_set_lower_q2(
     Mirror ascent on a weight vector over the points; for any weights the
     sum of the smallest ``dim - n`` eigenvalues of the weighted second
     moment lower-bounds the squared width, so the best iterate certifies.
+    The points are rescaled under the range policy of :func:`mixed_norm` and
+    the bound is scaled back, exact under power-of-two scaling of points
+    whose largest magnitude lies outside ``[2**-300, 2**300]``.
     """
     X, _ = _stack_points(points)
     P, K = X.shape
@@ -417,6 +418,7 @@ def point_set_lower_q2(
         raise ValidationError(f"need 0 <= n <= {K}, got n={n}")
     if n >= K:
         return 0.0
+    X, e = _prescaled(X)
     w = np.full(P, 1.0 / P)
     best = 0.0
     rng = np.random.default_rng(seed)
@@ -430,7 +432,7 @@ def point_set_lower_q2(
         gmax = max(float(np.abs(g).max()), 1e-30)
         w = w * np.exp((1.0 / math.sqrt(1.0 + t)) * g / gmax)
         w /= w.sum()
-    return math.sqrt(max(best, 0.0))
+    return _ldexp(math.sqrt(max(best, 0.0)), e)
 
 
 def width_lower_vset(v: VSet, n: int, q) -> float:
@@ -447,24 +449,17 @@ def width_lower_vset(v: VSet, n: int, q) -> float:
         raise ValidationError("exponent vector and block dimension mismatch")
     if not (0 <= n <= v.K):
         raise ValidationError(f"n={n} outside [0, {v.K}]")
-    for rqj in q.recip:
-        if rqj == 0 or rqj > _HALF:
-            raise ValidationError("every target exponent q_j must lie in [2, inf)")
+    _require_q_range(q)
     if _is_flat_two(q):
         return vset_l2_lower(v, n)
-    threshold = PowerProduct.one()
-    for kj, sj, rqj in zip(v.k, v.s, q.recip):
-        threshold = threshold * PowerProduct.power(kj, 2 * rqj)
-        threshold = threshold * PowerProduct.power(sj, 1 - 2 * rqj)
+    axes = list(zip(v.k, v.s, q.recip))
+    threshold = PowerProduct(
+        1, [f for k, s, rq in axes for f in ((k, 2 * rq), (s, 1 - 2 * rq))]
+    )
     if n == 0 or PowerProduct(Fraction(n)) <= threshold:
-        out = PowerProduct.one()
-        for sj, rqj in zip(v.s, q.recip):
-            out = out * PowerProduct.power(sj, rqj)
-        return out.value()
-    out = PowerProduct(Fraction(1)) * PowerProduct.power(n, -_HALF)
-    for kj, sj, rqj in zip(v.k, v.s, q.recip):
-        out = out * PowerProduct.power(kj, rqj) * PowerProduct.power(sj, _HALF)
-    return out.value()
+        return PowerProduct(1, [(s, rq) for _, s, rq in axes]).value()
+    tail = [(n, -_HALF)] + [f for k, s, rq in axes for f in ((k, rq), (s, _HALF))]
+    return PowerProduct(1, tail).value()
 
 
 def _orbit_points(k, s, cap: int):
@@ -587,10 +582,7 @@ def sandwich_report(
         )
     plan = lower_bound_plan(prob)
     v = VSet(prob.k, plan.s)
-    scale_pp = PowerProduct.one()
-    for sj, rpj in zip(plan.s, prob.p.recip):
-        scale_pp = scale_pp * PowerProduct.power(sj, -rpj)
-    scale = scale_pp.value()
+    scale = PowerProduct(1, [(s, -rp) for s, rp in zip(plan.s, prob.p.recip)]).value()
 
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 31337)))
     orbit = _orbit_points(v.k, v.s, cfg.point_budget)
@@ -612,9 +604,7 @@ def sandwich_report(
     est = width_upper(points, prob.n, prob.q, cfg)
     lower_ref = width_lower_vset(v, prob.n, prob.q) * scale
 
-    norm_gap = PowerProduct.one()
-    for kj, rqj in zip(prob.k, prob.q.recip):
-        norm_gap = norm_gap * PowerProduct.power(kj, rqj - _HALF)
+    norm_gap = PowerProduct(1, [(k, rq - _HALF) for k, rq in zip(prob.k, prob.q.recip)])
     cert = scale * norm_gap.value() * vset_l2_lower(v, prob.n)
 
     if certified and est.value < cert * (1 - 1e-9):

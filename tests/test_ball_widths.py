@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -87,6 +89,75 @@ def test_power_product_compare_matches_float(b1, e1, b2, e2):
     fr = float(b2) ** float(e2)
     if abs(fl - fr) > 1e-9 * max(abs(fl), abs(fr)):
         assert (lhs < rhs) == (fl < fr)
+
+
+def test_power_product_compare_decides_far_ratios_on_logs():
+    # Clearing denominators here needs 3^(1008 * 1009 * 1013 * 1019)-sized
+    # integers; the log of the ratio settles it at once.
+    code = (
+        "from fractions import Fraction as F\n"
+        "from anisowidth import PowerProduct as P\n"
+        "a = P.power(3, F(1008, 1009)) * P.power(5, F(1, 1013))\n"
+        "b = P.power(2, F(1018, 1019))\n"
+        "print(a > b, b < a, a == b)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=20)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == b"True True False\n"
+
+
+def test_power_product_near_tie_is_exact():
+    big = PowerProduct.power(2, Fraction(60))
+    assert PowerProduct(2**60 + 1) > big  # equal logs in floating point
+    assert PowerProduct(2**60 - 1) < big
+    assert PowerProduct.power(8, Fraction(1, 3)) == 2
+
+
+def test_power_product_near_tie_with_huge_integers_is_refused():
+    a = PowerProduct.power(7, Fraction(1, 10**9 + 7))
+    b = PowerProduct.power(7, Fraction(1, 10**9 + 9))
+    with pytest.raises(ValidationError, match="bits"):
+        a < b
+
+
+def test_power_product_hash_agrees_with_eq():
+    a = PowerProduct(2) * PowerProduct.power(2, 24)
+    b = PowerProduct.power(2, 25)
+    assert a == b and hash(a) == hash(b) == hash(2**25)
+    assert hash(PowerProduct.power(8, Fraction(1, 3))) == hash(2)
+    assert hash(PowerProduct(Fraction(3, 7))) == hash(Fraction(3, 7))
+    assert len({a, b}) == 1
+
+
+@st.composite
+def equal_products(draw):
+    """Two spellings of one value: prime bases, and composite bases with an
+    integer power of 5 moved into the coefficient."""
+    coeff = Fraction(draw(st.integers(1, 60)), draw(st.integers(1, 60)))
+    x = {
+        p: Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from((1, 2, 3, 6))))
+        for p in (2, 3, 5)
+    }
+    t = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from((1, 2, 3))))
+    u = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from((1, 2, 4))))
+    m = draw(st.integers(-3, 3))
+    a = PowerProduct(coeff, list(x.items()))
+    b = PowerProduct(
+        coeff * Fraction(5) ** m,
+        [(6, t), (4, u), (2, x[2] - t - 2 * u), (3, x[3] - t), (5, x[5] - m)],
+    )
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(equal_products())
+def test_equal_power_products_hash_equal(pair):
+    a, b = pair
+    assert a == b
+    assert hash(a) == hash(b)
+    if all(e.denominator == 1 for _, e in a.factors):
+        value = a.coeff * math.prod(Fraction(p) ** e for p, e in a.factors)
+        assert hash(a) == hash(value)
 
 
 # ---------------------------------------------------------------------------

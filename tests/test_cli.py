@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from anisowidth import DeskScaleError, PropertyViolation
 from anisowidth.cli import main
 
 
@@ -222,11 +223,11 @@ def test_report_writes_artifacts(tmp_path, sobolev_file, capsys):
     assert (out_dir / "sandwich_ledger.csv").exists()
 
 
-def run_cli(args):
+def run_cli(args, timeout=300):
     return subprocess.run(
         [sys.executable, "-m", "anisowidth.cli", *args],
         capture_output=True,
-        timeout=300,
+        timeout=timeout,
     )
 
 
@@ -265,6 +266,31 @@ def test_booleans_are_not_integers(tmp_path, capsys, obj):
     assert main(["phi", "--input", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("error, code", [(PropertyViolation, 3), (DeskScaleError, 4)])
+def test_property_and_desk_scale_exit_codes(ball_file, capsys, monkeypatch, error, code):
+    from anisowidth import cli
+
+    def refuse(*args, **kwargs):
+        raise error("refused here")
+
+    monkeypatch.setattr(cli, "lower_bound_plan", refuse)
+    assert main(["phi", "--input", ball_file]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: refused here\n"
+
+
+def test_phi_with_large_exponent_denominators_finishes(tmp_path):
+    path = write(
+        tmp_path,
+        "ball.json",
+        {"kind": "ball", "k": [3, 5], "n": 2, "p": [1009, 1013], "q": [1019, 1021]},
+    )
+    res = run_cli(["phi", "--input", path], timeout=10)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["regime"] == "window"
 
 
 def test_unexpected_error_exit_five(sobolev_file, capsys, monkeypatch):

@@ -219,6 +219,16 @@ def test_distance_exact_under_power_of_two_scaling(shape, n, q, s):
     assert distance_to_subspace(scaled, B, q) == math.ldexp(base, s)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("s", [700, -700])
+def test_point_set_lower_exact_under_power_of_two_scaling(n, s):
+    pts = unit_scale_points((4,), 8, seed=n)
+    base = point_set_lower_q2(pts, n)
+    assert base > 0
+    scaled = [Tensor.from_array(np.ldexp(x.array, s)) for x in pts]
+    assert point_set_lower_q2(scaled, n) == math.ldexp(base, s)
+
+
 # ---------------------------------------------------------------------------
 # corner-block lower bounds
 
