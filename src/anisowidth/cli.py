@@ -550,6 +550,9 @@ _SUITES = {
 
 
 def _run_suite(name: str, seed: int, budget: str, out_dir=None):
+    # Every suite seeds a numpy generator, which refuses a negative seed.
+    if seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {seed}")
     if name == "sandwich":
         return _suite_sandwich(seed, budget, out_dir=out_dir)
     return _SUITES[name](seed, budget)

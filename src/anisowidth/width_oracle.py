@@ -8,6 +8,14 @@ near-active points.  Any feasible coefficient vector certifies a per-point
 distance from above, so the reported value is always a true upper bound for
 the hull of the supplied points.
 
+The dual route bounds each of those distances from below: the norming
+functional of a point's residual, projected onto the orthogonal complement of
+the subspace, pairs with the point to at most the distance times its dual
+norm (Holder's inequality for mixed norms, Benedek & Panzone 1961; duality
+for best approximation, Singer 1970).  The exact evaluation uses these
+certified per-point bounds to skip solves and polishes whose result cannot
+change the reported value (:func:`_evaluate_exact`).
+
 Lower estimates are exact closed forms from corner-block hulls
 (:func:`width_lower_vset`, :func:`anisowidth.ball_widths.vset_l2_lower`) and
 an independent Euclidean dual route (:func:`point_set_lower_q2`, mirror
@@ -80,14 +88,20 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 0:
-            raise ValidationError("restarts must be nonnegative")
-        if self.outer_iterations < 1:
-            raise ValidationError("outer_iterations must be positive")
+        _require_int("restarts", self.restarts, 0)
+        _require_int("outer_iterations", self.outer_iterations, 1)
         if not (0 < self.inner_tolerance < 1e-3):
             raise ValidationError("inner_tolerance must lie in (0, 1e-3)")
-        if self.point_budget < 2:
-            raise ValidationError("point_budget must be at least 2")
+        _require_int("point_budget", self.point_budget, 2)
+        _require_int("seed", self.seed, 0)
+
+
+def _require_int(name: str, value, least: int):
+    """Refuse a boolean, a non-integer, or an integer below ``least``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass
@@ -291,6 +305,44 @@ def _descend(X, B0, q, shape, cfg):
     return best_val, best_B
 
 
+# Relative margin by which :func:`_dual_lower` shrinks its bounds, far above
+# the relative rounding of the norms and upper values it is compared with.
+_DUAL_RTOL = 1e-9
+
+
+def _dual_lower(X, B, q, shape, C) -> np.ndarray:
+    """Certified lower bound on each point's distance from the span of ``B``.
+
+    ``B`` must be orthonormal.  With ``y_i`` the norming functional of the
+    residual ``x_i - B c_i`` and ``z_i = y_i - B B^T y_i``, which is
+    orthogonal to span ``B``, every ``c`` gives ``<x_i, z_i> = <x_i - B c,
+    z_i> <= ||x_i - B c||_q ||z_i||_{q'}`` (Holder's inequality for mixed
+    norms, Benedek & Panzone 1961), so ``<x_i, z_i> / ||z_i||_{q'}`` is at
+    most the distance (Singer 1970); any ``c_i`` gives a bound, a better one
+    a tighter bound.
+
+    Rounding, with 1-norms, which need no squares that could underflow: the
+    computed ``z_i`` is orthogonal only up to ``w_i = B^T z_i``.  The exactly
+    orthogonal ``z_i - B w_i`` pairs with ``x_i`` to within ``||x_i||_1
+    ||w_i||_1`` of ``<x_i, z_i>`` and has dual norm at most ``||z_i||_{q'} +
+    sqrt(K) ||w_i||_1``, and the pairing's own rounding is at most ``K
+    2**-52 ||x_i||_1 ||z_i||_1``.  The bound allows for all three and is then
+    shrunk by ``_DUAL_RTOL``.  It is 0 where the pairing is not positive,
+    e.g. for a point inside span ``B``.
+    """
+    P, K = X.shape
+    _, Y = _norming_array(_batch_residual(X, B, C, shape), q)
+    Y = Y.reshape(K, P, order="F")
+    Z = Y - B @ (B.T @ Y)
+    w = np.abs(B.T @ Z).sum(axis=0)
+    dual_norm = _mixed_norm_array(Z.reshape(shape + (P,), order="F"), q.dual())
+    pairing = (X * Z.T).sum(axis=1)
+    pairing -= np.abs(X).sum(axis=1) * (w + K * 2.0**-52 * np.abs(Z).sum(axis=0))
+    bound = np.zeros(P)
+    np.divide(pairing, dual_norm + math.sqrt(K) * w, out=bound, where=pairing > 0)
+    return (1.0 - _DUAL_RTOL) * bound
+
+
 # Points polished by :func:`_evaluate_exact`: the ones farthest from the
 # subspace after the batched solve.
 _POLISH_TOP = 6
@@ -301,15 +353,30 @@ def _evaluate_exact(X, B, q, shape, tol, cutoff=math.inf) -> float:
 
     After the batched solve the ``_POLISH_TOP`` farthest points are polished
     by Powell, farthest first, and each keeps the smaller of its two values.
+    ``B`` must be orthonormal, as every starting and descended basis is.
 
-    Cutoff contract: the caller uses the result only in the test
-    ``result < cutoff``.  A polish can only lower a point's value, so the
-    maximum of the values already polished and of the largest value outside
-    the polished top is a lower bound on the full result.  As soon as that
-    bound reaches ``cutoff`` the remaining polishes are skipped and the
-    bound is returned; it is ``>= cutoff``, so the test reads false exactly
-    as it would on the full result.  Below the cutoff, and with the default
-    ``cutoff = inf``, every polish runs and the result is the full maximum.
+    Every value this function computes for a point (its solved value, or the
+    smaller of that and its polish) is at least the point's true distance,
+    and :func:`_dual_lower` gives certified bounds ``L_j`` at most the true
+    distances; its margins (``_DUAL_RTOL`` and the rounding terms) are far
+    above the rounding of the values it is compared with.  Two prunes follow, and neither moves a
+    returned value:
+
+    - A top point ``i`` whose solved value is at most ``max_(j != i) L_j``
+      is not polished: its value, polished or not, is at most point ``j``'s,
+      so it cannot set the maximum and the full result is bit-identical.
+    - Cutoff contract: the caller uses the result only in the test
+      ``result < cutoff``.  The full result is at least every ``L_j``, and a
+      polish can only lower a point's value, so the maximum of the ``L_j``,
+      of the values already settled and of the largest value outside the
+      polished top is a lower bound on it.  With a finite cutoff the bounds
+      are first taken at the least-squares start, and when their maximum
+      reaches ``cutoff`` it is returned without the batched solve; after the
+      solve the bounds are retaken and, as soon as the running lower bound
+      reaches ``cutoff``, the remaining polishes are skipped and it is
+      returned.  Either way the result is ``>= cutoff``, so the test reads
+      false exactly as it would on the full result.  Below the cutoff, and
+      with the default ``cutoff = inf``, the result is the full maximum.
     """
     if B.shape[1] == 0:
         return float(
@@ -319,14 +386,25 @@ def _evaluate_exact(X, B, q, shape, tol, cutoff=math.inf) -> float:
     if _is_flat_two(q):
         R = X.T - B @ C
         return float(np.sqrt((R * R).sum(axis=0)).max())
+    if cutoff < math.inf:
+        start = float(_dual_lower(X, B, q, shape, C).max())
+        if start >= cutoff:
+            return start
     C, f = _inner_solve(X, B, q, shape, C, iters=120)
+    L = _dual_lower(X, B, q, shape, C)
+    # max_(j != i) L_j is the largest bound, or the second largest at its owner.
+    lead = int(np.argmax(L))
+    lower = float(L[lead])
+    second = float(np.delete(L, lead).max()) if L.size > 1 else -math.inf
     order = np.argsort(f)[::-1]
     bound = float(f[order[_POLISH_TOP]]) if f.size > _POLISH_TOP else -math.inf
     for i in order[:_POLISH_TOP]:
-        if bound >= cutoff:
-            break
-        val, _ = _polish_point(X[i], B, q, shape, C[:, i], tol)
-        bound = max(bound, float(min(f[i], val)))
+        if max(bound, lower) >= cutoff:
+            return max(bound, lower)
+        val = float(f[i])
+        if val > (second if i == lead else lower):
+            val = min(val, _polish_point(X[i], B, q, shape, C[:, i], tol)[0])
+        bound = max(bound, val)
     return bound
 
 
@@ -353,6 +431,7 @@ def width_upper(
     P, K = X.shape
     if q.d != len(shape):
         raise ValidationError("exponent vector and point dimension mismatch")
+    _require_int("n", n, 0)
     if not (0 <= n <= K):
         raise ValidationError(f"need 0 <= n <= {K}, got n={n}")
     X, e = _prescaled(X)
@@ -414,6 +493,7 @@ def point_set_lower_q2(
     """
     X, _ = _stack_points(points)
     P, K = X.shape
+    _require_int("n", n, 0)
     if not (0 <= n <= K):
         raise ValidationError(f"need 0 <= n <= {K}, got n={n}")
     if n >= K:

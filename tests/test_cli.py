@@ -342,3 +342,13 @@ def test_package_runs_as_module(sobolev_file):
     )
     assert res.returncode == 0
     assert res.stdout == run_cli(["exponent", "--input", sobolev_file]).stdout
+
+
+@pytest.mark.parametrize("suite", ["sandwich", "norms"])
+def test_negative_seed_exit_two(capsys, suite):
+    # numpy's seeding refuses a negative seed with a ValueError, which reached
+    # the CLI boundary as an internal error (exit 5).
+    assert main(["verify", suite, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be nonnegative, got -1\n"

@@ -4,11 +4,14 @@ The Powell polish turns a last-bit change in any norm into a different upper
 value, so the kernels are compared with ``==`` here, never approximately:
 against a copy of the per-call reference kernel that derives each exponent
 from its ``Fraction`` on every call, and against frozen sandwich values.
-The oracle's polish cutoff is held to the same standard: ``width_upper`` must
-give exactly what the loop that polishes every top point gives.
+The oracle's polish cutoff and its dual-bound prunes are held to the same
+standard: ``width_upper`` must give exactly what the loop that polishes every
+top point gives, with no more solves or polishes than the cutoff alone ran.
 """
 
+import functools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -32,8 +35,10 @@ from anisowidth import (
 )
 from anisowidth.mixed_norm import _mixed_norm_array, _norming_array
 from anisowidth.width_oracle import (
+    _POLISH_TOP,
     _descend,
     _inner_solve,
+    _is_flat_two,
     _polish_point,
     _stack_points,
     harmonic_frame,
@@ -239,30 +244,87 @@ def _unit_vectors_and_l1_points(shape, extra, seed):
     return points
 
 
-@pytest.mark.parametrize(
-    "shape, n, q, extra",
-    [
-        ((4,), 1, (4,), 4),
-        ((4,), 2, (4,), 8),
-        ((5,), 3, (4,), 0),
-        ((3, 2), 2, (4, 2), 4),
-        ((2, 3), 1, (2, 4), 4),
-    ],
-)
-def test_polish_cutoff_keeps_width_upper_exact(monkeypatch, shape, n, q, extra):
+def _cutoff_only_evaluate_exact(X, B, q, shape, tol, cutoff=math.inf) -> float:
+    """``_evaluate_exact`` with the polish cutoff alone, before the dual-bound
+    prunes: a verbatim copy of that version, kept as the reference for the
+    number of solves and polishes."""
+    if B.shape[1] == 0:
+        return float(
+            _mixed_norm_array(X.T.reshape(shape + (X.shape[0],), order="F"), q).max()
+        )
+    C = np.linalg.lstsq(B, X.T, rcond=None)[0]
+    if _is_flat_two(q):
+        R = X.T - B @ C
+        return float(np.sqrt((R * R).sum(axis=0)).max())
+    C, f = _inner_solve(X, B, q, shape, C, iters=120)
+    order = np.argsort(f)[::-1]
+    bound = float(f[order[_POLISH_TOP]]) if f.size > _POLISH_TOP else -math.inf
+    for i in order[:_POLISH_TOP]:
+        if bound >= cutoff:
+            break
+        val, _ = _polish_point(X[i], B, q, shape, C[:, i], tol)
+        bound = max(bound, float(min(f[i], val)))
+    return bound
+
+
+PRUNING_CASES = [
+    ((4,), 1, (4,), 4),
+    ((4,), 2, (4,), 8),
+    ((5,), 3, (4,), 0),
+    ((3, 2), 2, (4, 2), 4),
+    ((2, 3), 1, (2, 4), 4),
+]
+ORACLE_CFG = OracleConfig(restarts=2, outer_iterations=10)
+
+
+@functools.lru_cache(maxsize=None)
+def _counted_width_upper(shape, n, q, extra, cutoff_only):
+    """``width_upper`` on the case's points with its polishes and 120-iteration
+    solves counted, run with the cutoff-only evaluation or the current one."""
     points = _unit_vectors_and_l1_points(shape, extra, seed=n)
-    cfg = OracleConfig(restarts=2, outer_iterations=10)
-    value, basis, iterations, full_polishes = _full_polish_width_upper(points, n, q, cfg)
+    counts = {"polish": 0, "solve": 0}
+    real_polish, real_solve = _polish_point, _inner_solve
 
-    calls = []
+    def polish(*args):
+        counts["polish"] += 1
+        return real_polish(*args)
 
-    def counted(*args):
-        calls.append(1)
-        return _polish_point(*args)
+    def solve(*args, **kwargs):
+        counts["solve"] += kwargs.get("iters") == 120
+        return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(width_oracle, "_polish_point", counted)
-    est = width_upper(points, n, q, cfg)
-    assert est.value == value
-    assert est.iterations == iterations
-    assert np.array_equal(est.witness.basis, basis)
-    assert len(calls) < full_polishes
+    with pytest.MonkeyPatch.context() as mp:
+        # The copy above resolves its helpers in this module, the library in its own.
+        for module in (width_oracle, sys.modules[__name__]):
+            mp.setattr(module, "_polish_point", polish)
+            mp.setattr(module, "_inner_solve", solve)
+        if cutoff_only:
+            mp.setattr(width_oracle, "_evaluate_exact", _cutoff_only_evaluate_exact)
+        est = width_upper(points, n, q, ORACLE_CFG)
+    return est, counts
+
+
+@pytest.mark.parametrize("shape, n, q, extra", PRUNING_CASES)
+def test_polish_cutoff_keeps_width_upper_exact(shape, n, q, extra):
+    points = _unit_vectors_and_l1_points(shape, extra, seed=n)
+    value, basis, iterations, full_polishes = _full_polish_width_upper(
+        points, n, q, ORACLE_CFG
+    )
+    runs = {c: _counted_width_upper(shape, n, q, extra, c) for c in (True, False)}
+    for est, counts in runs.values():
+        assert est.value == value
+        assert est.iterations == iterations
+        assert np.array_equal(est.witness.basis, basis)
+        assert counts["polish"] < full_polishes
+    reference, counts = runs[True][1], runs[False][1]
+    assert counts["polish"] <= reference["polish"]
+    assert counts["solve"] <= reference["solve"]
+
+
+def test_dual_bounds_prune_solves_and_polishes():
+    totals = {True: np.zeros(2, dtype=int), False: np.zeros(2, dtype=int)}
+    for case in PRUNING_CASES:
+        for cutoff_only in (True, False):
+            counts = _counted_width_upper(*case, cutoff_only)[1]
+            totals[cutoff_only] += (counts["polish"], counts["solve"])
+    assert (totals[False] < totals[True]).all(), totals

@@ -2,9 +2,13 @@
 
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from anisowidth import width_oracle
 from anisowidth import (
@@ -14,6 +18,7 @@ from anisowidth import (
     Tensor,
     ValidationError,
     DeskScaleError,
+    as_exponents,
     VSet,
     distance_to_subspace,
     harmonic_frame,
@@ -79,6 +84,31 @@ def test_oracle_config_validation():
         OracleConfig(inner_tolerance=1.0)
     with pytest.raises(ValidationError):
         OracleConfig(point_budget=1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("restarts", 1.5),
+        ("restarts", True),
+        ("outer_iterations", 2.5),
+        ("outer_iterations", np.True_),
+        ("point_budget", 2.5),
+        ("seed", -1),
+        ("seed", False),
+        ("seed", 1.0),
+    ],
+)
+def test_oracle_config_refuses_bad_integers(field, value):
+    # Before these checks a float budget was accepted and raised a raw
+    # TypeError later, and a negative seed a ValueError inside SeedSequence.
+    with pytest.raises(ValidationError, match=field):
+        OracleConfig(**{field: value})
+
+
+def test_oracle_config_accepts_numpy_integers():
+    cfg = OracleConfig(restarts=np.int64(1), point_budget=np.int32(8), seed=np.uint8(3))
+    assert (cfg.restarts, cfg.point_budget, cfg.seed) == (1, 8, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +201,89 @@ def test_width_upper_validates_rank():
         width_upper(pts, 4, (2,))
 
 
+@pytest.mark.parametrize("n", [True, False, 1.0])
+def test_rank_must_be_an_integer(n):
+    # width_upper(points, True, ...) used to run as n = 1.
+    pts = random_points(3, 4, seed=5)
+    with pytest.raises(ValidationError, match="n must be an integer"):
+        width_upper(pts, n, (4,))
+    with pytest.raises(ValidationError, match="n must be an integer"):
+        point_set_lower_q2(pts, n)
+
+
 def test_certified_q2_lower_below_upper():
     pts = random_points(6, 20, seed=7)
     for n in (1, 2, 3):
         lo = point_set_lower_q2(pts, n)
         hi = width_upper(pts, n, (2,)).value
         assert lo <= hi * (1 + 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# certified per-point dual bounds
+
+DUAL_EXPONENTS = [1, Fraction(3, 2), 2, 3, 4, math.inf]
+DUAL_SHAPES = [(3,), (5,), (6,), (2, 2), (2, 3), (3, 2)]
+
+
+@st.composite
+def dual_cases(draw, flat_two=False):
+    """A shape, an orthonormal ``K x n`` basis, points in ``[-10, 10]^K`` and q."""
+    shape = draw(st.sampled_from(DUAL_SHAPES))
+    K = math.prod(shape)
+    n = draw(st.integers(1, K - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B = np.linalg.qr(rng.standard_normal((K, n)))[0]
+    entries = st.floats(-10, 10, allow_subnormal=False)
+    X = draw(hnp.arrays(np.float64, (draw(st.integers(1, 4)), K), elements=entries))
+    if flat_two:
+        q = (2,) * len(shape)
+    else:
+        q = tuple(draw(st.sampled_from(DUAL_EXPONENTS)) for _ in shape)
+        if all(v == 2 for v in q):
+            q = q[:-1] + (4,)
+    return shape, B, X, as_exponents(q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dual_cases())
+def test_dual_bound_below_every_upper_value(case):
+    shape, B, X, q = case
+    C0 = B.T @ X.T
+    C, f = width_oracle._inner_solve(X, B, q, shape, C0, iters=30)
+    for start in (C0, C):
+        L = width_oracle._dual_lower(X, B, q, shape, start)
+        assert np.isfinite(L).all() and (L >= 0).all()
+        assert (L <= f).all()
+        for i in range(X.shape[0]):
+            polished, _ = width_oracle._polish_point(X[i], B, q, shape, C[:, i], 1e-8)
+            assert L[i] <= polished
+
+
+@settings(max_examples=80, deadline=None)
+@given(dual_cases(flat_two=True))
+def test_dual_bound_is_the_euclidean_distance_for_flat_two(case):
+    # For q = 2 the norming functional of the projection residual is the
+    # normalised residual itself, so the bound is sharp up to its margin.
+    shape, B, X, q = case
+    dist = np.hypot.reduce(X.T - B @ (B.T @ X.T), axis=0)  # no squares to underflow
+    L = width_oracle._dual_lower(X, B, q, shape, B.T @ X.T)
+    expected = (1 - width_oracle._DUAL_RTOL) * dist
+    assert np.allclose(L, expected, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dual_cases(), st.data())
+def test_dual_bound_is_zero_inside_the_span(case, data):
+    shape, B, X, q = case
+    # Points of span B, including 0, whose residuals round to noise or to 0.
+    coeffs = data.draw(
+        hnp.arrays(np.float64, (B.shape[1], X.shape[0]), elements=st.floats(-10, 10))
+    )
+    inside = (B @ coeffs).T
+    for C in (B.T @ inside.T, np.zeros_like(coeffs)):
+        L = width_oracle._dual_lower(inside, B, q, shape, C)
+        assert np.array_equal(L, np.zeros(X.shape[0]))
 
 
 # ---------------------------------------------------------------------------
