@@ -469,20 +469,17 @@ def sample_group_element(k, rng):
     return perms, signs
 
 
-def vset_extreme_point(v: VSet, g=None, seed=None) -> Tensor:
+def vset_extreme_point(v: VSet, g=None) -> Tensor:
     """Image of the corner block under a group element, as a Tensor.
 
     ``g`` is a pair ``(perms, signs)`` of per-axis permutations (0-based)
-    and sign vectors; ``g=None`` with a seed samples one, ``g=None`` without
-    a seed returns the corner block itself.  The result factors along axes,
-    so its mixed norm is exactly ``prod s_j^(1/p_j)`` for every ``p``.
+    and sign vectors (see :func:`sample_group_element`); ``g=None`` returns
+    the corner block itself.  The result factors along axes, so its mixed
+    norm is exactly ``prod s_j^(1/p_j)`` for every ``p``.
     """
     if g is None:
-        if seed is None:
-            perms = tuple(tuple(range(kj)) for kj in v.k)
-            signs = tuple((1,) * kj for kj in v.k)
-        else:
-            perms, signs = sample_group_element(v.k, np.random.default_rng(seed))
+        perms = tuple(tuple(range(kj)) for kj in v.k)
+        signs = tuple((1,) * kj for kj in v.k)
     else:
         perms, signs = g
     if len(perms) != v.d or len(signs) != v.d:

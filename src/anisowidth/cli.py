@@ -164,21 +164,17 @@ def _emit(report: dict, fmt: str, stream) -> None:
     if fmt == "json":
         stream.write(_dump_json(report))
         return
-    enc = _enc(report)
+    flat = [
+        (key, json.dumps(val, sort_keys=True) if isinstance(val, (dict, list)) else val)
+        for key, val in sorted(_enc(report).items())
+    ]
     if fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["key", "value"])
-        for key in sorted(enc):
-            val = enc[key]
-            if isinstance(val, (dict, list)):
-                val = json.dumps(val, sort_keys=True)
-            writer.writerow([key, val])
+        writer.writerows(flat)
         return
-    width = max((len(str(k)) for k in enc), default=1)
-    for key in sorted(enc):
-        val = enc[key]
-        if isinstance(val, (dict, list)):
-            val = json.dumps(val, sort_keys=True)
+    width = max((len(key) for key, _ in flat), default=1)
+    for key, val in flat:
         stream.write(f"{key:<{width}}  {val}\n")
 
 
@@ -259,8 +255,8 @@ def _phi_report(prob: dict) -> dict:
 # ---------------------------------------------------------------------------
 # verify suites
 
-# each suite returns (rows, violations); rows are dicts with a "property"
-# anchor, a "status" of ok/violation, and a deterministic detail string
+# each suite returns its rows: dicts with a "property" anchor, a "status" of
+# ok/violation, and a deterministic detail string
 
 
 def _row(prop, ok, detail=""):
@@ -322,8 +318,7 @@ def _suite_norms(seed: int, budget: str):
                 f"draw={i}",
             )
         )
-    violations = [r for r in rows if r["status"] == "violation"]
-    return rows, violations
+    return rows
 
 
 def _suite_interp(seed: int, budget: str):
@@ -350,8 +345,7 @@ def _suite_interp(seed: int, budget: str):
     rows.insert(
         0, _row("holder_interpolation", bad == 0, f"checks={draws} violations={bad}")
     )
-    violations = [r for r in rows if r["status"] == "violation"]
-    return rows, violations
+    return rows
 
 
 def _sandwich_instances(seed: int, count: int):
@@ -398,8 +392,7 @@ def _suite_sandwich(seed: int, budget: str, out_dir=None):
                     f"instance={i} ratio={ratio!r}",
                 )
             )
-    violations = [r for r in rows if r["status"] == "violation"]
-    return rows, violations
+    return rows
 
 
 def _suite_kernels(seed: int, budget: str):
@@ -429,8 +422,7 @@ def _suite_kernels(seed: int, budget: str):
         d = 1 + i % 2
         deg = tuple(int(rng.integers(1, 5)) for _ in range(d))
         t = ta.TrigPoly.random_real(deg, rng)
-        N = tuple(v for v in deg)
-        out = ta.vp_operator(t, N)
+        out = ta.vp_operator(t, deg)
         rows.append(
             _row(
                 "vp_reproduces_band",
@@ -496,8 +488,7 @@ def _suite_kernels(seed: int, budget: str):
     val = ta.fejer_shift_sum_check(8, math.pi / 8)
     rows.append(_row("fejer_shift_sum_bounded", val <= 4.0, f"value={val!r}"))
 
-    violations = [r for r in rows if r["status"] == "violation"]
-    return rows, violations
+    return rows
 
 
 def _suite_rates(seed: int, budget: str):
@@ -536,8 +527,7 @@ def _suite_rates(seed: int, budget: str):
                 f"slope={resp.slope!r}",
             )
         )
-    violations = [r for r in rows if r["status"] == "violation"]
-    return rows, violations
+    return rows
 
 
 _SUITES = {
@@ -554,31 +544,25 @@ def _run_suite(name: str, seed: int, budget: str, out_dir=None):
     if seed < 0:
         raise ValidationError(f"--seed must be nonnegative, got {seed}")
     if name == "sandwich":
-        return _suite_sandwich(seed, budget, out_dir=out_dir)
-    return _SUITES[name](seed, budget)
+        rows = _suite_sandwich(seed, budget, out_dir=out_dir)
+    else:
+        rows = _SUITES[name](seed, budget)
+    return rows, [r for r in rows if r["status"] == "violation"]
 
 
 # ---------------------------------------------------------------------------
 # entry points
 
 
-def _cmd_exponent(args) -> int:
-    report = _exponent_report(load_problem(args.input))
-    _emit(report, args.format, sys.stdout)
-    return 0
-
-
-def _cmd_phi(args) -> int:
-    report = _phi_report(load_problem(args.input))
-    _emit(report, args.format, sys.stdout)
+def _cmd_problem(args) -> int:
+    _emit(args.report(load_problem(args.input)), args.format, sys.stdout)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    out_dir = getattr(args, "out", None)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-    rows, violations = _run_suite(args.suite, args.seed, args.budget, out_dir=out_dir)
+    if args.out is not None:
+        os.makedirs(args.out, exist_ok=True)
+    rows, violations = _run_suite(args.suite, args.seed, args.budget, out_dir=args.out)
     report = {
         "suite": args.suite,
         "seed": args.seed,
@@ -629,10 +613,7 @@ def _add_common(sp, out_required=False):
     sp.add_argument("--format", choices=("json", "table", "csv"), default="json")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--budget", choices=BUDGETS, default="small")
-    if out_required:
-        sp.add_argument("--out", required=True, help="directory for artifacts")
-    else:
-        sp.add_argument("--out", default=None, help="directory for artifacts")
+    sp.add_argument("--out", required=out_required, help="directory for artifacts")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -642,15 +623,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("exponent", help="width-order exponent of a class problem")
-    sp.add_argument("--input", required=True)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_exponent)
-
-    sp = sub.add_parser("phi", help="closed-form order for a ball problem")
-    sp.add_argument("--input", required=True)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_phi)
+    for name, text, report in (
+        ("exponent", "width-order exponent of a class problem", _exponent_report),
+        ("phi", "closed-form order for a ball problem", _phi_report),
+    ):
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("--input", required=True)
+        _add_common(sp)
+        sp.set_defaults(func=_cmd_problem, report=report)
 
     sp = sub.add_parser("verify", help="run one self-check suite")
     vsub = sp.add_subparsers(dest="suite", required=True)

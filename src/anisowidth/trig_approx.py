@@ -8,6 +8,12 @@ slopes for functions in anisotropic smoothness classes.
 
 Function norms here use normalized measure (grid means), in contrast with
 the counting-measure norms of :mod:`anisowidth.mixed_norm`.
+
+Each coefficient-space decision (band slices, FFT positions, a multiplier
+along one axis, the Weyl multiplier, degree powers, order checks) is made
+by one private helper.  Kernel, taper and difference orders must be finite
+and >= 1, Weyl orders finite and >= 0, phases finite; anything else is
+refused with :class:`ValidationError`, so no input yields NaN.
 """
 
 from __future__ import annotations
@@ -59,6 +65,50 @@ __all__ = [
 
 # admissible window for the kernel shift-sum bound: C1 <= m*h <= C2
 SHIFT_SUM_WINDOW = (0.25, 8.0)
+# steps h of the finite-difference scan in smoothness_margin
+_MARGIN_STEPS = (math.pi / 3, math.pi / 7, math.pi / 16, math.pi / 40)
+
+
+def _band(inner, outer) -> tuple:
+    """Slices of the degree-``inner`` band centred in a degree-``outer`` array."""
+    if len(inner) != len(outer) or any(a > b for a, b in zip(inner, outer)):
+        raise ValidationError(f"degree {inner} does not fit in degree {outer}")
+    return tuple(slice(No - Ni, No + Ni + 1) for Ni, No in zip(inner, outer))
+
+
+def _spectrum_index(degree, grid):
+    """FFT positions of the band ``|k_j| <= N_j`` on a uniform grid that
+    resolves it (``G_j >= 2 N_j + 1``)."""
+    if len(grid) != len(degree):
+        raise ValidationError(f"grid {grid} and degree {degree} differ in dimension")
+    for G, N in zip(grid, degree):
+        if G < 2 * N + 1:
+            raise ValidationError(f"grid {G} aliases a degree-{N} band (need >= {2 * N + 1})")
+    return np.ix_(*((np.arange(-N, N + 1) % G) for N, G in zip(degree, grid)))
+
+
+def _along(a: np.ndarray, axis: int, mult: np.ndarray) -> np.ndarray:
+    """``a`` times the 1-d multiplier ``mult`` along the 0-based ``axis``."""
+    shape = [1] * a.ndim
+    shape[axis] = len(mult)
+    return a * mult.reshape(shape)
+
+
+def _require_order(m, what: str = "kernel order") -> None:
+    if not 1 <= m < math.inf:
+        raise ValidationError(f"{what} must be finite and >= 1, got {m}")
+
+
+def _finite(what: str, v) -> float:
+    v = float(v)
+    if not math.isfinite(v):
+        raise ValidationError(f"{what} must be finite, got {v}")
+    return v
+
+
+def _like(x, vals):
+    """A float for scalar ``x``, the array otherwise."""
+    return float(vals) if np.isscalar(x) else vals
 
 
 class TrigPoly:
@@ -95,67 +145,52 @@ class TrigPoly:
     def d(self) -> int:
         return len(self.degree)
 
+    def _index(self, k) -> tuple:
+        """Array index of the integer frequency vector ``k`` (an int when d = 1)."""
+        k = (k,) if np.ndim(k) == 0 else tuple(k)
+        if len(k) != self.d or not all(
+            isinstance(kj, (int, np.integer)) and not isinstance(kj, bool) and abs(kj) <= Nj
+            for kj, Nj in zip(k, self.degree)
+        ):
+            raise ValidationError(f"frequency {k} is not an integer vector in box {self.degree}")
+        return tuple(int(kj) + Nj for kj, Nj in zip(k, self.degree))
+
     def c(self, k: Sequence[int]) -> complex:
-        k = tuple(int(v) for v in k)
-        if len(k) != self.d or any(abs(kj) > Nj for kj, Nj in zip(k, self.degree)):
-            raise ValidationError(f"frequency {k} outside degree box {self.degree}")
-        idx = tuple(kj + Nj for kj, Nj in zip(k, self.degree))
-        return complex(self.coeff[idx])
+        return complex(self.coeff[self._index(k)])
 
     @classmethod
     def from_coeff_dict(cls, degree, entries: dict) -> "TrigPoly":
         out = cls(degree)
         for k, v in entries.items():
-            k = (k,) if isinstance(k, int) else tuple(k)
-            idx = tuple(kj + Nj for kj, Nj in zip(k, out.degree))
-            if any(abs(kj) > Nj for kj, Nj in zip(k, out.degree)):
-                raise ValidationError(f"frequency {k} outside degree box {degree}")
-            out.coeff[idx] = v
+            out.coeff[out._index(k)] = v
         return out
 
     @classmethod
-    def random_real(cls, degree, rng, scale: float = 1.0) -> "TrigPoly":
+    def random_real(cls, degree, rng) -> "TrigPoly":
         """Random real-valued polynomial: conjugate-symmetric coefficients."""
         shape = tuple(2 * int(N) + 1 for N in degree)
         raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        flipped = raw[tuple(slice(None, None, -1) for _ in shape)]
-        coeff = 0.5 * scale * (raw + np.conj(flipped))
-        return cls(degree, coeff)
+        return cls(degree, 0.5 * (raw + np.conj(np.flip(raw))))
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        flipped = self.coeff[tuple(slice(None, None, -1) for _ in self.coeff.shape)]
+    def is_real(self) -> bool:
         scale = max(1.0, float(np.abs(self.coeff).max()))
-        return bool(np.abs(self.coeff - np.conj(flipped)).max() <= tol * scale)
+        return bool(np.abs(self.coeff - np.conj(np.flip(self.coeff))).max() <= 1e-12 * scale)
 
     def pad(self, degree) -> "TrigPoly":
-        degree = tuple(int(N) for N in degree)
-        if len(degree) != self.d or any(b < a for a, b in zip(self.degree, degree)):
-            raise ValidationError(f"cannot pad degree {self.degree} to {degree}")
         out = TrigPoly(degree)
-        sl = tuple(
-            slice(Nb - Na, Nb + Na + 1) for Na, Nb in zip(self.degree, degree)
-        )
-        out.coeff[sl] = self.coeff
+        out.coeff[_band(self.degree, out.degree)] = self.coeff
         return out
 
     def restrict(self, degree) -> "TrigPoly":
         degree = tuple(int(N) for N in degree)
-        if len(degree) != self.d or any(b > a for a, b in zip(self.degree, degree)):
-            raise ValidationError(f"cannot restrict degree {self.degree} to {degree}")
-        sl = tuple(
-            slice(Na - Nb, Na + Nb + 1) for Na, Nb in zip(self.degree, degree)
-        )
-        return TrigPoly(degree, self.coeff[sl])
+        return TrigPoly(degree, self.coeff[_band(degree, self.degree)])
 
     def _binary(self, other, sign):
         if not isinstance(other, TrigPoly) or other.d != self.d:
             raise ValidationError("operands must be TrigPoly of equal dimension")
         degree = tuple(max(a, b) for a, b in zip(self.degree, other.degree))
         out = self.pad(degree)
-        sl = tuple(
-            slice(Nb - Na, Nb + Na + 1) for Na, Nb in zip(other.degree, degree)
-        )
-        out.coeff[sl] += sign * other.coeff
+        out.coeff[_band(other.degree, degree)] += sign * other.coeff
         return out
 
     def __add__(self, other):
@@ -177,23 +212,13 @@ class TrigPoly:
         Requires ``G_j >= 2 N_j + 1`` on every axis (no aliasing).
         """
         grid = tuple(int(G) for G in grid)
-        if len(grid) != self.d:
-            raise ValidationError("grid dimension mismatch")
-        for G, N in zip(grid, self.degree):
-            if G < 2 * N + 1:
-                raise ValidationError(
-                    f"grid {G} aliases a degree-{N} polynomial (need >= {2 * N + 1})"
-                )
+        index = _spectrum_index(self.degree, grid)
         spec = np.zeros(grid, dtype=complex)
-        idx = tuple(
-            (np.arange(-N, N + 1) % G) for N, G in zip(self.degree, grid)
-        )
-        spec[np.ix_(*idx)] = self.coeff
+        spec[index] = self.coeff
         return np.fft.ifftn(spec) * math.prod(grid)
 
     def real_values(self, grid) -> np.ndarray:
-        vals = self.values(grid)
-        return vals.real
+        return self.values(grid).real
 
 
 def samples_to_trigpoly(values: np.ndarray, degree) -> TrigPoly:
@@ -203,18 +228,9 @@ def samples_to_trigpoly(values: np.ndarray, degree) -> TrigPoly:
     """
     values = np.asarray(values)
     degree = tuple(int(N) for N in degree)
-    if values.ndim != len(degree):
-        raise ValidationError("sample array dimension mismatch")
-    for G, N in zip(values.shape, degree):
-        if G < 2 * N + 1:
-            raise ValidationError(
-                f"grid {G} cannot resolve degree {N} (need >= {2 * N + 1})"
-            )
+    index = _spectrum_index(degree, values.shape)
     spec = np.fft.fftn(values) / math.prod(values.shape)
-    idx = tuple(
-        (np.arange(-N, N + 1) % G) for N, G in zip(degree, values.shape)
-    )
-    return TrigPoly(degree, spec[np.ix_(*idx)])
+    return TrigPoly(degree, spec[index])
 
 
 def trigpoly_to_json(t: TrigPoly) -> str:
@@ -251,8 +267,7 @@ def fejer(m: int, x) -> Union[float, np.ndarray]:
     ``fejer(1, .) == 1``; the coefficient of frequency ``k`` is
     ``max(1 - |k|/m, 0)``, so the degree is ``m - 1``.
     """
-    if m < 1:
-        raise ValidationError(f"kernel order must be >= 1, got {m}")
+    _require_order(m)
     xa = np.asarray(x, dtype=float)
     s = np.sin(xa / 2.0)
     near = np.abs(s) < 1e-9
@@ -260,28 +275,27 @@ def fejer(m: int, x) -> Union[float, np.ndarray]:
     vals = np.where(
         near, float(m), np.sin(m * xa / 2.0) ** 2 / (m * s_safe**2)
     )
-    return float(vals) if np.isscalar(x) else vals
+    return _like(x, vals)
 
 
 def vallee_poussin(m: int, x) -> Union[float, np.ndarray]:
     """De la Vallee Poussin kernel: flat response up to ``m``, taper to ``2m``."""
-    if m < 1:
-        raise ValidationError(f"kernel order must be >= 1, got {m}")
+    _require_order(m)
     return 2.0 * fejer(2 * m, x) - fejer(m, x)
 
 
 def vp_power_kernel(n: int, r, alpha, x) -> Union[float, np.ndarray]:
     """Tapered power kernel: coefficient ``|k|^r e^(i sgn(k) alpha pi/2)``
     up to ``n``, linearly tapered to zero at ``2n``."""
-    if n < 1:
-        raise ValidationError(f"kernel order must be >= 1, got {n}")
+    _require_order(n)
+    r = _finite("kernel smoothness r", r)
     xa = np.asarray(x, dtype=float)
-    phase = float(alpha) * math.pi / 2.0
+    phase = _finite("phase alpha", alpha) * math.pi / 2.0
     out = np.ones_like(xa)
     for k in range(1, 2 * n):
         w = 1.0 if k <= n else (2 * n - k) / n
-        out = out + 2.0 * w * k ** float(r) * np.cos(k * xa + phase)
-    return float(out) if np.isscalar(x) else out
+        out = out + 2.0 * w * k ** r * np.cos(k * xa + phase)
+    return _like(x, out)
 
 
 def bernoulli_kernel(r, alpha, x, truncation: int) -> Union[float, np.ndarray]:
@@ -291,12 +305,11 @@ def bernoulli_kernel(r, alpha, x, truncation: int) -> Union[float, np.ndarray]:
     ``2 truncation^(1-r)/(r-1)``; for ``r > 0`` summation by parts bounds it
     by ``~ truncation^(-r)/|sin(x/2)|`` away from the lattice points.
     """
-    if truncation < 1:
-        raise ValidationError("truncation must be >= 1")
+    _require_order(truncation, "truncation")
     if not float(r) > 0:
         raise ValidationError("kernel smoothness r must be positive")
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    phase = float(alpha) * math.pi / 2.0
+    xa = np.asarray(x, dtype=float)
+    phase = _finite("phase alpha", alpha) * math.pi / 2.0
     out = np.ones_like(xa)
     chunk = 2048
     for start in range(1, truncation + 1, chunk):
@@ -304,7 +317,7 @@ def bernoulli_kernel(r, alpha, x, truncation: int) -> Union[float, np.ndarray]:
         out = out + 2.0 * (np.cos(np.multiply.outer(xa, k) - phase) * k ** (-float(r))).sum(
             axis=-1
         )
-    return float(out[0]) if np.isscalar(x) else out.reshape(np.shape(x))
+    return _like(x, out)
 
 
 @dataclass(frozen=True)
@@ -325,8 +338,7 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("fejer", "vallee_poussin", "vp_power", "bernoulli"):
             raise ValidationError(f"unknown kernel kind {self.kind!r}")
-        if self.order < 1:
-            raise ValidationError("kernel order must be >= 1")
+        _require_order(self.order)
         if self.kind == "bernoulli" and self.truncation < 10 * self.order:
             raise ValidationError(
                 "Bernoulli evaluation needs truncation >= 10 * order"
@@ -348,11 +360,10 @@ class KernelSpec:
 
 def vp_multiplier(m: int, k) -> Union[float, np.ndarray]:
     """Taper weight: 1 on ``|k| <= m``, linear to 0 at ``|k| = 2m``."""
-    if m < 1:
-        raise ValidationError(f"taper order must be >= 1, got {m}")
+    _require_order(m, "taper order")
     ka = np.abs(np.asarray(k, dtype=float))
     w = np.clip((2 * m - ka) / m, 0.0, 1.0)
-    return float(w) if np.isscalar(k) else w
+    return _like(k, w)
 
 
 def _as_trigpoly(f, N) -> TrigPoly:
@@ -387,11 +398,7 @@ def vp_operator(f, N: Sequence[int]) -> TrigPoly:
     t = t.restrict(out_deg)
     coeff = t.coeff
     for axis, (Nj, Dj) in enumerate(zip(N, out_deg)):
-        k = np.arange(-Dj, Dj + 1)
-        w = vp_multiplier(Nj, k)
-        shape = [1] * t.d
-        shape[axis] = len(k)
-        coeff = coeff * w.reshape(shape)
+        coeff = _along(coeff, axis, vp_multiplier(Nj, np.arange(-Dj, Dj + 1)))
     return TrigPoly(out_deg, coeff)
 
 
@@ -432,11 +439,28 @@ def dyadic_block(f, r, m: int) -> TrigPoly:
     ``m = 0`` returns the coarsest taper output itself, so the blocks
     telescope: summing blocks 0..M reproduces the scale-M taper output.
     """
-    if m < 0:
-        raise ValidationError("block index must be >= 0")
     if m == 0:
         return vp_at_scale(f, r, 0)
     return vp_at_scale(f, r, m) - vp_at_scale(f, r, m - 1)
+
+
+def _weyl(t: TrigPoly, axis: int, r, alpha, sign: int) -> TrigPoly:
+    """Multiply frequency ``k != 0`` along a 1-based axis by
+    ``|k|^(sign r) e^(i sign sgn(k) alpha pi/2)``; the zero frequency goes
+    to zero for ``r > 0`` and keeps its phase factor 1 for ``r = 0``."""
+    if not (1 <= axis <= t.d):
+        raise ValidationError(f"axis {axis} outside 1..{t.d}")
+    r = float(r)
+    if not 0 <= r < math.inf:
+        raise ValidationError(f"Weyl order must be finite and >= 0, got {r}")
+    alpha = _finite("phase alpha", alpha)
+    N = t.degree[axis - 1]
+    k = np.arange(-N, N + 1, dtype=float)
+    phase = np.exp(sign * 1j * np.sign(k) * alpha * math.pi / 2.0)
+    mag = np.full(len(k), 0.0 if r > 0 else 1.0)
+    nonzero = k != 0
+    mag[nonzero] = np.abs(k[nonzero]) ** (sign * r)
+    return TrigPoly(t.degree, _along(t.coeff, axis - 1, mag * phase))
 
 
 def weyl_derivative(t: TrigPoly, axis: int, r, alpha) -> TrigPoly:
@@ -444,24 +468,10 @@ def weyl_derivative(t: TrigPoly, axis: int, r, alpha) -> TrigPoly:
 
     Frequency ``k`` picks up ``|k|^r e^(i sgn(k) alpha pi/2)``; the zero
     frequency is annihilated for ``r > 0`` and kept for ``r = 0`` (so
-    ``r = 0, alpha = 0`` is the identity).  ``axis`` is 1-based.
+    ``r = 0, alpha = 0`` is the identity).  ``axis`` is 1-based; ``r`` must
+    be finite and ``>= 0`` and ``alpha`` finite.
     """
-    if not (1 <= axis <= t.d):
-        raise ValidationError(f"axis {axis} outside 1..{t.d}")
-    if float(r) < 0:
-        raise ValidationError("derivative order must be >= 0")
-    N = t.degree[axis - 1]
-    k = np.arange(-N, N + 1, dtype=float)
-    phase = np.exp(1j * np.sign(k) * float(alpha) * math.pi / 2.0)
-    if float(r) == 0:
-        mult = phase
-    else:
-        mag = np.abs(k) ** float(r)
-        mag[N] = 0.0
-        mult = mag * phase
-    shape = [1] * t.d
-    shape[axis - 1] = len(k)
-    return TrigPoly(t.degree, t.coeff * mult.reshape(shape))
+    return _weyl(t, axis, r, alpha, 1)
 
 
 def weyl_integral(t: TrigPoly, axis: int, r, alpha) -> TrigPoly:
@@ -470,19 +480,7 @@ def weyl_integral(t: TrigPoly, axis: int, r, alpha) -> TrigPoly:
     Frequency ``k != 0`` picks up ``|k|^(-r) e^(-i sgn(k) alpha pi/2)``;
     the zero frequency goes to zero for ``r > 0`` and is kept for ``r = 0``.
     """
-    if not (1 <= axis <= t.d):
-        raise ValidationError(f"axis {axis} outside 1..{t.d}")
-    if float(r) < 0:
-        raise ValidationError("integral order must be >= 0")
-    N = t.degree[axis - 1]
-    k = np.arange(-N, N + 1, dtype=float)
-    phase = np.exp(-1j * np.sign(k) * float(alpha) * math.pi / 2.0)
-    with np.errstate(divide="ignore"):
-        mag = np.where(k == 0, 0.0 if float(r) > 0 else 1.0, np.abs(k) ** (-float(r)))
-    mult = mag * phase
-    shape = [1] * t.d
-    shape[axis - 1] = len(k)
-    return TrigPoly(t.degree, t.coeff * mult.reshape(shape))
+    return _weyl(t, axis, r, alpha, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +503,15 @@ def trig_lp_norm(t: TrigPoly, p, oversample: int = 8) -> float:
     return _grid_norm(t.values(grid), p)
 
 
+def _degree_power(degree, exponents) -> float:
+    """``prod_j max(N_j, 1)^(e_j)`` over degrees or grid sizes, folded in
+    axis order from 1.0."""
+    factor = 1.0
+    for N, e in zip(degree, exponents):
+        factor *= float(max(N, 1)) ** e
+    return factor
+
+
 def nikolskii_ratio(t: TrigPoly, p, q) -> float:
     """Norm-gap ratio ``||t||_q / (||t||_p prod N^((1/p - 1/q)_+))``.
 
@@ -519,11 +526,8 @@ def nikolskii_ratio(t: TrigPoly, p, q) -> float:
     if np_val == 0:
         raise ValidationError("zero polynomial has no norm ratio")
     nq_val = trig_lp_norm(t, q)
-    factor = 1.0
-    for N, rp, rq in zip(t.degree, p.recip, q.recip):
-        gap = max(float(rp) - float(rq), 0.0)
-        factor *= float(max(N, 1)) ** gap
-    return nq_val / (np_val * factor)
+    gaps = [max(float(rp) - float(rq), 0.0) for rp, rq in zip(p.recip, q.recip)]
+    return nq_val / (np_val * _degree_power(t.degree, gaps))
 
 
 def bernstein_ratio(t: TrigPoly, r, alpha, p) -> float:
@@ -538,8 +542,6 @@ def bernstein_ratio(t: TrigPoly, r, alpha, p) -> float:
     if not (len(r) == len(alpha) == t.d == p.d):
         raise ValidationError("dimension mismatch among t, r, alpha, p")
     for j, (rj, aj) in enumerate(zip(r, alpha)):
-        if float(rj) < 0:
-            raise ValidationError("derivative orders must be >= 0")
         if float(rj) == 0 and float(aj) != 0:
             raise ValidationError(
                 f"axis {j + 1}: phase must vanish where the order is zero"
@@ -549,29 +551,25 @@ def bernstein_ratio(t: TrigPoly, r, alpha, p) -> float:
         raise ValidationError("zero polynomial has no norm ratio")
     dt = t
     for j, (rj, aj) in enumerate(zip(r, alpha)):
-        if float(rj) == 0 and float(aj) == 0:
-            continue
-        dt = weyl_derivative(dt, j + 1, rj, aj)
+        if float(rj) != 0:
+            dt = weyl_derivative(dt, j + 1, rj, aj)
     num = trig_lp_norm(dt, p)
-    factor = 1.0
-    for N, rj in zip(t.degree, r):
-        factor *= float(max(N, 1)) ** float(rj)
-    return num / (base * factor)
+    return num / (base * _degree_power(t.degree, [float(rj) for rj in r]))
 
 
-def fejer_shift_sum_check(m: int, h: float, grid_size: int = 1024) -> float:
-    """Max over x of ``sum_l fejer(m, x - l h) / m`` for shifts ``l h`` in
-    one period.  Requires ``m h`` inside ``SHIFT_SUM_WINDOW``; the value is
-    bounded by a constant depending only on the window."""
-    if m < 1:
-        raise ValidationError("kernel order must be >= 1")
+def fejer_shift_sum_check(m: int, h: float) -> float:
+    """Max over 1024 grid points x of ``sum_l fejer(m, x - l h) / m`` for
+    shifts ``l h`` in one period.  Requires ``m h`` inside
+    ``SHIFT_SUM_WINDOW``; the value is bounded by a constant depending only
+    on the window."""
+    _require_order(m)
     prod = m * h
     if not (SHIFT_SUM_WINDOW[0] <= prod <= SHIFT_SUM_WINDOW[1]):
         raise ValidationError(
             f"m*h = {prod} outside admissible window {SHIFT_SUM_WINDOW}"
         )
     shifts = np.arange(0, int(math.floor(2 * math.pi / h)) + 1) * h
-    x = np.linspace(0.0, 2 * math.pi, grid_size, endpoint=False)
+    x = np.linspace(0.0, 2 * math.pi, 1024, endpoint=False)
     total = np.zeros_like(x)
     for lh in shifts:
         total += fejer(m, x - lh)
@@ -583,20 +581,17 @@ def finite_difference(values: np.ndarray, h: float, axis: int, order: int) -> np
 
     Acts on uniform grid samples through the spectrum (multiplier
     ``(e^(i k h) - 1)^order``), so it is exact for samples of a polynomial
-    the grid resolves, for any real step ``h``.
+    the grid resolves, for any finite real step ``h``.
     """
     values = np.asarray(values)
     if not (1 <= axis <= values.ndim):
         raise ValidationError(f"axis {axis} outside 1..{values.ndim}")
-    if order < 1:
-        raise ValidationError("difference order must be >= 1")
+    _require_order(order, "difference order")
+    h = _finite("step h", h)
     G = values.shape[axis - 1]
     spec = np.fft.fft(values, axis=axis - 1)
     k = np.fft.fftfreq(G) * G
-    mult = (np.exp(1j * k * h) - 1.0) ** order
-    shape = [1] * values.ndim
-    shape[axis - 1] = G
-    spec = spec * mult.reshape(shape)
+    spec = _along(spec, axis - 1, (np.exp(1j * k * h) - 1.0) ** order)
     out = np.fft.ifft(spec, axis=axis - 1)
     if np.isrealobj(values):
         return out.real
@@ -605,22 +600,26 @@ def finite_difference(values: np.ndarray, h: float, axis: int, order: int) -> np
 
 def _grid_norm(values: np.ndarray, p: ExponentVector) -> float:
     raw = mixed_norm(Tensor.from_array(np.abs(values)), p)
-    scale = 1.0
-    for G, recip in zip(values.shape, p.recip):
-        scale *= float(G) ** (-float(recip))
-    return raw * scale
+    return raw * _degree_power(values.shape, [-float(recip) for recip in p.recip])
 
 
-def smoothness_margin(t: TrigPoly, r, p, steps=(math.pi / 3, math.pi / 7, math.pi / 16, math.pi / 40)) -> float:
-    """Max over axes and steps of ``||Delta^(l_j)_h t||_p / h^(r_j)``.
-
-    ``l_j = floor(r_j) + 1``.  A value at most 1 witnesses membership in the
-    smoothness class on the sampled steps.
-    """
+def _class_args(t: TrigPoly, r, p) -> tuple:
+    """The smoothness vector and exponents of a class, checked against ``t``."""
     p = as_exponents(p)
     rr = smoothness_vector(r)
     if not (p.d == len(rr) == t.d):
         raise ValidationError("dimension mismatch among t, r, p")
+    return rr, p
+
+
+def smoothness_margin(t: TrigPoly, r, p) -> float:
+    """Max over axes and steps of ``||Delta^(l_j)_h t||_p / h^(r_j)``.
+
+    ``l_j = floor(r_j) + 1`` and ``h`` runs over ``pi/3, pi/7, pi/16,
+    pi/40``.  A value at most 1 witnesses membership in the smoothness
+    class on the sampled steps.
+    """
+    rr, p = _class_args(t, r, p)
     grid = tuple(8 * max(N, 1) + 1 for N in t.degree)
     vals = t.values(grid)
     if t.is_real():
@@ -628,7 +627,7 @@ def smoothness_margin(t: TrigPoly, r, p, steps=(math.pi / 3, math.pi / 7, math.p
     worst = 0.0
     for j, rj in enumerate(rr):
         lj = int(math.floor(float(rj))) + 1
-        for h in steps:
+        for h in _MARGIN_STEPS:
             diff = finite_difference(vals, h, j + 1, lj)
             worst = max(worst, _grid_norm(diff, p) / float(h) ** float(rj))
     return worst
@@ -652,10 +651,7 @@ def approximation_rate(
     the slope is ``-inf``.  With ``check_membership``, a finite-difference
     scan must witness ``f`` in the unit class first.
     """
-    p = as_exponents(p)
-    rr = smoothness_vector(r)
-    if not (p.d == len(rr) == f.d):
-        raise ValidationError("dimension mismatch among f, r, p")
+    rr, p = _class_args(f, r, p)
     if m_max < 3:
         raise ValidationError("m_max must be at least 3")
     if check_membership:
@@ -664,15 +660,11 @@ def approximation_rate(
             raise ValidationError(
                 f"function is not in the unit smoothness class (margin {margin:.6g})"
             )
-    errors = []
-    for m in range(m_max + 1):
-        em = trig_lp_norm(f - vp_at_scale(f, rr, m), p)
-        errors.append(em)
+    errors = [trig_lp_norm(f - vp_at_scale(f, rr, m), p) for m in range(m_max + 1)]
     ms = [m for m in range(2, m_max + 1) if errors[m] > 1e-13]
-    if not ms:
-        return RateResult(slope=-math.inf, errors=tuple(errors), scales=tuple(range(m_max + 1)))
-    logs = [math.log2(errors[m]) for m in ms]
-    slope = float(np.polyfit(ms, logs, 1)[0])
+    slope = -math.inf
+    if ms:
+        slope = float(np.polyfit(ms, [math.log2(errors[m]) for m in ms], 1)[0])
     return RateResult(slope=slope, errors=tuple(errors), scales=tuple(range(m_max + 1)))
 
 
@@ -690,16 +682,25 @@ def _cos_series_coeff(amplitudes: np.ndarray) -> np.ndarray:
     return coeff
 
 
+def _power_amplitudes(K: int, r) -> np.ndarray:
+    """Amplitudes ``a_k = k^(-r-1/2)`` for ``k = 1..K`` (``a_0 = 0``)."""
+    amps = np.zeros(K + 1)
+    for k in range(1, K + 1):
+        amps[k] = float(k) ** (-(float(r) + 0.5))
+    return amps
+
+
+def _into_unit_class(t: TrigPoly, r, p) -> TrigPoly:
+    """``t`` scaled to smoothness margin 0.95."""
+    return t * (0.95 / smoothness_margin(t, r, p))
+
+
 def decaying_series_1d(r, terms: int = 256, p=(2,)) -> TrigPoly:
     """Dense-spectrum probe ``c sum k^(-r-1/2) cos(kx)``, scaled into the
     unit class for the given norm."""
     rr = smoothness_vector((r,))[0]
-    amps = np.zeros(terms + 1)
-    for k in range(1, terms + 1):
-        amps[k] = float(k) ** (-(float(rr) + 0.5))
-    t = TrigPoly((terms,), _cos_series_coeff(amps))
-    margin = smoothness_margin(t, (rr,), p)
-    return t * (0.95 / margin)
+    t = TrigPoly((terms,), _cos_series_coeff(_power_amplitudes(terms, rr)))
+    return _into_unit_class(t, (rr,), p)
 
 
 def lacunary_1d(r, levels: int = 10, p=(2,)) -> TrigPoly:
@@ -710,8 +711,7 @@ def lacunary_1d(r, levels: int = 10, p=(2,)) -> TrigPoly:
     for j in range(levels + 1):
         amps[2**j] = 2.0 ** (-float(rr) * j)
     t = TrigPoly((K,), _cos_series_coeff(amps))
-    margin = smoothness_margin(t, (rr,), p)
-    return t * (0.95 / margin)
+    return _into_unit_class(t, (rr,), p)
 
 
 def tensor_series_2d(r, terms=(96, 48), p=(2, 2)) -> TrigPoly:
@@ -721,13 +721,8 @@ def tensor_series_2d(r, terms=(96, 48), p=(2, 2)) -> TrigPoly:
         raise ValidationError("tensor probe is two-dimensional")
     axes = []
     for rj, K in zip(rr, terms):
-        amps = np.zeros(K + 1)
-        for k in range(1, K + 1):
-            amps[k] = float(k) ** (-(float(rj) + 0.5))
-        coeff = _cos_series_coeff(amps)
+        coeff = _cos_series_coeff(_power_amplitudes(K, rj))
         coeff[K] = 1.0
         axes.append(coeff)
-    coeff = np.multiply.outer(axes[0], axes[1])
-    t = TrigPoly(terms, coeff)
-    margin = smoothness_margin(t, rr, p)
-    return t * (0.95 / margin)
+    t = TrigPoly(terms, np.multiply.outer(axes[0], axes[1]))
+    return _into_unit_class(t, rr, p)

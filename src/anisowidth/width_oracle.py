@@ -479,9 +479,11 @@ def width_upper(
     )
 
 
-def point_set_lower_q2(
-    points: Sequence[Tensor], n: int, iterations: int = 150, seed: int = 0
-) -> float:
+# mirror-ascent steps of point_set_lower_q2
+_MIRROR_STEPS = 150
+
+
+def point_set_lower_q2(points: Sequence[Tensor], n: int) -> float:
     """Certified Euclidean lower bound for the hull width of ``points``.
 
     Mirror ascent on a weight vector over the points; for any weights the
@@ -501,8 +503,7 @@ def point_set_lower_q2(
     X, e = _prescaled(X)
     w = np.full(P, 1.0 / P)
     best = 0.0
-    rng = np.random.default_rng(seed)
-    for t in range(iterations):
+    for t in range(_MIRROR_STEPS):
         M = (X.T * w) @ X
         vals, vecs = np.linalg.eigh(M)
         tail = float(vals[: K - n].sum())
@@ -577,7 +578,6 @@ def _ball_extras(prob: BallProblem, cap: int, rng) -> list:
     {1, inf} and small enough, boundary samples otherwise."""
     if cap <= 0:
         return []
-    shape = prob.k
     if all(r in (0, 1) for r in prob.p.recip):
         # The vertices of B_p: one signed one on a p_j = 1 axis, a sign on
         # every entry of a p_j = inf axis.
@@ -587,10 +587,8 @@ def _ball_extras(prob: BallProblem, cap: int, rng) -> list:
             return vertices[:cap]
     out = []
     for _ in range(cap):
-        arr = rng.standard_normal(shape) if len(shape) > 1 else rng.standard_normal(shape[0])
-        arr = np.asarray(arr).reshape(shape)
-        t = Tensor.from_array(arr)
-        nrm = mixed_norm(t, prob.p)
+        arr = rng.standard_normal(prob.k)
+        nrm = mixed_norm(Tensor.from_array(arr), prob.p)
         if nrm > 0:
             out.append(arr / nrm)
     return out

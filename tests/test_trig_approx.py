@@ -54,6 +54,21 @@ def test_coeff_dict_and_accessor():
         TrigPoly.from_coeff_dict((1,), {(2,): 1.0})
 
 
+@pytest.mark.parametrize("key", [(1,), (0, 1, 0), 1, (1.0, 0), (True, 0)], ids=repr)
+def test_frequency_keys_need_one_integer_per_axis(key):
+    # a one-entry key on a two-axis box used to fill a whole row
+    with pytest.raises(ValidationError):
+        TrigPoly.from_coeff_dict((2, 2), {key: 5.0})
+    with pytest.raises(ValidationError):
+        TrigPoly((2, 2)).c(key)
+
+
+def test_frequency_keys_accept_numpy_integers():
+    t = TrigPoly.from_coeff_dict((2, 2), {(np.int64(1), -2): 5.0})
+    assert t.c((1, np.int32(-2))) == 5.0
+    assert np.count_nonzero(t.coeff) == 1
+
+
 def test_values_match_direct_sum():
     rng = np.random.default_rng(0)
     t = TrigPoly.random_real((3,), rng)
@@ -319,6 +334,45 @@ def test_weyl_axis_validation():
         weyl_derivative(t, 3, 1, 0)
     with pytest.raises(ValidationError):
         weyl_derivative(t, 1, -1, 0)
+
+
+@pytest.mark.parametrize("fn", [weyl_derivative, weyl_integral])
+@pytest.mark.parametrize(
+    "r, alpha", [(math.nan, 0), (math.inf, 0), (1, math.nan), (1, math.inf), (0, -math.inf)]
+)
+def test_weyl_refuses_non_finite_orders_and_phases(fn, r, alpha):
+    t = TrigPoly.from_coeff_dict((2,), {(1,): 1.0, (-1,): 1.0, (2,): 0.5})
+    with pytest.raises(ValidationError):
+        fn(t, 1, r, alpha)
+
+
+@pytest.mark.parametrize("m", [math.nan, math.inf, 0, 0.5])
+def test_kernel_orders_must_be_finite_and_at_least_one(m):
+    x = np.linspace(0.0, 1.0, 5)
+    calls = [
+        lambda: fejer(m, x),
+        lambda: vallee_poussin(m, 0.3),
+        lambda: vp_multiplier(m, 3),
+        lambda: vp_power_kernel(m, 1.0, 0.0, x),
+        lambda: fejer_shift_sum_check(m, 0.5),
+        lambda: finite_difference(x, 0.1, 1, m),
+        lambda: KernelSpec(kind="fejer", order=m),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError):
+            call()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_kernel_phases_powers_and_steps_must_be_finite(bad):
+    with pytest.raises(ValidationError):
+        finite_difference(np.linspace(0.0, 1.0, 9), bad, 1, 1)
+    with pytest.raises(ValidationError):
+        vp_power_kernel(3, bad, 0.0, 0.5)
+    with pytest.raises(ValidationError):
+        vp_power_kernel(3, 1.0, bad, 0.5)
+    with pytest.raises(ValidationError):
+        bernoulli_kernel(2.0, bad, 0.5, 100)
 
 
 # ---------------------------------------------------------------------------
