@@ -9,178 +9,28 @@ The package has three layers:
   (:mod:`anisowidth.width_oracle`),
 * periodic approximation machinery for the function-class side
   (:mod:`anisowidth.trig_approx`).
+
+Each module lists its public names once, in its ``__all__``; the package
+exports exactly their concatenation.
 """
 
-from .mixed_norm import (
-    EPS_TOL,
-    DeskScaleError,
-    ExponentVector,
-    InterpolationReport,
-    PropertyViolation,
-    Tensor,
-    ValidationError,
-    as_exponents,
-    dual_exponents,
-    holder_interpolation_check,
-    mixed_norm,
-    norm_duality_lower,
-    norming_functional,
-    tensor_from_bytes,
-    tensor_from_json,
-    tensor_to_bytes,
-    tensor_to_json,
-)
-from .exponents import (
-    Conditions,
-    DyadicSchedule,
-    HFamily,
-    NotCompactError,
-    SortedProfile,
-    WidthOrder,
-    dyadic_beta,
-    dyadic_schedule,
-    h_family_minimize,
-    harmonic_mean,
-    omega,
-    smoothness_vector,
-    sorted_profile,
-    theta_t,
-    width_exponent,
-    width_exponent_low_q,
-)
-from .ball_widths import (
-    BallProblem,
-    PhiResult,
-    PlanResult,
-    PowerProduct,
-    VSet,
-    ball_order_low_q,
-    lower_bound_plan,
-    phi,
-    sample_group_element,
-    vset_extreme_point,
-    vset_l2_lower,
-)
-from .width_oracle import (
-    OracleConfig,
-    SandwichReport,
-    SubspaceCandidate,
-    WidthEstimate,
-    distance_to_subspace,
-    harmonic_frame,
-    point_set_lower_q2,
-    sandwich_report,
-    width_lower_vset,
-    width_upper,
-)
-from .trig_approx import (
-    KernelSpec,
-    RateResult,
-    TrigPoly,
-    approximation_rate,
-    bernoulli_kernel,
-    bernstein_ratio,
-    decaying_series_1d,
-    dyadic_block,
-    fejer,
-    fejer_shift_sum_check,
-    finite_difference,
-    lacunary_1d,
-    nikolskii_ratio,
-    samples_to_trigpoly,
-    tensor_series_2d,
-    trig_lp_norm,
-    trigpoly_from_json,
-    trigpoly_to_json,
-    vallee_poussin,
-    vp_at_scale,
-    vp_multiplier,
-    vp_operator,
-    vp_power_kernel,
-    weyl_derivative,
-    weyl_integral,
-)
+from .mixed_norm import *
+
+# The package name ``mixed_norm`` is the function, so its module's list is
+# imported by its own name.
+from .mixed_norm import __all__ as _mixed_norm_all
+from .exponents import *
+from .ball_widths import *
+from .width_oracle import *
+from .trig_approx import *
+from . import ball_widths, exponents, trig_approx, width_oracle
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EPS_TOL",
-    "DeskScaleError",
-    "ExponentVector",
-    "InterpolationReport",
-    "PropertyViolation",
-    "Tensor",
-    "ValidationError",
-    "as_exponents",
-    "dual_exponents",
-    "holder_interpolation_check",
-    "mixed_norm",
-    "norm_duality_lower",
-    "norming_functional",
-    "tensor_from_bytes",
-    "tensor_from_json",
-    "tensor_to_bytes",
-    "tensor_to_json",
-    "Conditions",
-    "DyadicSchedule",
-    "HFamily",
-    "NotCompactError",
-    "SortedProfile",
-    "WidthOrder",
-    "dyadic_beta",
-    "dyadic_schedule",
-    "h_family_minimize",
-    "harmonic_mean",
-    "omega",
-    "smoothness_vector",
-    "sorted_profile",
-    "theta_t",
-    "width_exponent",
-    "width_exponent_low_q",
-    "BallProblem",
-    "PhiResult",
-    "PlanResult",
-    "PowerProduct",
-    "VSet",
-    "ball_order_low_q",
-    "lower_bound_plan",
-    "phi",
-    "sample_group_element",
-    "vset_extreme_point",
-    "vset_l2_lower",
-    "OracleConfig",
-    "SandwichReport",
-    "SubspaceCandidate",
-    "WidthEstimate",
-    "distance_to_subspace",
-    "harmonic_frame",
-    "point_set_lower_q2",
-    "sandwich_report",
-    "width_lower_vset",
-    "width_upper",
-    "KernelSpec",
-    "RateResult",
-    "TrigPoly",
-    "approximation_rate",
-    "bernoulli_kernel",
-    "bernstein_ratio",
-    "decaying_series_1d",
-    "dyadic_block",
-    "fejer",
-    "fejer_shift_sum_check",
-    "finite_difference",
-    "lacunary_1d",
-    "nikolskii_ratio",
-    "samples_to_trigpoly",
-    "tensor_series_2d",
-    "trig_lp_norm",
-    "trigpoly_from_json",
-    "trigpoly_to_json",
-    "vallee_poussin",
-    "vp_at_scale",
-    "vp_multiplier",
-    "vp_operator",
-    "vp_power_kernel",
-    "weyl_derivative",
-    "weyl_integral",
-]
+__all__ = (
+    _mixed_norm_all
+    + exponents.__all__
+    + ball_widths.__all__
+    + width_oracle.__all__
+    + trig_approx.__all__
+)

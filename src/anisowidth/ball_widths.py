@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .mixed_norm import (
     Tensor,
     ValidationError,
     as_exponents,
+    _require_dim,
+    _require_int,
 )
 from .exponents import _HALF, _require_two_blocks, _sorted_axes
 
@@ -70,9 +72,7 @@ class PowerProduct:
             raise ValidationError(f"PowerProduct coefficient {coeff} must be positive")
         merged = {}
         for base, exp in factors:
-            base = int(base)
-            if base < 1:
-                raise ValidationError(f"PowerProduct base {base} must be >= 1")
+            base = _require_int("PowerProduct base", base, 1)
             if base == 1 or exp == 0:
                 continue
             merged[base] = merged.get(base, 0) + exp
@@ -264,18 +264,12 @@ class BallProblem:
     q: ExponentVector
 
     def __post_init__(self):
-        if any(isinstance(v, (bool, np.bool_)) for v in self.k):
-            raise ValidationError(f"box sides must be integers, not booleans: {self.k}")
-        object.__setattr__(self, "k", tuple(int(v) for v in self.k))
+        object.__setattr__(self, "k", tuple(_require_int("box side", v, 1) for v in self.k))
+        object.__setattr__(self, "n", _require_int("n", self.n))
         object.__setattr__(self, "p", as_exponents(self.p))
         object.__setattr__(self, "q", as_exponents(self.q))
-        if any(v < 1 for v in self.k):
-            raise ValidationError(f"box sides must be >= 1, got {self.k}")
-        d = len(self.k)
-        if not (self.p.d == self.q.d == d):
+        if not (self.p.d == self.q.d == self.d):
             raise ValidationError("dimension mismatch among k, p, q")
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
-            raise ValidationError(f"n must be a nonnegative integer, got {self.n}")
         if 2 * self.n > self.K:
             raise ValidationError(
                 f"n={self.n} exceeds half the total dimension K={self.K}"
@@ -443,12 +437,12 @@ class VSet:
     s: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "k", tuple(int(v) for v in self.k))
-        object.__setattr__(self, "s", tuple(int(v) for v in self.s))
+        object.__setattr__(self, "k", tuple(_require_int("box side", v, 1) for v in self.k))
+        object.__setattr__(self, "s", tuple(_require_int("block side", v, 1) for v in self.s))
         if len(self.k) != len(self.s):
             raise ValidationError("k and s must have the same length")
         for kj, sj in zip(self.k, self.s):
-            if not (1 <= sj <= kj):
+            if sj > kj:
                 raise ValidationError(f"block side {sj} outside [1, {kj}]")
 
     @property
@@ -501,6 +495,5 @@ def vset_extreme_point(v: VSet, g=None) -> Tensor:
 
 def vset_l2_lower(v: VSet, n: int) -> float:
     """Exact Euclidean width lower bound ``sqrt(prod s) * sqrt(1 - n/K)``."""
-    if not (0 <= n <= v.K):
-        raise ValidationError(f"n={n} outside [0, {v.K}]")
+    n = _require_dim(n, v.K)
     return math.sqrt(math.prod(v.s)) * math.sqrt(1.0 - n / v.K)

@@ -32,7 +32,6 @@ from .mixed_norm import (
     PropertyViolation,
     Tensor,
     ValidationError,
-    as_exponents,
     holder_interpolation_check,
     mixed_norm,
     norm_duality_lower,

@@ -28,10 +28,12 @@ from .mixed_norm import (
     ValidationError,
     as_exponents,
     _recip_of,
+    _require_int,
 )
 
 __all__ = [
     "NotCompactError",
+    "smoothness_vector",
     "omega",
     "harmonic_mean",
     "SortedProfile",
@@ -121,7 +123,7 @@ def harmonic_mean(values, indices=None) -> Union[Fraction, float]:
     if indices is None:
         idx = list(range(1, d + 1))
     else:
-        idx = sorted(set(int(i) for i in indices))
+        idx = sorted(set(_require_int("index", i) for i in indices))
         if idx and not (1 <= idx[0] and idx[-1] <= d):
             raise ValidationError(f"index set {idx} outside 1..{d}")
     if not idx:
@@ -230,7 +232,7 @@ def _require_two_blocks(p: ExponentVector, q: ExponentVector, nu_split: int):
     """The two-block pattern: ``1 <= p_j <= q_j <= 2`` on the first
     ``nu_split`` axes, ``q_j <= p_j`` on the rest."""
     d = p.d
-    if not (0 <= nu_split <= d):
+    if _require_int("nu_split", nu_split) > d:
         raise ValidationError(f"nu_split={nu_split} outside 0..{d}")
     for j in range(nu_split):
         if not (p.recip[j] >= q.recip[j] >= _HALF):
@@ -247,7 +249,7 @@ def theta_t(p, q, r, t: int, profile: Optional[SortedProfile] = None):
     prof, rq_s, rp_s, _, ir_s = _tables(p, q, r)
     if profile is not None and profile != prof:
         raise ValidationError("supplied profile disagrees with (p, q)")
-    if t not in prof.J:
+    if _require_int("t", t) not in prof.J:
         raise ValidationError(f"t={t} not in candidate set J={prof.J}")
     return _theta_value(prof, ir_s, rq_s, rp_s, t)
 

@@ -27,7 +27,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -59,6 +59,24 @@ Number = Union[int, float, Fraction]
 
 class ValidationError(ValueError):
     """Malformed input: bad shapes, exponents out of range, NaN data."""
+
+
+def _require_int(name: str, value, least: int = 0) -> int:
+    """``value`` as an ``int``; a boolean, a non-integer or an integer below
+    ``least`` is refused.  Numpy integers are accepted."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
+def _require_dim(n, K: int) -> int:
+    """The subspace dimension ``n`` as an ``int`` in ``[0, K]``."""
+    n = _require_int("n", n)
+    if n > K:
+        raise ValidationError(f"need 0 <= n <= {K}, got n={n}")
+    return n
 
 
 class PropertyViolation(AssertionError):
@@ -178,9 +196,9 @@ class Tensor:
     __slots__ = ("shape", "_flat")
 
     def __init__(self, shape: Sequence[int], data):
-        shape = tuple(int(s) for s in shape)
-        if not shape or any(s < 1 for s in shape):
-            raise ValidationError(f"bad tensor shape {shape}")
+        shape = tuple(_require_int("tensor side", s, 1) for s in shape)
+        if not shape:
+            raise ValidationError("bad tensor shape ()")
         flat = np.asarray(data, dtype=np.float64).reshape(-1)
         size = math.prod(shape)
         if flat.size != size:
@@ -383,10 +401,9 @@ def norm_duality_lower(x: Tensor, p, trials: int = 64, seed: int = 0) -> float:
     of the true norm while certifying ``<= ||x||_p`` by duality.
     """
     p = as_exponents(p)
-    if trials < 0:
-        raise ValidationError("trials must be nonnegative")
+    _require_int("trials", trials)
     pd = p.dual()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_require_int("seed", seed))
     candidates = [norming_functional(x, p).array]
     for _ in range(trials):
         candidates.append(rng.standard_normal(x.shape))

@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .mixed_norm import (
     ValidationError,
     as_exponents,
     mixed_norm,
+    _require_int,
 )
 from .exponents import dyadic_beta, smoothness_vector
 
@@ -94,6 +95,11 @@ def _along(a: np.ndarray, axis: int, mult: np.ndarray) -> np.ndarray:
     return a * mult.reshape(shape)
 
 
+def _degree(degree, least: int = 0, what: str = "degree") -> tuple:
+    """A degree vector (or grid) as a tuple of ints, each at least ``least``."""
+    return tuple(_require_int(what, N, least) for N in degree)
+
+
 def _require_order(m, what: str = "kernel order") -> None:
     if not 1 <= m < math.inf:
         raise ValidationError(f"{what} must be finite and >= 1, got {m}")
@@ -122,9 +128,9 @@ class TrigPoly:
     __slots__ = ("degree", "coeff")
 
     def __init__(self, degree: Sequence[int], coeff=None):
-        degree = tuple(int(N) for N in degree)
-        if not degree or any(N < 0 for N in degree):
-            raise ValidationError(f"bad degree vector {degree}")
+        degree = _degree(degree)
+        if not degree:
+            raise ValidationError("bad degree vector ()")
         shape = tuple(2 * N + 1 for N in degree)
         if coeff is None:
             coeff = np.zeros(shape, dtype=complex)
@@ -148,12 +154,10 @@ class TrigPoly:
     def _index(self, k) -> tuple:
         """Array index of the integer frequency vector ``k`` (an int when d = 1)."""
         k = (k,) if np.ndim(k) == 0 else tuple(k)
-        if len(k) != self.d or not all(
-            isinstance(kj, (int, np.integer)) and not isinstance(kj, bool) and abs(kj) <= Nj
-            for kj, Nj in zip(k, self.degree)
-        ):
+        index = tuple(_require_int("frequency", kj, -Nj) + Nj for kj, Nj in zip(k, self.degree))
+        if len(k) != self.d or any(i > 2 * Nj for i, Nj in zip(index, self.degree)):
             raise ValidationError(f"frequency {k} is not an integer vector in box {self.degree}")
-        return tuple(int(kj) + Nj for kj, Nj in zip(k, self.degree))
+        return index
 
     def c(self, k: Sequence[int]) -> complex:
         return complex(self.coeff[self._index(k)])
@@ -168,7 +172,7 @@ class TrigPoly:
     @classmethod
     def random_real(cls, degree, rng) -> "TrigPoly":
         """Random real-valued polynomial: conjugate-symmetric coefficients."""
-        shape = tuple(2 * int(N) + 1 for N in degree)
+        shape = tuple(2 * N + 1 for N in _degree(degree))
         raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         return cls(degree, 0.5 * (raw + np.conj(np.flip(raw))))
 
@@ -182,7 +186,7 @@ class TrigPoly:
         return out
 
     def restrict(self, degree) -> "TrigPoly":
-        degree = tuple(int(N) for N in degree)
+        degree = _degree(degree)
         return TrigPoly(degree, self.coeff[_band(degree, self.degree)])
 
     def _binary(self, other, sign):
@@ -202,6 +206,7 @@ class TrigPoly:
     def __mul__(self, scalar):
         if isinstance(scalar, TrigPoly):
             raise ValidationError("only scalar multiplication is supported")
+        _finite("scalar factor", abs(scalar))
         return TrigPoly(self.degree, self.coeff * scalar)
 
     __rmul__ = __mul__
@@ -211,7 +216,7 @@ class TrigPoly:
 
         Requires ``G_j >= 2 N_j + 1`` on every axis (no aliasing).
         """
-        grid = tuple(int(G) for G in grid)
+        grid = _degree(grid, 1, "grid size")
         index = _spectrum_index(self.degree, grid)
         spec = np.zeros(grid, dtype=complex)
         spec[index] = self.coeff
@@ -227,7 +232,7 @@ def samples_to_trigpoly(values: np.ndarray, degree) -> TrigPoly:
     The grid must resolve the claimed band: ``G_j >= 2 N_j + 1``.
     """
     values = np.asarray(values)
-    degree = tuple(int(N) for N in degree)
+    degree = _degree(degree)
     index = _spectrum_index(degree, values.shape)
     spec = np.fft.fftn(values) / math.prod(values.shape)
     return TrigPoly(degree, spec[index])
@@ -247,7 +252,7 @@ def trigpoly_to_json(t: TrigPoly) -> str:
 def trigpoly_from_json(text: str) -> TrigPoly:
     try:
         obj = json.loads(text)
-        degree = tuple(int(N) for N in obj["degree"])
+        degree = _degree(obj["degree"])
         shape = tuple(2 * N + 1 for N in degree)
         flat = np.array([complex(re, im) for re, im in obj["coeff"]])
         return TrigPoly(degree, flat.reshape(shape))
@@ -287,7 +292,7 @@ def vallee_poussin(m: int, x) -> Union[float, np.ndarray]:
 def vp_power_kernel(n: int, r, alpha, x) -> Union[float, np.ndarray]:
     """Tapered power kernel: coefficient ``|k|^r e^(i sgn(k) alpha pi/2)``
     up to ``n``, linearly tapered to zero at ``2n``."""
-    _require_order(n)
+    _require_int("kernel order", n, 1)
     r = _finite("kernel smoothness r", r)
     xa = np.asarray(x, dtype=float)
     phase = _finite("phase alpha", alpha) * math.pi / 2.0
@@ -305,7 +310,7 @@ def bernoulli_kernel(r, alpha, x, truncation: int) -> Union[float, np.ndarray]:
     ``2 truncation^(1-r)/(r-1)``; for ``r > 0`` summation by parts bounds it
     by ``~ truncation^(-r)/|sin(x/2)|`` away from the lattice points.
     """
-    _require_order(truncation, "truncation")
+    _require_int("truncation", truncation, 1)
     if not float(r) > 0:
         raise ValidationError("kernel smoothness r must be positive")
     xa = np.asarray(x, dtype=float)
@@ -388,9 +393,7 @@ def vp_operator(f, N: Sequence[int]) -> TrigPoly:
     at most ``2N - 1``.  Sampled input must come on a grid of at least
     ``4 N + 1`` points per axis.
     """
-    N = tuple(int(v) for v in N)
-    if any(v < 1 for v in N):
-        raise ValidationError(f"taper degrees must be >= 1, got {N}")
+    N = _degree(N, 1, "taper degree")
     t = _as_trigpoly(f, N)
     if t.d != len(N):
         raise ValidationError("degree vector dimension mismatch")
@@ -422,8 +425,7 @@ def _floor_pow2(exponent) -> int:
 
 def scale_degrees(r, m: int) -> tuple:
     """Per-axis taper degrees ``N_j = floor(2^(beta_j m))`` at scale ``m``."""
-    if m < 0:
-        raise ValidationError("scale index must be >= 0")
+    m = _require_int("scale index", m)
     beta = dyadic_beta(r)
     return tuple(max(1, _floor_pow2(bj * m)) for bj in beta)
 
@@ -448,7 +450,7 @@ def _weyl(t: TrigPoly, axis: int, r, alpha, sign: int) -> TrigPoly:
     """Multiply frequency ``k != 0`` along a 1-based axis by
     ``|k|^(sign r) e^(i sign sgn(k) alpha pi/2)``; the zero frequency goes
     to zero for ``r > 0`` and keeps its phase factor 1 for ``r = 0``."""
-    if not (1 <= axis <= t.d):
+    if _require_int("axis", axis, 1) > t.d:
         raise ValidationError(f"axis {axis} outside 1..{t.d}")
     r = float(r)
     if not 0 <= r < math.inf:
@@ -497,8 +499,7 @@ def trig_lp_norm(t: TrigPoly, p, oversample: int = 8) -> float:
     p = as_exponents(p)
     if p.d != t.d:
         raise ValidationError("exponent vector dimension mismatch")
-    if oversample < 4:
-        raise ValidationError("oversample must be >= 4")
+    oversample = _require_int("oversample", oversample, 4)
     grid = tuple(oversample * max(N, 1) + 1 for N in t.degree)
     return _grid_norm(t.values(grid), p)
 
@@ -584,9 +585,9 @@ def finite_difference(values: np.ndarray, h: float, axis: int, order: int) -> np
     the grid resolves, for any finite real step ``h``.
     """
     values = np.asarray(values)
-    if not (1 <= axis <= values.ndim):
+    if _require_int("axis", axis, 1) > values.ndim:
         raise ValidationError(f"axis {axis} outside 1..{values.ndim}")
-    _require_order(order, "difference order")
+    _require_int("difference order", order, 1)
     h = _finite("step h", h)
     G = values.shape[axis - 1]
     spec = np.fft.fft(values, axis=axis - 1)
@@ -652,8 +653,7 @@ def approximation_rate(
     scan must witness ``f`` in the unit class first.
     """
     rr, p = _class_args(f, r, p)
-    if m_max < 3:
-        raise ValidationError("m_max must be at least 3")
+    m_max = _require_int("m_max", m_max, 3)
     if check_membership:
         margin = smoothness_margin(f, rr, p)
         if margin > 1.0 + 1e-6:
@@ -699,6 +699,7 @@ def decaying_series_1d(r, terms: int = 256, p=(2,)) -> TrigPoly:
     """Dense-spectrum probe ``c sum k^(-r-1/2) cos(kx)``, scaled into the
     unit class for the given norm."""
     rr = smoothness_vector((r,))[0]
+    terms = _require_int("terms", terms, 1)
     t = TrigPoly((terms,), _cos_series_coeff(_power_amplitudes(terms, rr)))
     return _into_unit_class(t, (rr,), p)
 
@@ -706,7 +707,7 @@ def decaying_series_1d(r, terms: int = 256, p=(2,)) -> TrigPoly:
 def lacunary_1d(r, levels: int = 10, p=(2,)) -> TrigPoly:
     """Lacunary probe ``c sum_j 2^(-r j) cos(2^j x)`` in the unit class."""
     rr = smoothness_vector((r,))[0]
-    K = 2**levels
+    K = 2 ** _require_int("levels", levels)
     amps = np.zeros(K + 1)
     for j in range(levels + 1):
         amps[2**j] = 2.0 ** (-float(rr) * j)
@@ -717,6 +718,7 @@ def lacunary_1d(r, levels: int = 10, p=(2,)) -> TrigPoly:
 def tensor_series_2d(r, terms=(96, 48), p=(2, 2)) -> TrigPoly:
     """Two-axis tensor-product probe in the unit class for ``r = (r_1, r_2)``."""
     rr = smoothness_vector(r)
+    terms = _degree(terms, 1, "terms")
     if len(rr) != 2 or len(terms) != 2:
         raise ValidationError("tensor probe is two-dimensional")
     axes = []

@@ -32,10 +32,10 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import reduce
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +51,8 @@ from .mixed_norm import (
     _mixed_norm_array,
     _norming_array,
     _prescaled,
+    _require_dim,
+    _require_int,
 )
 from .exponents import _HALF, _require_q_range
 from .ball_widths import (
@@ -83,33 +85,21 @@ class OracleConfig:
 
     restarts: int = 4
     outer_iterations: int = 60
-    inner_tolerance: float = 1e-8
     point_budget: int = 256
     seed: int = 0
 
     def __post_init__(self):
-        _require_int("restarts", self.restarts, 0)
+        _require_int("restarts", self.restarts)
         _require_int("outer_iterations", self.outer_iterations, 1)
-        if not (0 < self.inner_tolerance < 1e-3):
-            raise ValidationError("inner_tolerance must lie in (0, 1e-3)")
         _require_int("point_budget", self.point_budget, 2)
-        _require_int("seed", self.seed, 0)
-
-
-def _require_int(name: str, value, least: int):
-    """Refuse a boolean, a non-integer, or an integer below ``least``."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValidationError(f"{name} must be at least {least}, got {value}")
+        _require_int("seed", self.seed)
 
 
 @dataclass
 class SubspaceCandidate:
-    """An n-dimensional candidate subspace with its achieved max-distance."""
+    """An n-dimensional candidate subspace."""
 
     basis: np.ndarray
-    quality: float = math.nan
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=np.float64)
@@ -142,8 +132,8 @@ def harmonic_frame(K: int, n: int) -> np.ndarray:
     optimal for symmetric cross-polytope points.  Falls back to a seeded
     orthonormal completion if K is too small for distinct frequencies.
     """
-    if K < 1 or not (0 <= n <= K):
-        raise ValidationError(f"need K >= 1 and 0 <= n <= K, got n={n}, K={K}")
+    K = _require_int("K", K, 1)
+    n = _require_dim(n, K)
     if n == 0:
         return np.zeros((K, 0))
     i = np.arange(K)
@@ -204,7 +194,7 @@ def _is_flat_two(q: ExponentVector) -> bool:
     return all(r == _HALF for r in q.recip)
 
 
-def _polish_point(x_flat, B, q, shape, c0, tol):
+def _polish_point(x_flat, B, q, shape, c0):
     # Imported here: scipy.optimize is most of the package's import time and
     # only this polish needs it.
     from scipy.optimize import minimize
@@ -219,7 +209,7 @@ def _polish_point(x_flat, B, q, shape, c0, tol):
             fun,
             start,
             method="Powell",
-            options={"xtol": tol, "ftol": tol, "maxiter": 500},
+            options={"xtol": _POLISH_TOL, "ftol": _POLISH_TOL, "maxiter": 500},
         )
         if res.fun < best:
             best = float(res.fun)
@@ -227,7 +217,7 @@ def _polish_point(x_flat, B, q, shape, c0, tol):
     return best, best_c
 
 
-def distance_to_subspace(x: Tensor, L, q, tol: float = 1e-8) -> float:
+def distance_to_subspace(x: Tensor, L, q) -> float:
     """Best-approximation distance of ``x`` from the span of ``L`` in ``q``.
 
     Exact least squares for flat q = 2; otherwise a derivative-free polish
@@ -253,7 +243,7 @@ def distance_to_subspace(x: Tensor, L, q, tol: float = 1e-8) -> float:
     c0, *_ = np.linalg.lstsq(B, xs, rcond=None)
     if _is_flat_two(q):
         return _ldexp(float(np.linalg.norm(xs - B @ c0)), e)
-    val, _ = _polish_point(xs, B, q, x.shape, c0, tol)
+    val, _ = _polish_point(xs, B, q, x.shape, c0)
     return _ldexp(val, e)
 
 
@@ -264,7 +254,10 @@ class WidthEstimate:
     iterations: int
 
 
-def _stack_points(points: Sequence[Tensor]):
+def _stack_points(points: Sequence[Tensor], n) -> tuple:
+    """``(X, shape, n, e)``: the points as the rows of ``X``, rescaled by
+    ``2**-e`` under the range policy of :func:`mixed_norm`, their common
+    shape, and the checked subspace dimension ``n``."""
     if not points:
         raise ValidationError("need at least one point")
     shape = points[0].shape
@@ -272,7 +265,9 @@ def _stack_points(points: Sequence[Tensor]):
         if pt.shape != shape:
             raise ValidationError("all points must share one shape")
     X = np.stack([pt.data for pt in points])
-    return X, shape
+    n = _require_dim(n, X.shape[1])
+    X, e = _prescaled(X)
+    return X, shape, n, e
 
 
 def _descend(X, B0, q, shape, cfg):
@@ -298,11 +293,10 @@ def _descend(X, B0, q, shape, cfg):
         eta = (0.5 / (1.0 + it / 8.0)) * math.sqrt(n) / gn
         B, _ = np.linalg.qr(B + eta * G)
         C = B.T @ X.T
-    C, f = _inner_solve(X, B, q, shape, None, iters=60)
-    fmax = float(f.max())
-    if fmax < best_val:
-        best_val, best_B = fmax, B
-    return best_val, best_B
+    _, f = _inner_solve(X, B, q, shape, None, iters=60)
+    if float(f.max()) < best_val:
+        best_B = B
+    return best_B
 
 
 # Relative margin by which :func:`_dual_lower` shrinks its bounds, far above
@@ -344,11 +338,12 @@ def _dual_lower(X, B, q, shape, C) -> np.ndarray:
 
 
 # Points polished by :func:`_evaluate_exact`: the ones farthest from the
-# subspace after the batched solve.
+# subspace after the batched solve; and the Powell tolerance of each polish.
 _POLISH_TOP = 6
+_POLISH_TOL = 1e-8
 
 
-def _evaluate_exact(X, B, q, shape, tol, cutoff=math.inf) -> float:
+def _evaluate_exact(X, B, q, shape, cutoff=math.inf) -> float:
     """Certified max distance of the points from the span of ``B``.
 
     After the batched solve the ``_POLISH_TOP`` farthest points are polished
@@ -403,7 +398,7 @@ def _evaluate_exact(X, B, q, shape, tol, cutoff=math.inf) -> float:
             return max(bound, lower)
         val = float(f[i])
         if val > (second if i == lead else lower):
-            val = min(val, _polish_point(X[i], B, q, shape, C[:, i], tol)[0])
+            val = min(val, _polish_point(X[i], B, q, shape, C[:, i])[0])
         bound = max(bound, val)
     return bound
 
@@ -427,27 +422,16 @@ def width_upper(
     """
     cfg = cfg or OracleConfig()
     q = as_exponents(q)
-    X, shape = _stack_points(points)
-    P, K = X.shape
+    X, shape, n, e = _stack_points(points, n)
+    K = X.shape[1]
     if q.d != len(shape):
         raise ValidationError("exponent vector and point dimension mismatch")
-    _require_int("n", n, 0)
-    if not (0 <= n <= K):
-        raise ValidationError(f"need 0 <= n <= {K}, got n={n}")
-    X, e = _prescaled(X)
     if n == 0:
-        val = _evaluate_exact(X, np.zeros((K, 0)), q, shape, cfg.inner_tolerance)
-        val = _ldexp(val, e)
-        return WidthEstimate(
-            value=val,
-            witness=SubspaceCandidate(np.zeros((K, 0)), quality=val),
-            iterations=0,
-        )
+        B = np.zeros((K, 0))
+        val = _ldexp(_evaluate_exact(X, B, q, shape), e)
+        return WidthEstimate(value=val, witness=SubspaceCandidate(B), iterations=0)
     if n == K:
-        B = np.eye(K)
-        return WidthEstimate(
-            value=0.0, witness=SubspaceCandidate(B, quality=0.0), iterations=0
-        )
+        return WidthEstimate(value=0.0, witness=SubspaceCandidate(np.eye(K)), iterations=0)
 
     inits = [harmonic_frame(K, n)]
     M = X.T @ X
@@ -459,23 +443,18 @@ def width_upper(
         inits.append(np.linalg.qr(G)[0])
 
     best_val, best_B = math.inf, None
-    iterations = 0
-    # After the first evaluation a value only matters if it beats best_val,
-    # so best_val is each later evaluation's cutoff (see _evaluate_exact).
+    # Each start, then its descended basis.  After the first evaluation a value
+    # only matters if it beats best_val, so best_val is each later
+    # evaluation's cutoff (see _evaluate_exact).
     for B0 in inits:
-        val0 = _evaluate_exact(X, B0, q, shape, cfg.inner_tolerance, best_val)
-        if val0 < best_val:
-            best_val, best_B = val0, B0
-        _, B = _descend(X, B0, q, shape, cfg)
-        iterations += cfg.outer_iterations
-        valx = _evaluate_exact(X, B, q, shape, cfg.inner_tolerance, best_val)
-        if valx < best_val:
-            best_val, best_B = valx, B
-    best_val = _ldexp(best_val, e)
+        for B in (B0, _descend(X, B0, q, shape, cfg)):
+            val = _evaluate_exact(X, B, q, shape, best_val)
+            if val < best_val:
+                best_val, best_B = val, B
     return WidthEstimate(
-        value=best_val,
-        witness=SubspaceCandidate(best_B, quality=best_val),
-        iterations=iterations,
+        value=_ldexp(best_val, e),
+        witness=SubspaceCandidate(best_B),
+        iterations=cfg.outer_iterations * len(inits),
     )
 
 
@@ -493,14 +472,10 @@ def point_set_lower_q2(points: Sequence[Tensor], n: int) -> float:
     the bound is scaled back, exact under power-of-two scaling of points
     whose largest magnitude lies outside ``[2**-300, 2**300]``.
     """
-    X, _ = _stack_points(points)
+    X, _, n, e = _stack_points(points, n)
     P, K = X.shape
-    _require_int("n", n, 0)
-    if not (0 <= n <= K):
-        raise ValidationError(f"need 0 <= n <= {K}, got n={n}")
-    if n >= K:
+    if n == K:
         return 0.0
-    X, e = _prescaled(X)
     w = np.full(P, 1.0 / P)
     best = 0.0
     for t in range(_MIRROR_STEPS):
@@ -528,8 +503,7 @@ def width_lower_vset(v: VSet, n: int, q) -> float:
     q = as_exponents(q)
     if q.d != v.d:
         raise ValidationError("exponent vector and block dimension mismatch")
-    if not (0 <= n <= v.K):
-        raise ValidationError(f"n={n} outside [0, {v.K}]")
+    n = _require_dim(n, v.K)
     _require_q_range(q)
     if _is_flat_two(q):
         return vset_l2_lower(v, n)
@@ -710,21 +684,7 @@ def sandwich_report(
     return report
 
 
-_LEDGER_FIELDS = [
-    "problem_hash",
-    "k",
-    "n",
-    "regime",
-    "s",
-    "phi_value",
-    "lower_reference",
-    "certified_lower",
-    "upper",
-    "certified",
-    "n_points",
-    "iterations",
-    "seed",
-]
+_LEDGER_FIELDS = [f.name for f in fields(SandwichReport)]
 
 
 def _append_ledger(path: str, report: SandwichReport):

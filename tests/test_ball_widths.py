@@ -184,6 +184,21 @@ def test_ball_problem_rejects_booleans():
         BallProblem(k=(4, 3), n=True, p=(2, 2), q=(2, 2))
 
 
+@pytest.mark.parametrize("k, n", [((2.5, 3), 1), ((4.0, 3), 1), ((4, 3), 1.0)])
+def test_ball_problem_refuses_non_integers(k, n):
+    # k = (2.5, 3) used to run silently as (2, 3).
+    with pytest.raises(ValidationError, match="must be an integer"):
+        BallProblem(k=k, n=n, p=(2, 2), q=(2, 2))
+
+
+def test_ball_problem_accepts_numpy_integers():
+    # n = np.int64(1) used to be refused.
+    bp = BallProblem(k=(np.int64(4), np.int32(3)), n=np.int64(1), p=(1, 2), q=(2, 4))
+    assert (bp.k, bp.n) == ((4, 3), 1)
+    assert all(type(v) is int for v in bp.k + (bp.n,))
+    assert phi(bp) == phi(BallProblem(k=(4, 3), n=1, p=(1, 2), q=(2, 4)))
+
+
 def test_phi_requires_target_exponent_range():
     with pytest.raises(ValidationError):
         phi(BallProblem(k=(4,), n=1, p=(2,), q=(1.5,)))
@@ -325,6 +340,13 @@ def test_low_q_ball_pattern_validation():
         ball_order_low_q(BallProblem(k=(8,), n=2, p=(1,), q=(2,)), 0)
 
 
+@pytest.mark.parametrize("nu_split", [0.5, True])
+def test_low_q_ball_split_must_be_an_integer(nu_split):
+    # 0.5 used to raise a raw TypeError, True to run as 1.
+    with pytest.raises(ValidationError, match="nu_split must be an integer"):
+        ball_order_low_q(BallProblem(k=(8,), n=2, p=(2,), q=(1,)), nu_split)
+
+
 # ---------------------------------------------------------------------------
 # corner-block plans
 
@@ -393,6 +415,27 @@ def test_vset_validation():
         VSet(k=(4,), s=(0,))
     v = VSet(k=(4, 3), s=(2, 1))
     assert v.K == 12 and v.d == 2
+
+
+@pytest.mark.parametrize("base", [2.5, 2.0, True])
+def test_power_product_bases_must_be_integers(base):
+    # PowerProduct(1, [(2.5, 1)]) used to become 2^1.
+    with pytest.raises(ValidationError, match="base must be an integer"):
+        PowerProduct(1, [(base, Fraction(1, 2))])
+
+
+@pytest.mark.parametrize("k, s", [((4.7,), (2.2,)), ((4,), (2.0,)), ((4,), (True,))])
+def test_vset_refuses_non_integer_sides(k, s):
+    # VSet(k=(4.7,), s=(2.2,)) used to become VSet(k=(4,), s=(2,)).
+    with pytest.raises(ValidationError, match="must be an integer"):
+        VSet(k=k, s=s)
+
+
+@pytest.mark.parametrize("n", [True, 1.5])
+def test_vset_l2_lower_refuses_non_integer_rank(n):
+    # Both used to be accepted: True as n = 1, 1.5 in the formula.
+    with pytest.raises(ValidationError, match="n must be an integer"):
+        vset_l2_lower(VSet(k=(4, 3), s=(2, 1)), n)
 
 
 def test_extreme_point_corner_block():

@@ -148,6 +148,22 @@ def test_theta_t_outside_transition_set():
         theta_t((1,), (4,), (2,), 2)
 
 
+# Integer arguments given as booleans or non-integers.  Before the shared
+# integer check the first two ran as the integer 1, the last raised a raw
+# TypeError.
+INTEGER_MISUSES = {
+    "harmonic_mean index": lambda: harmonic_mean((2, 4), indices=(1.5,)),
+    "theta_t boolean t": lambda: theta_t((1,), (4,), (2,), True),
+    "width_exponent_low_q nu_split": lambda: width_exponent_low_q((2, 3), (1, 1.5), (1, 3), 0.0),
+}
+
+
+@pytest.mark.parametrize("call", INTEGER_MISUSES.values(), ids=INTEGER_MISUSES.keys())
+def test_integer_arguments_are_refused(call):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call()
+
+
 def test_smoothness_vector_coercion():
     assert smoothness_vector((1, 1.5)) == (Fraction(1), 1.5)
     assert smoothness_vector((2.0,)) == (Fraction(2),)

@@ -197,13 +197,13 @@ def test_sandwich_golden_values():
         )
 
 
-def _full_polish_value(X, B, q, shape, tol):
+def _full_polish_value(X, B, q, shape):
     """The oracle's exact evaluation with no cutoff: all six top points polished."""
     C = np.linalg.lstsq(B, X.T, rcond=None)[0]
     C, f = _inner_solve(X, B, q, shape, C, iters=120)
     f = f.copy()
     for i in np.argsort(f)[::-1][:6]:
-        val, _ = _polish_point(X[i], B, q, shape, C[:, i], tol)
+        val, _ = _polish_point(X[i], B, q, shape, C[:, i])
         f[i] = min(f[i], val)
     return float(f.max())
 
@@ -211,7 +211,7 @@ def _full_polish_value(X, B, q, shape, tol):
 def _full_polish_width_upper(points, n, q, cfg):
     """``width_upper`` for 0 < n < dim and q not flat 2, every evaluation in full."""
     q = as_exponents(q)
-    X, shape = _stack_points(points)
+    X, shape, n, _ = _stack_points(points, n)
     K = X.shape[1]
     inits = [harmonic_frame(K, n), np.linalg.eigh(X.T @ X)[1][:, ::-1][:, :n]]
     for ridx in range(cfg.restarts):
@@ -219,11 +219,11 @@ def _full_polish_width_upper(points, n, q, cfg):
         inits.append(np.linalg.qr(rng.standard_normal((K, n)))[0])
     best_val, best_B = math.inf, None
     for B0 in inits:
-        val0 = _full_polish_value(X, B0, q, shape, cfg.inner_tolerance)
+        val0 = _full_polish_value(X, B0, q, shape)
         if val0 < best_val:
             best_val, best_B = val0, B0
-        _, B = _descend(X, B0, q, shape, cfg)
-        valx = _full_polish_value(X, B, q, shape, cfg.inner_tolerance)
+        B = _descend(X, B0, q, shape, cfg)
+        valx = _full_polish_value(X, B, q, shape)
         if valx < best_val:
             best_val, best_B = valx, B
     return best_val, best_B, cfg.outer_iterations * len(inits), 12 * len(inits)
@@ -244,7 +244,7 @@ def _unit_vectors_and_l1_points(shape, extra, seed):
     return points
 
 
-def _cutoff_only_evaluate_exact(X, B, q, shape, tol, cutoff=math.inf) -> float:
+def _cutoff_only_evaluate_exact(X, B, q, shape, cutoff=math.inf) -> float:
     """``_evaluate_exact`` with the polish cutoff alone, before the dual-bound
     prunes: a verbatim copy of that version, kept as the reference for the
     number of solves and polishes."""
@@ -262,7 +262,7 @@ def _cutoff_only_evaluate_exact(X, B, q, shape, tol, cutoff=math.inf) -> float:
     for i in order[:_POLISH_TOP]:
         if bound >= cutoff:
             break
-        val, _ = _polish_point(X[i], B, q, shape, C[:, i], tol)
+        val, _ = _polish_point(X[i], B, q, shape, C[:, i])
         bound = max(bound, float(min(f[i], val)))
     return bound
 

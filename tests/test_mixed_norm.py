@@ -122,6 +122,27 @@ def test_tensor_shape_guards():
         Tensor((2, 2), [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("shape", [(2.5,), (True,), (2.0, 1)])
+def test_tensor_sides_must_be_integers(shape):
+    # Tensor((2.5,), [1, 2]) used to run as shape (2,), (True,) as (1,).
+    with pytest.raises(ValidationError, match="tensor side must be an integer"):
+        Tensor(shape, [1.0, 2.0])
+    with pytest.raises(ValidationError, match="tensor side must be an integer"):
+        tensor_from_json(json.dumps({"shape": list(shape), "data": [1.0, 2.0]}))
+
+
+@pytest.mark.parametrize("trials, seed", [(2.5, 0), (True, 0), (4, 1.5)])
+def test_duality_lower_counts_must_be_integers(trials, seed):
+    # trials = 2.5 and seed = 1.5 used to raise a raw TypeError, True to run once.
+    with pytest.raises(ValidationError, match="must be an integer"):
+        norm_duality_lower(Tensor((2,), [1.0, 2.0]), (2,), trials=trials, seed=seed)
+
+
+def test_tensor_sides_accept_numpy_integers():
+    t = Tensor((np.int64(2), np.int32(1)), [1.0, 2.0])
+    assert t.shape == (2, 1) and all(type(s) is int for s in t.shape)
+
+
 def test_tensor_from_array_roundtrip():
     arr = np.arange(12.0).reshape(3, 4)
     t = Tensor.from_array(arr)

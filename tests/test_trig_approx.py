@@ -375,6 +375,58 @@ def test_kernel_phases_powers_and_steps_must_be_finite(bad):
         bernoulli_kernel(2.0, bad, 0.5, 100)
 
 
+_P1 = TrigPoly.random_real((3,), np.random.default_rng(0))
+_P2 = TrigPoly.random_real((2, 2), np.random.default_rng(1))
+
+# Integer arguments given as booleans, non-integers or NaN.  Before the
+# shared integer check each of these truncated silently, returned NaN
+# coefficients, or raised a raw TypeError or ValueError.
+INTEGER_MISUSES = {
+    "vp_operator degree": lambda: vp_operator(_P1, (1.5,)),
+    "scale_degrees scale": lambda: scale_degrees((1,), 1.5),
+    "vp_at_scale nan scale": lambda: vp_at_scale(_P1, (1,), math.nan),
+    "dyadic_block scale": lambda: dyadic_block(_P1, (1,), 1.5),
+    "approximation_rate m_max": lambda: approximation_rate(
+        _P1, (1,), (2,), m_max=3.5, check_membership=False
+    ),
+    "trig_lp_norm nan oversample": lambda: trig_lp_norm(_P1, (2,), math.nan),
+    "trig_lp_norm oversample": lambda: trig_lp_norm(_P1, (2,), 8.5),
+    "TrigPoly times nan": lambda: _P1 * math.nan,
+    "nan times TrigPoly": lambda: complex(1.0, math.nan) * _P1,
+    "TrigPoly degree": lambda: TrigPoly((2.5,)),
+    "TrigPoly boolean degree": lambda: TrigPoly((True,)),
+    "random_real degree": lambda: TrigPoly.random_real((2.5,), np.random.default_rng(0)),
+    "restrict degree": lambda: _P1.restrict((1.5,)),
+    "values grid": lambda: _P1.values((9.5,)),
+    "samples_to_trigpoly degree": lambda: samples_to_trigpoly(np.ones(9), (1.5,)),
+    "trigpoly_from_json degree": lambda: trigpoly_from_json(
+        '{"coeff": [[0, 0], [1, 0], [0, 0]], "degree": [1.0]}'
+    ),
+    "weyl_derivative axis": lambda: weyl_derivative(_P2, 1.5, 1, 0),
+    "finite_difference axis": lambda: finite_difference(np.ones((5, 5)), 0.1, 1.5, 1),
+    "finite_difference order": lambda: finite_difference(np.ones(5), 0.1, 1, 1.5),
+    "vp_power_kernel order": lambda: vp_power_kernel(1.5, 1.0, 0.0, 0.5),
+    "bernoulli_kernel truncation": lambda: bernoulli_kernel(2.0, 0.0, 0.5, 10.5),
+    "decaying_series_1d terms": lambda: decaying_series_1d(1, terms=20.5),
+    "lacunary_1d levels": lambda: lacunary_1d(1, levels=True),
+    "tensor_series_2d terms": lambda: tensor_series_2d((1, 2), terms=(8.5, 4)),
+}
+
+
+@pytest.mark.parametrize("call", INTEGER_MISUSES.values(), ids=INTEGER_MISUSES.keys())
+def test_integer_arguments_are_refused(call):
+    with pytest.raises(ValidationError, match="must be (an integer|finite)"):
+        call()
+
+
+def test_integer_arguments_accept_numpy_integers():
+    t = vp_operator(_P1, (np.int64(2),))
+    assert t.degree == (3,) and type(t.degree[0]) is int
+    a, b = dyadic_block(_P1, (1,), np.int32(2)), dyadic_block(_P1, (1,), 2)
+    assert a.degree == b.degree and np.array_equal(a.coeff, b.coeff)
+    assert trig_lp_norm(_P1, (2,), np.int64(8)) == trig_lp_norm(_P1, (2,), 8)
+
+
 # ---------------------------------------------------------------------------
 # norms and inequality ratios
 

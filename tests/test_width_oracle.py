@@ -2,11 +2,12 @@
 
 import csv
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -14,6 +15,7 @@ from anisowidth import width_oracle
 from anisowidth import (
     BallProblem,
     OracleConfig,
+    SandwichReport,
     SubspaceCandidate,
     Tensor,
     ValidationError,
@@ -67,6 +69,13 @@ def test_harmonic_frame_guards():
         harmonic_frame(0, 0)
 
 
+@pytest.mark.parametrize("K, n", [(4, 1.5), (4, True), (4.0, 1), (4, np.float64(2.0))])
+def test_harmonic_frame_refuses_non_integers(K, n):
+    # harmonic_frame(4, 1.5) used to raise a raw TypeError, (4, True) ran as n = 1.
+    with pytest.raises(ValidationError, match="must be an integer"):
+        harmonic_frame(K, n)
+
+
 def test_subspace_candidate_rejects_rank_deficient():
     B = np.ones((5, 2))
     with pytest.raises(ValidationError):
@@ -78,10 +87,11 @@ def test_subspace_candidate_rejects_rank_deficient():
 
 
 def test_oracle_config_validation():
+    assert [f.name for f in fields(OracleConfig)] == [
+        "restarts", "outer_iterations", "point_budget", "seed"
+    ]
     with pytest.raises(ValidationError):
         OracleConfig(restarts=-1)
-    with pytest.raises(ValidationError):
-        OracleConfig(inner_tolerance=1.0)
     with pytest.raises(ValidationError):
         OracleConfig(point_budget=1)
 
@@ -256,20 +266,39 @@ def test_dual_bound_below_every_upper_value(case):
         assert np.isfinite(L).all() and (L >= 0).all()
         assert (L <= f).all()
         for i in range(X.shape[0]):
-            polished, _ = width_oracle._polish_point(X[i], B, q, shape, C[:, i], 1e-8)
+            polished, _ = width_oracle._polish_point(X[i], B, q, shape, C[:, i])
             assert L[i] <= polished
+
+
+# Found by Hypothesis: K = 6, n = 5, distance 0.0071 and ||x||_1 = 10, where
+# the bound lies 3.4e-12 (relative) below the distance, 1.04 times the
+# pairing allowance.
+FLAT_TWO_EXAMPLE = (
+    (6,),
+    np.linalg.qr(np.random.default_rng(2).standard_normal((6, 5)))[0],
+    np.array([[1.0, 1.0, -5.0, 1.0, 1.0, 1.0]]),
+    as_exponents((2,)),
+)
 
 
 @settings(max_examples=80, deadline=None)
 @given(dual_cases(flat_two=True))
+@example(FLAT_TWO_EXAMPLE)
 def test_dual_bound_is_the_euclidean_distance_for_flat_two(case):
     # For q = 2 the norming functional of the projection residual is the
-    # normalised residual itself, so the bound is sharp up to its margin.
+    # normalised residual z itself, so the bound is sharp up to its margins:
+    # _DUAL_RTOL, the pairing allowance K 2**-52 ||x||_1 ||z||_1 of
+    # _dual_lower, and its two allowances for the rounding of B^T z, which
+    # are of the same order; twice the pairing allowance covers the three.
     shape, B, X, q = case
-    dist = np.hypot.reduce(X.T - B @ (B.T @ X.T), axis=0)  # no squares to underflow
+    R = X.T - B @ (B.T @ X.T)
+    dist = np.hypot.reduce(R, axis=0)  # no squares to underflow
     L = width_oracle._dual_lower(X, B, q, shape, B.T @ X.T)
     expected = (1 - width_oracle._DUAL_RTOL) * dist
-    assert np.allclose(L, expected, rtol=1e-12, atol=0)
+    z_1 = np.abs(R).sum(axis=0) / np.where(dist > 0, dist, 1.0)
+    allowance = X.shape[1] * 2.0**-52 * np.abs(X).sum(axis=1) * z_1
+    assert (L <= expected * (1 + 1e-12)).all()
+    assert (L >= expected - 2 * allowance).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -348,6 +377,15 @@ def test_vset_lower_flat_two_is_exact_formula():
         )
 
 
+@pytest.mark.parametrize("n", [True, 1.5])
+def test_vset_lower_refuses_non_integer_rank(n):
+    # Both used to be accepted: True as n = 1, 1.5 in the formulas.
+    v = VSet(k=(16,), s=(2,))
+    for q in ((2,), (4,)):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            width_lower_vset(v, n, q)
+
+
 def test_vset_lower_general_target_branches():
     v = VSet(k=(16,), s=(1,))
     # below the pivot the bound is the block size power
@@ -377,10 +415,12 @@ def test_sandwich_certified_and_ordered(tmp_path):
         assert rep.certified_lower <= rep.upper * (1 + 1e-9)
         assert rep.n_points >= 2
     with open(ledger) as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
     assert len(rows) == 3
     assert rows[0]["problem_hash"] == sandwich_report(problems[0]).problem_hash
-    assert {"regime", "upper", "certified_lower"} <= set(rows[0])
+    # One column per report field, in field order.
+    assert reader.fieldnames == [f.name for f in fields(SandwichReport)]
 
 
 def test_ball_extras_enumerate_the_vertices():
