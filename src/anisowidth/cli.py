@@ -36,6 +36,7 @@ from .mixed_norm import (
     mixed_norm,
     norm_duality_lower,
     norming_functional,
+    _require_int,
 )
 from .exponents import (
     h_family_minimize,
@@ -67,11 +68,6 @@ def _scalar(v):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValidationError(f"bad numeric entry {v!r}")
     return v
-
-
-def _is_int(v) -> bool:
-    """A JSON/TOML integer; ``true``/``false`` are not integers here."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _vector(obj, key):
@@ -110,17 +106,13 @@ def load_problem(path: str) -> dict:
         )
     out = {"kind": kind}
     if "nu_split" in obj:
-        if not _is_int(obj["nu_split"]):
-            raise ValidationError("nu_split must be an integer")
-        out["nu_split"] = obj["nu_split"]
+        out["nu_split"] = _require_int("nu_split", obj["nu_split"])
     if kind == "ball":
         k = obj.get("k")
-        if not isinstance(k, list) or not all(_is_int(v) for v in k):
+        if not isinstance(k, list):
             raise ValidationError("'k' must be a list of integers")
-        if not _is_int(obj.get("n")):
-            raise ValidationError("'n' must be an integer")
-        out["k"] = tuple(k)
-        out["n"] = obj["n"]
+        out["k"] = tuple(_require_int("box side", v, 1) for v in k)
+        out["n"] = _require_int("n", obj.get("n"))
         out["p"] = _vector(obj, "p")
         out["q"] = _vector(obj, "q")
     else:

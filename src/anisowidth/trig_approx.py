@@ -270,9 +270,10 @@ def fejer(m: int, x) -> Union[float, np.ndarray]:
     """Mean-one Fejer kernel of order ``m``: value ``m`` at 0, ``>= 0``.
 
     ``fejer(1, .) == 1``; the coefficient of frequency ``k`` is
-    ``max(1 - |k|/m, 0)``, so the degree is ``m - 1``.
+    ``max(1 - |k|/m, 0)``, so the degree is ``m - 1``.  The closed form is
+    this kernel only for integer ``m``, so other orders are refused.
     """
-    _require_order(m)
+    m = _require_int("kernel order", m, 1)
     xa = np.asarray(x, dtype=float)
     s = np.sin(xa / 2.0)
     near = np.abs(s) < 1e-9
@@ -285,7 +286,7 @@ def fejer(m: int, x) -> Union[float, np.ndarray]:
 
 def vallee_poussin(m: int, x) -> Union[float, np.ndarray]:
     """De la Vallee Poussin kernel: flat response up to ``m``, taper to ``2m``."""
-    _require_order(m)
+    m = _require_int("kernel order", m, 1)
     return 2.0 * fejer(2 * m, x) - fejer(m, x)
 
 
@@ -330,8 +331,9 @@ class KernelSpec:
     """Named kernel with its evaluation parameters.
 
     ``kind`` is one of ``fejer``, ``vallee_poussin``, ``vp_power``,
-    ``bernoulli``.  ``order >= 1`` always; the Bernoulli evaluation
-    additionally requires ``truncation >= 10 * order``.
+    ``bernoulli``.  ``order >= 1`` always, an integer for the Fejer and
+    de la Vallee Poussin kernels; the Bernoulli evaluation additionally
+    requires ``truncation >= 10 * order``.
     """
 
     kind: str
@@ -343,7 +345,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("fejer", "vallee_poussin", "vp_power", "bernoulli"):
             raise ValidationError(f"unknown kernel kind {self.kind!r}")
-        _require_order(self.order)
+        if self.kind in ("fejer", "vallee_poussin"):
+            _require_int("kernel order", self.order, 1)
+        else:
+            _require_order(self.order)
         if self.kind == "bernoulli" and self.truncation < 10 * self.order:
             raise ValidationError(
                 "Bernoulli evaluation needs truncation >= 10 * order"
@@ -563,7 +568,7 @@ def fejer_shift_sum_check(m: int, h: float) -> float:
     shifts ``l h`` in one period.  Requires ``m h`` inside
     ``SHIFT_SUM_WINDOW``; the value is bounded by a constant depending only
     on the window."""
-    _require_order(m)
+    m = _require_int("kernel order", m, 1)
     prod = m * h
     if not (SHIFT_SUM_WINDOW[0] <= prod <= SHIFT_SUM_WINDOW[1]):
         raise ValidationError(

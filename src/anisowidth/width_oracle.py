@@ -6,7 +6,9 @@ the Stiefel manifold: given a finite point set inside a ball, alternate
 (b) a retraction step along a softmax-weighted subgradient through the
 near-active points.  Any feasible coefficient vector certifies a per-point
 distance from above, so the reported value is always a true upper bound for
-the hull of the supplied points.
+the hull of the supplied points.  The starts descend in lockstep: each step
+stacks their residuals into one batch, so one kernel call serves all of them,
+and each start reaches exactly the basis it reaches alone.
 
 The dual route bounds each of those distances from below: the norming
 functional of a point's residual, projected onto the orthogonal complement of
@@ -156,37 +158,65 @@ def harmonic_frame(K: int, n: int) -> np.ndarray:
     return B[:, :n]
 
 
-def _batch_residual(X: np.ndarray, B: np.ndarray, C: np.ndarray, shape) -> np.ndarray:
-    R = X.T - B @ C
-    return R.reshape(shape + (X.shape[0],), order="F")
+# Bases and coefficients may carry leading batch axes: ``B`` is ``batch +
+# (K, n)`` and ``C`` is ``batch + (n, P)``, one basis and its coefficients per
+# batch entry.  The kernels see the residuals as ``shape + batch + (P,)``,
+# every trailing axis a batch, so one kernel call serves every basis.  ``B``
+# may also be a list of (K, n) bases, each multiplied in its own layout: a
+# matrix-vector product (n = 1, or a single point) goes to BLAS gemv with the
+# vector's stride, and gemv's last bits depend on that stride, so a strided
+# start (the eigenbasis of width_upper) keeps its own bits only as laid out.
+
+
+def _times(B, M, transpose: bool = False) -> np.ndarray:
+    """``B M``, or ``B^T M``, for each basis of ``B``."""
+    if isinstance(B, list):
+        Ms = np.broadcast_to(M, (len(B),) + M.shape[-2:])
+        return np.stack([(b.T if transpose else b) @ m for b, m in zip(B, Ms)])
+    return (B.swapaxes(-1, -2) if transpose else B) @ M
+
+
+def _batch_residual(X: np.ndarray, B, C: np.ndarray, shape) -> np.ndarray:
+    """The residuals ``x_i - B c_i`` in the kernels' layout."""
+    R = X.T - _times(B, C)
+    nb = R.ndim - 2
+    R = R.transpose((nb, *range(nb), nb + 1))
+    return R.reshape(shape + R.shape[1:], order="F")
+
+
+def _flat_functional(Y: np.ndarray, K: int, nb: int) -> np.ndarray:
+    """Norming functionals from the kernels' layout back to ``batch + (K, P)``."""
+    Y = Y.reshape((K,) + Y.shape[Y.ndim - nb - 1 :], order="F")
+    return Y.transpose((*range(1, nb + 1), 0, nb + 1))
 
 
 def _inner_solve(X, B, q, shape, C0, iters):
     """Approximate per-point best-approximation coefficients, batched.
 
     Subgradient descent with best-value tracking; the Euclidean projection
-    is the starting point, so for flat q = 2 this is already exact.
+    is the starting point, so for flat q = 2 this is already exact.  Each
+    basis of a batch gives exactly what it gives alone.
     """
-    C = B.T @ X.T if C0 is None else C0.copy()
+    C = _times(B, X.T, True) if C0 is None else C0
     if _is_flat_two(q):
         return C, _mixed_norm_array(_batch_residual(X, B, C, shape), q)
-    best_C = C.copy()
-    best_f = np.full(X.shape[0], math.inf)
+    best_C = C
+    best_f = np.full(C.shape[:-2] + (X.shape[0],), math.inf)
     step = 1.0
     for _ in range(iters):
         f, Y = _norming_array(_batch_residual(X, B, C, shape), q)
         improved = f < best_f
         best_f = np.where(improved, f, best_f)
-        best_C[:, improved] = C[:, improved]
-        G = -(B.T @ Y.reshape(X.shape[1], X.shape[0], order="F"))
-        gn2 = (G * G).sum(axis=0) + 1e-30
+        best_C = np.where(improved[..., None, :], C, best_C)
+        G = -_times(B, _flat_functional(Y, X.shape[1], C.ndim - 2), True)
+        gn2 = (G * G).sum(axis=-2) + 1e-30
         eta = step * 0.5 * f / gn2
-        C = C - eta[None, :] * G
+        C = C - eta[..., None, :] * G
         step *= 0.97
     f = _mixed_norm_array(_batch_residual(X, B, C, shape), q)
     improved = f < best_f
     best_f = np.where(improved, f, best_f)
-    best_C[:, improved] = C[:, improved]
+    best_C = np.where(improved[..., None, :], C, best_C)
     return best_C, best_f
 
 
@@ -271,32 +301,45 @@ def _stack_points(points: Sequence[Tensor], n) -> tuple:
 
 
 def _descend(X, B0, q, shape, cfg):
-    B = B0
-    P, K = X.shape
-    n = B.shape[1]
-    best_val = math.inf
-    best_B = B
+    """Smoothed Stiefel descent from each of the starts ``B0``.
+
+    ``B0`` is a stack of S starts, an ``(S, K, n)`` array or a list of
+    ``(K, n)`` bases, and the list of the S descended bases is returned; a
+    single ``(K, n)`` basis gives its descended basis.  The starts descend in
+    lockstep, so each kernel call serves all of them, and each gives exactly
+    the basis it gives alone.  Until the first retraction each start is used
+    as laid out (see :func:`_times`), and a start that no iterate beats is
+    returned itself, as a lone descent returns it.
+    """
+    single = isinstance(B0, np.ndarray) and B0.ndim == 2
+    starts = [B0] if single else list(B0)
+    B = np.stack(starts)
+    K, n = B.shape[1:]
+    best_val = np.full(len(starts), math.inf)
+    best_B = starts
     C = None
     for it in range(cfg.outer_iterations):
-        C, f = _inner_solve(X, B, q, shape, C, iters=4 if it else 30)
-        fmax = float(f.max())
-        if fmax < best_val:
-            best_val, best_B = fmax, B
-        spread = max(fmax - float(f.min()), 1e-12)
-        tau = max(0.02 * fmax, 0.35 * spread * (0.9 ** it)) + 1e-30
-        wts = np.exp((f - fmax) / tau)
-        wts /= wts.sum()
-        _, Y = _norming_array(_batch_residual(X, B, C, shape), q)
-        Yflat = Y.reshape(K, P, order="F")
-        G = Yflat @ (wts[:, None] * C.T)
-        gn = np.linalg.norm(G) + 1e-30
+        Bi = B if it else starts
+        C, f = _inner_solve(X, Bi, q, shape, C, iters=4 if it else 30)
+        fmax = f.max(axis=1)
+        improved = fmax < best_val
+        best_val = np.where(improved, fmax, best_val)
+        best_B = [b if up else old for b, up, old in zip(Bi, improved, best_B)]
+        spread = np.maximum(fmax - f.min(axis=1), 1e-12)
+        tau = np.maximum(0.02 * fmax, 0.35 * spread * (0.9**it)) + 1e-30
+        wts = np.exp((f - fmax[:, None]) / tau[:, None])
+        wts /= wts.sum(axis=1, keepdims=True)
+        _, Y = _norming_array(_batch_residual(X, Bi, C, shape), q)
+        G = _flat_functional(Y, K, 1) @ (wts[:, :, None] * C.swapaxes(1, 2))
+        # One BLAS norm per start, as a lone start computes it.
+        gn = np.array([np.linalg.norm(g) for g in G]) + 1e-30
         eta = (0.5 / (1.0 + it / 8.0)) * math.sqrt(n) / gn
-        B, _ = np.linalg.qr(B + eta * G)
-        C = B.T @ X.T
+        B, _ = np.linalg.qr(B + eta[:, None, None] * G)
+        C = _times(B, X.T, True)
     _, f = _inner_solve(X, B, q, shape, None, iters=60)
-    if float(f.max()) < best_val:
-        best_B = B
-    return best_B
+    improved = f.max(axis=1) < best_val
+    best_B = [b if up else old for b, up, old in zip(B, improved, best_B)]
+    return best_B[0] if single else best_B
 
 
 # Relative margin by which :func:`_dual_lower` shrinks its bounds, far above
@@ -412,8 +455,9 @@ def width_upper(
     """Upper estimate of the n-width of the hull of ``points`` in ``q``.
 
     Runs the smoothed Stiefel descent from a harmonic frame, a Euclidean
-    dual eigenbasis, and ``cfg.restarts`` seeded random orthonormal bases;
-    reports the best subspace found and its certified max distance.
+    dual eigenbasis, and ``cfg.restarts`` seeded random orthonormal bases,
+    all in lockstep (see :func:`_descend`); reports the best subspace found
+    and its certified max distance.
     Deterministic for fixed (cfg.seed, restarts).  The points are rescaled
     under the range policy of :func:`mixed_norm` and the value is scaled
     back, so no stage overflows, and on points whose largest magnitude lies
@@ -445,9 +489,11 @@ def width_upper(
     best_val, best_B = math.inf, None
     # Each start, then its descended basis.  After the first evaluation a value
     # only matters if it beats best_val, so best_val is each later
-    # evaluation's cutoff (see _evaluate_exact).
-    for B0 in inits:
-        for B in (B0, _descend(X, B0, q, shape, cfg)):
+    # evaluation's cutoff (see _evaluate_exact).  The descents never read
+    # best_val, so all of them run first, in lockstep.
+    descended = _descend(X, inits, q, shape, cfg)
+    for B0, B1 in zip(inits, descended):
+        for B in (B0, B1):
             val = _evaluate_exact(X, B, q, shape, best_val)
             if val < best_val:
                 best_val, best_B = val, B

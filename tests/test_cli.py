@@ -268,6 +268,27 @@ def test_booleans_are_not_integers(tmp_path, capsys, obj):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "obj, bad",
+    [
+        ({"kind": "ball", "k": [4, True], "n": 1, "p": [2, 2], "q": [2, 2]}, "True"),
+        ({"kind": "ball", "k": [4, 3], "n": 2.0, "p": [2, 2], "q": [2, 2]}, "2.0"),
+        (
+            {"kind": "ball", "k": [4, 3], "n": 1, "p": [1, 2], "q": [2, 2], "nu_split": False},
+            "False",
+        ),
+    ],
+)
+def test_problem_file_integers_take_the_package_check(tmp_path, capsys, obj, bad):
+    path = write(tmp_path, "ints.json", obj)
+    assert main(["phi", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert lines[0].endswith(f"must be an integer, got {bad}")
+
+
 @pytest.mark.parametrize("error, code", [(PropertyViolation, 3), (DeskScaleError, 4)])
 def test_property_and_desk_scale_exit_codes(ball_file, capsys, monkeypatch, error, code):
     from anisowidth import cli

@@ -197,6 +197,132 @@ def test_sandwich_golden_values():
         )
 
 
+def test_sandwich_golden_values_at_the_default_config():
+    # One instance per n > 0 slot of the benchmark's sandwich cycle, at the
+    # default OracleConfig: its six starts descend in lockstep.  Frozen to
+    # the last bit before the starts were stacked.
+    cases = [
+        (BallProblem(k=(4,), n=2, p=(1.5,), q=(4,)),
+         "0.6372168364950498", "0.5000000000000001"),
+        (BallProblem(k=(4, 4), n=1, p=(1.25, 1.75), q=(4, 4)),
+         "0.774746590033626", "0.4841229182759271"),
+        (BallProblem(k=(2, 4), n=2, p=(1.5, 1.25), q=(2, 2)),
+         "0.8660254037844386", "0.8660254037844386"),
+        (BallProblem(k=(3,), n=1, p=(1.75,), q=(4,)),
+         "0.8000021829197057", "0.6204032394013997"),
+        (BallProblem(k=(3, 2), n=2, p=(1.25, 1.5), q=(4, 2)),
+         "0.6579656289456522", "0.6204032394013997"),
+        (BallProblem(k=(4, 2), n=3, p=(1.5, 1.75), q=(2, 4)),
+         "0.6932349550185216", "0.6647869871181236"),
+    ]
+    for prob, upper, lower in cases:
+        rep = sandwich_report(prob)
+        assert (repr(rep.upper), repr(rep.certified_lower), rep.iterations) == (
+            upper,
+            lower,
+            360,
+        )
+
+
+def _lone_residual(X, B, C, shape):
+    return (X.T - B @ C).reshape(shape + (X.shape[0],), order="F")
+
+
+def _lone_inner_solve(X, B, q, shape, C0, iters):
+    """``_inner_solve`` for one basis as it read before the starts were
+    stacked: a verbatim copy, kept as the reference for the lockstep's bits."""
+    C = B.T @ X.T if C0 is None else C0.copy()
+    if _is_flat_two(q):
+        return C, _mixed_norm_array(_lone_residual(X, B, C, shape), q)
+    best_C = C.copy()
+    best_f = np.full(X.shape[0], math.inf)
+    step = 1.0
+    for _ in range(iters):
+        f, Y = _norming_array(_lone_residual(X, B, C, shape), q)
+        improved = f < best_f
+        best_f = np.where(improved, f, best_f)
+        best_C[:, improved] = C[:, improved]
+        G = -(B.T @ Y.reshape(X.shape[1], X.shape[0], order="F"))
+        gn2 = (G * G).sum(axis=0) + 1e-30
+        eta = step * 0.5 * f / gn2
+        C = C - eta[None, :] * G
+        step *= 0.97
+    f = _mixed_norm_array(_lone_residual(X, B, C, shape), q)
+    improved = f < best_f
+    best_f = np.where(improved, f, best_f)
+    best_C[:, improved] = C[:, improved]
+    return best_C, best_f
+
+
+def _lone_descend(X, B0, q, shape, cfg):
+    """``_descend`` for one start as it read before the starts were stacked."""
+    B = B0
+    P, K = X.shape
+    n = B.shape[1]
+    best_val = math.inf
+    best_B = B
+    C = None
+    for it in range(cfg.outer_iterations):
+        C, f = _lone_inner_solve(X, B, q, shape, C, iters=4 if it else 30)
+        fmax = float(f.max())
+        if fmax < best_val:
+            best_val, best_B = fmax, B
+        spread = max(fmax - float(f.min()), 1e-12)
+        tau = max(0.02 * fmax, 0.35 * spread * (0.9 ** it)) + 1e-30
+        wts = np.exp((f - fmax) / tau)
+        wts /= wts.sum()
+        _, Y = _norming_array(_lone_residual(X, B, C, shape), q)
+        Yflat = Y.reshape(K, P, order="F")
+        G = Yflat @ (wts[:, None] * C.T)
+        gn = np.linalg.norm(G) + 1e-30
+        eta = (0.5 / (1.0 + it / 8.0)) * math.sqrt(n) / gn
+        B, _ = np.linalg.qr(B + eta * G)
+        C = B.T @ X.T
+    _, f = _lone_inner_solve(X, B, q, shape, None, iters=60)
+    if float(f.max()) < best_val:
+        best_B = B
+    return best_B
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_lockstep_starts_keep_their_lone_bits(data):
+    shape = data.draw(st.sampled_from([(4,), (3, 2), (2, 2, 2)]))
+    K = math.prod(shape)
+    # n = 1 half the time: there every product with B^T is matrix-vector.
+    n = data.draw(st.one_of(st.just(1), st.integers(1, K - 1)))
+    P = data.draw(st.sampled_from([1, 2, 17, 64]))
+    exponents = [1, Fraction(3, 2), 2, 4, math.inf]
+    q = as_exponents([data.draw(st.sampled_from(exponents)) for _ in shape])
+    cfg = OracleConfig(outer_iterations=data.draw(st.sampled_from([1, 3])))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((P, K))
+    # Strided starts, laid out as width_upper's eigenbasis: the last n
+    # columns of a K x K matrix, reversed.  Their matrix-vector products
+    # (n = 1 or P = 1) may take other last bits than a contiguous copy's.
+    squares = [np.linalg.qr(rng.standard_normal((K, K)))[0] for _ in range(2)]
+    squares.append(np.linalg.eigh(X.T @ X)[1])
+    strided = [M[:, ::-1][:, :n] for M in squares]
+    contiguous = [np.ascontiguousarray(B) for B in strided]
+    starts = contiguous + strided
+    lone = [_lone_descend(X, B0, q, shape, cfg) for B0 in starts]
+    assert np.array_equal(_descend(X, strided[-1], q, shape, cfg), lone[-1])
+    descended = _descend(X, starts, q, shape, cfg)
+    assert len(descended) == len(starts)
+    for B0, B, B_lone in zip(starts, descended, lone):
+        # A start that no iterate beats comes back itself, layout and all.
+        assert np.array_equal(B, B_lone) and (B is B0) == (B_lone is B0)
+    descended = _descend(X, np.stack(contiguous), q, shape, cfg)
+    assert len(descended) == len(contiguous)
+    for B, B_lone in zip(descended, lone):
+        assert np.array_equal(B, B_lone)
+    for stack in (starts, np.stack(contiguous)):
+        C, f = _inner_solve(X, stack, q, shape, None, iters=5)
+        for B0, C_s, f_s in zip(stack, C, f):
+            C_lone, f_lone = _lone_inner_solve(X, B0, q, shape, None, iters=5)
+            assert np.array_equal(C_s, C_lone) and np.array_equal(f_s, f_lone)
+
+
 def _full_polish_value(X, B, q, shape):
     """The oracle's exact evaluation with no cutoff: all six top points polished."""
     C = np.linalg.lstsq(B, X.T, rcond=None)[0]

@@ -363,6 +363,32 @@ def test_kernel_orders_must_be_finite_and_at_least_one(m):
             call()
 
 
+@pytest.mark.parametrize("m", [1.5, 2.0, np.float64(3.0), True])
+def test_fejer_orders_must_be_integers(m):
+    # The closed form is the Fejer kernel only at integer orders: at m = 1.5
+    # it read 1.486 at x = 0.3, where the series gives 1.637, and 28.4 at
+    # x = 0.3 + 2 pi.
+    calls = [
+        lambda: fejer(m, 0.3),
+        lambda: vallee_poussin(m, 0.3),
+        lambda: fejer_shift_sum_check(m, 0.5),
+        lambda: KernelSpec(kind="fejer", order=m),
+        lambda: KernelSpec(kind="vallee_poussin", order=m),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="integer"):
+            call()
+
+
+def test_fejer_closed_form_is_the_series_and_taper_orders_stay_real():
+    x = np.array([0.3, 0.3 + 2 * math.pi, 2.0])
+    for m in (np.int64(2), 3):
+        series = 1 + 2 * sum((1 - k / m) * np.cos(k * x) for k in range(1, m))
+        assert np.allclose(fejer(m, x), series, rtol=0, atol=1e-12)
+    assert vp_multiplier(1.5, 2) == pytest.approx(2 / 3)
+    assert KernelSpec(kind="bernoulli", order=1.5, r=2.0, truncation=15).order == 1.5
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_kernel_phases_powers_and_steps_must_be_finite(bad):
     with pytest.raises(ValidationError):
