@@ -260,8 +260,9 @@ def _reduce_axis0(a: np.ndarray, step: tuple) -> np.ndarray:
     if kind == "two":
         return np.sqrt((a * a).sum(axis=0))
     m = a.max(axis=0)
-    scaled = np.divide(a, m, out=np.zeros_like(a), where=m > 0)
-    return m * (scaled**pf).sum(axis=0) ** (1.0 / pf)
+    # m == 0 only on an all-zero fibre, which divides to 0 by 1 as well.
+    scaled = a / np.where(m > 0, m, 1.0)
+    return m * np.power(scaled, pf, out=scaled).sum(axis=0) ** (1.0 / pf)
 
 
 # Range policy.  The entry points move data whose largest magnitude lies
@@ -345,9 +346,14 @@ def _norming_array(arr: np.ndarray, p: ExponentVector) -> tuple:
             idx = np.expand_dims(np.argmax(prev, axis=0), axis=0)
             np.put_along_axis(w, idx, 1.0, axis=0)
         else:
-            cur_safe = np.where(cur > 0, cur, 1.0)
-            w = np.where(cur > 0, prev / cur_safe, 0.0) ** (pf - 1.0)
-        y = y * w
+            # A "sum" or "pow" norm is at least the fibre's maximum, so there
+            # cur == 0 only on an all-zero fibre; a "two" norm can be 0 over
+            # nonzero entries whose squares underflowed.
+            w = np.divide(prev, np.where(cur > 0, cur, 1.0))
+            if kind == "two":
+                np.copyto(w, 0.0, where=cur == 0)
+            np.power(w, pf - 1.0, out=w)
+        y *= w
     r = partials[-1]
     return (r, y) if _in_range(r) else _rescue(arr, p, r, y)
 

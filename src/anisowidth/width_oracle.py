@@ -16,7 +16,10 @@ the subspace, pairs with the point to at most the distance times its dual
 norm (Holder's inequality for mixed norms, Benedek & Panzone 1961; duality
 for best approximation, Singer 1970).  The exact evaluation uses these
 certified per-point bounds to skip solves and polishes whose result cannot
-change the reported value (:func:`_evaluate_exact`).
+change the reported value (:func:`_evaluate_exact`).  :func:`width_upper`
+evaluates its candidate bases best-first, by that bound at each basis's
+least-squares start, so the running cutoff falls early; its tie rule keeps
+the result of the fixed order bit for bit.
 
 Lower estimates are exact closed forms from corner-block hulls
 (:func:`width_lower_vset`, :func:`anisowidth.ball_widths.vset_l2_lower`) and
@@ -363,9 +366,11 @@ def _dual_lower(X, B, q, shape, C) -> np.ndarray:
     orthogonal ``z_i - B w_i`` pairs with ``x_i`` to within ``||x_i||_1
     ||w_i||_1`` of ``<x_i, z_i>`` and has dual norm at most ``||z_i||_{q'} +
     sqrt(K) ||w_i||_1``, and the pairing's own rounding is at most ``K
-    2**-52 ||x_i||_1 ||z_i||_1``.  The bound allows for all three and is then
-    shrunk by ``_DUAL_RTOL``.  It is 0 where the pairing is not positive,
-    e.g. for a point inside span ``B``.
+    2**-52 ||x_i||_1 ||z_i||_1`` plus what its K products lose to underflow,
+    at most ``2**-1075`` each; that term is carried as ``K 2**-1074``, since
+    ``2**-1075`` itself rounds to 0.  The bound allows for all three and is
+    then shrunk by ``_DUAL_RTOL``.  It is 0 where the pairing is not
+    positive, e.g. for a point inside span ``B``.
     """
     P, K = X.shape
     _, Y = _norming_array(_batch_residual(X, B, C, shape), q)
@@ -375,6 +380,7 @@ def _dual_lower(X, B, q, shape, C) -> np.ndarray:
     dual_norm = _mixed_norm_array(Z.reshape(shape + (P,), order="F"), q.dual())
     pairing = (X * Z.T).sum(axis=1)
     pairing -= np.abs(X).sum(axis=1) * (w + K * 2.0**-52 * np.abs(Z).sum(axis=0))
+    pairing -= K * 2.0**-1074
     bound = np.zeros(P)
     np.divide(pairing, dual_norm + math.sqrt(K) * w, out=bound, where=pairing > 0)
     return (1.0 - _DUAL_RTOL) * bound
@@ -397,8 +403,8 @@ def _evaluate_exact(X, B, q, shape, cutoff=math.inf) -> float:
     smaller of that and its polish) is at least the point's true distance,
     and :func:`_dual_lower` gives certified bounds ``L_j`` at most the true
     distances; its margins (``_DUAL_RTOL`` and the rounding terms) are far
-    above the rounding of the values it is compared with.  Two prunes follow, and neither moves a
-    returned value:
+    above the rounding of the values it is compared with.  Two prunes
+    follow, and neither moves a returned value:
 
     - A top point ``i`` whose solved value is at most ``max_(j != i) L_j``
       is not polished: its value, polished or not, is at most point ``j``'s,
@@ -457,7 +463,14 @@ def width_upper(
     Runs the smoothed Stiefel descent from a harmonic frame, a Euclidean
     dual eigenbasis, and ``cfg.restarts`` seeded random orthonormal bases,
     all in lockstep (see :func:`_descend`); reports the best subspace found
-    and its certified max distance.
+    and its certified max distance.  The candidates, each start and then its
+    descended basis, are evaluated best-first: in the order of the certified
+    bound :func:`_dual_lower` gives at their least-squares starts, so a good
+    basis sets a low cutoff early and the losing ones are pruned.  The
+    result is still the least value and, among equal values, the first
+    candidate in the fixed order, bit for bit: every pruned evaluation
+    returns a value at or above its cutoff, and the cutoff lies just above
+    the running best for a candidate that would win a tie.
     Deterministic for fixed (cfg.seed, restarts).  The points are rescaled
     under the range policy of :func:`mixed_norm` and the value is scaled
     back, so no stage overflows, and on points whose largest magnitude lies
@@ -486,20 +499,25 @@ def width_upper(
         G = rng.standard_normal((K, n))
         inits.append(np.linalg.qr(G)[0])
 
-    best_val, best_B = math.inf, None
-    # Each start, then its descended basis.  After the first evaluation a value
-    # only matters if it beats best_val, so best_val is each later
-    # evaluation's cutoff (see _evaluate_exact).  The descents never read
-    # best_val, so all of them run first, in lockstep.
-    descended = _descend(X, inits, q, shape, cfg)
-    for B0, B1 in zip(inits, descended):
-        for B in (B0, B1):
-            val = _evaluate_exact(X, B, q, shape, best_val)
-            if val < best_val:
-                best_val, best_B = val, B
+    # Canonical order: each start, then its descended basis.  The descents
+    # never read best_val, so all of them run first, in lockstep.  An
+    # evaluation that reaches its cutoff returns a value >= cutoff (see
+    # _evaluate_exact), so an earlier index, which wins a tie, is evaluated
+    # with its cutoff just above best_val and a later one with best_val.
+    cands = [B for pair in zip(inits, _descend(X, inits, q, shape, cfg)) for B in pair]
+    keys = [
+        _dual_lower(X, B, q, shape, np.linalg.lstsq(B, X.T, rcond=None)[0]).max()
+        for B in cands
+    ]
+    best_val, best_i = math.inf, len(cands)
+    for i in sorted(range(len(cands)), key=lambda i: (keys[i], i)):
+        cutoff = math.nextafter(best_val, math.inf) if i < best_i else best_val
+        val = _evaluate_exact(X, cands[i], q, shape, cutoff)
+        if val < best_val or (val == best_val and i < best_i):
+            best_val, best_i = val, i
     return WidthEstimate(
         value=_ldexp(best_val, e),
-        witness=SubspaceCandidate(best_B),
+        witness=SubspaceCandidate(cands[best_i]),
         iterations=cfg.outer_iterations * len(inits),
     )
 

@@ -6,7 +6,8 @@ against a copy of the per-call reference kernel that derives each exponent
 from its ``Fraction`` on every call, and against frozen sandwich values.
 The oracle's polish cutoff and its dual-bound prunes are held to the same
 standard: ``width_upper`` must give exactly what the loop that polishes every
-top point gives, with no more solves or polishes than the cutoff alone ran.
+top point gives, with no more solves or polishes than the cutoff alone ran,
+and its best-first order exactly what the fixed order gives, with fewer.
 """
 
 import functools
@@ -33,10 +34,13 @@ from anisowidth import (
     sandwich_report,
     width_upper,
 )
-from anisowidth.mixed_norm import _mixed_norm_array, _norming_array
+from anisowidth.mixed_norm import _ldexp, _mixed_norm_array, _norming_array
 from anisowidth.width_oracle import (
     _POLISH_TOP,
+    SubspaceCandidate,
+    WidthEstimate,
     _descend,
+    _evaluate_exact,
     _inner_solve,
     _is_flat_two,
     _polish_point,
@@ -161,6 +165,22 @@ def test_batched_kernel_rescues_each_column_like_a_single_tensor(shape, q):
     batch[(0,) * len(shape) + (2,)] = math.nan
     with pytest.raises(ValidationError, match="NaN"):
         _mixed_norm_array(batch, q)
+
+
+@pytest.mark.parametrize(
+    "shape, q", [((3, 4), (2, 1)), ((2, 3, 2), (2, 1, 1)), ((2, 3, 2), (2, 1, math.inf))]
+)
+def test_norming_is_zero_on_a_fibre_whose_squares_underflow(shape, q):
+    # The squares of the first axis-1 fibres underflow to a zero norm while
+    # every column's norm stays in range, so no rescue runs: their weights
+    # must be 0, as the reference kernel gives them.  The later axes have
+    # p = 1 or inf, whose weights do not zero those entries themselves.
+    q = as_exponents(q)
+    batch = np.random.default_rng(3).standard_normal(shape + (3,))
+    batch[:, 0] *= 1e-170
+    _, y = _norming_array(batch, q)
+    assert (y[:, 0] == 0).all()
+    assert np.array_equal(y, _reference_norming(batch, q))
 
 
 @settings(max_examples=150, deadline=None)
@@ -393,6 +413,37 @@ def _cutoff_only_evaluate_exact(X, B, q, shape, cutoff=math.inf) -> float:
     return bound
 
 
+def _fixed_order_width_upper(points, n, q, cfg):
+    """``width_upper`` for 0 < n < dim with its candidates evaluated in the
+    fixed order, each start and then its descended basis: a verbatim copy of
+    that version's loop, kept as the reference for the number of solves and
+    polishes."""
+    q = as_exponents(q)
+    X, shape, n, e = _stack_points(points, n)
+    K = X.shape[1]
+    inits = [harmonic_frame(K, n)]
+    M = X.T @ X
+    _, vecs = np.linalg.eigh(M)
+    inits.append(vecs[:, ::-1][:, :n])
+    for ridx in range(cfg.restarts):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, ridx)))
+        G = rng.standard_normal((K, n))
+        inits.append(np.linalg.qr(G)[0])
+
+    best_val, best_B = math.inf, None
+    descended = _descend(X, inits, q, shape, cfg)
+    for B0, B1 in zip(inits, descended):
+        for B in (B0, B1):
+            val = _evaluate_exact(X, B, q, shape, best_val)
+            if val < best_val:
+                best_val, best_B = val, B
+    return WidthEstimate(
+        value=_ldexp(best_val, e),
+        witness=SubspaceCandidate(best_B),
+        iterations=cfg.outer_iterations * len(inits),
+    )
+
+
 PRUNING_CASES = [
     ((4,), 1, (4,), 4),
     ((4,), 2, (4,), 8),
@@ -404,9 +455,10 @@ ORACLE_CFG = OracleConfig(restarts=2, outer_iterations=10)
 
 
 @functools.lru_cache(maxsize=None)
-def _counted_width_upper(shape, n, q, extra, cutoff_only):
+def _counted_width_upper(shape, n, q, extra, cutoff_only, fixed_order=False):
     """``width_upper`` on the case's points with its polishes and 120-iteration
-    solves counted, run with the cutoff-only evaluation or the current one."""
+    solves counted, run with the cutoff-only evaluation or the current one,
+    best-first or in the fixed order."""
     points = _unit_vectors_and_l1_points(shape, extra, seed=n)
     counts = {"polish": 0, "solve": 0}
     real_polish, real_solve = _polish_point, _inner_solve
@@ -426,7 +478,8 @@ def _counted_width_upper(shape, n, q, extra, cutoff_only):
             mp.setattr(module, "_inner_solve", solve)
         if cutoff_only:
             mp.setattr(width_oracle, "_evaluate_exact", _cutoff_only_evaluate_exact)
-        est = width_upper(points, n, q, ORACLE_CFG)
+        run = _fixed_order_width_upper if fixed_order else width_upper
+        est = run(points, n, q, ORACLE_CFG)
     return est, counts
 
 
@@ -453,4 +506,17 @@ def test_dual_bounds_prune_solves_and_polishes():
         for cutoff_only in (True, False):
             counts = _counted_width_upper(*case, cutoff_only)[1]
             totals[cutoff_only] += (counts["polish"], counts["solve"])
+    assert (totals[False] < totals[True]).all(), totals
+
+
+def test_best_first_order_keeps_the_result_with_fewer_solves_and_polishes():
+    totals = {True: np.zeros(2, dtype=int), False: np.zeros(2, dtype=int)}
+    for case in PRUNING_CASES:
+        runs = {f: _counted_width_upper(*case, False, fixed_order=f) for f in (True, False)}
+        reference, est = runs[True][0], runs[False][0]
+        assert est.value == reference.value
+        assert est.iterations == reference.iterations
+        assert np.array_equal(est.witness.basis, reference.witness.basis)
+        for fixed_order, (_, counts) in runs.items():
+            totals[fixed_order] += (counts["polish"], counts["solve"])
     assert (totals[False] < totals[True]).all(), totals

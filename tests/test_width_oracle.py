@@ -221,6 +221,64 @@ def test_rank_must_be_an_integer(n):
         point_set_lower_q2(pts, n)
 
 
+def _stubbed_width_upper(values, keys, pruned_to_cutoff):
+    """``width_upper`` on stubbed candidates, in canonical order (start 0, its
+    descended basis, start 1, ...): candidate ``i`` has start bound ``keys[i]``
+    and full value ``values[i]``.  Its evaluation honours the cutoff contract
+    and no more: a full value that reaches the cutoff comes back as the cutoff
+    itself, or as inf.  Returns the estimate, the candidates and the order in
+    which they were evaluated."""
+    cands, order = [], []
+
+    def descend(X, inits, q, shape, cfg):
+        descended = [-b for b in inits]  # distinct arrays, one per start
+        cands.extend(B for pair in zip(inits, descended) for B in pair)
+        return descended
+
+    def index(B):
+        return next(i for i, c in enumerate(cands) if c is B)
+
+    def evaluate(X, B, q, shape, cutoff=math.inf):
+        i = index(B)
+        order.append(i)
+        if values[i] < cutoff:
+            return values[i]
+        return cutoff if pruned_to_cutoff else math.inf
+
+    cfg = OracleConfig(restarts=len(values) // 2 - 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(width_oracle, "_descend", descend)
+        mp.setattr(width_oracle, "_dual_lower", lambda X, B, *_: np.array([keys[index(B)]]))
+        mp.setattr(width_oracle, "_evaluate_exact", evaluate)
+        est = width_upper(random_points(4, 6, seed=3), 1, (4,), cfg)
+    return est, cands, order
+
+
+def _candidate_values_and_keys():
+    size = st.integers(0, 2).map(lambda r: 2 * (2 + r))
+    return size.flatmap(
+        lambda m: st.tuples(
+            st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=m, max_size=m),
+            st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=m, max_size=m),
+        )
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_candidate_values_and_keys(), st.booleans())
+# Ties between canonical indices, keys in the reverse order: 4 is evaluated
+# before 3 and 1, which tie it, so each needs the cutoff just above best_val.
+@example(([3.0, 2.0, 5.0, 2.0, 2.0, 4.0], [5.0, 4.0, 3.0, 2.0, 1.0, 0.0]), False)
+@example(([3.0, 2.0, 5.0, 2.0, 2.0, 4.0], [5.0, 4.0, 3.0, 2.0, 1.0, 0.0]), True)
+def test_best_first_keeps_the_first_minimal_candidate(case, pruned_to_cutoff):
+    values, keys = case
+    est, cands, order = _stubbed_width_upper(values, keys, pruned_to_cutoff)
+    assert order == sorted(range(len(values)), key=lambda i: (keys[i], i))
+    winner = values.index(min(values))
+    assert est.value == values[winner]
+    assert np.array_equal(est.witness.basis, cands[winner])
+
+
 def test_certified_q2_lower_below_upper():
     pts = random_points(6, 20, seed=7)
     for n in (1, 2, 3):
@@ -301,18 +359,37 @@ def test_dual_bound_is_the_euclidean_distance_for_flat_two(case):
     assert (L >= expected - 2 * allowance).all()
 
 
+@st.composite
+def span_cases(draw):
+    """A shape, basis and q of :func:`dual_cases`, and the coefficients of
+    points of span ``B`` in ``[-10, 10]``, subnormals included."""
+    shape, B, X, q = draw(dual_cases())
+    coeffs = hnp.arrays(np.float64, (B.shape[1], X.shape[0]), elements=st.floats(-10, 10))
+    return shape, B, q, draw(coeffs)
+
+
+# Found by Hypothesis: the point B * 5e-324 rounds to (-0, 5e-324, 5e-324),
+# whose products with z lose up to 2**-1075 each to underflow; the bound was
+# 5e-324 until the pairing allowed for that.
+_SUBNORMAL_B = np.array([[-0.27298068], [0.75481445], [0.59643666]])
+SUBNORMAL_SPAN_EXAMPLE = (
+    (3,),
+    _SUBNORMAL_B / np.linalg.norm(_SUBNORMAL_B),
+    as_exponents((1,)),
+    np.array([[5e-324]]),
+)
+
+
 @settings(max_examples=60, deadline=None)
-@given(dual_cases(), st.data())
-def test_dual_bound_is_zero_inside_the_span(case, data):
-    shape, B, X, q = case
+@given(span_cases())
+@example(SUBNORMAL_SPAN_EXAMPLE)
+def test_dual_bound_is_zero_inside_the_span(case):
+    shape, B, q, coeffs = case
     # Points of span B, including 0, whose residuals round to noise or to 0.
-    coeffs = data.draw(
-        hnp.arrays(np.float64, (B.shape[1], X.shape[0]), elements=st.floats(-10, 10))
-    )
     inside = (B @ coeffs).T
     for C in (B.T @ inside.T, np.zeros_like(coeffs)):
         L = width_oracle._dual_lower(inside, B, q, shape, C)
-        assert np.array_equal(L, np.zeros(X.shape[0]))
+        assert np.array_equal(L, np.zeros(coeffs.shape[1]))
 
 
 # ---------------------------------------------------------------------------
