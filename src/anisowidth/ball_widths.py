@@ -108,7 +108,13 @@ class PowerProduct:
         return head + sum(terms), mass + sum(map(abs, terms))
 
     def value(self) -> float:
-        return math.exp(self._log()[0])
+        log = self._log()[0]
+        try:
+            return math.exp(log)
+        except OverflowError:
+            raise ValidationError(
+                f"power product e^{log:.6g} exceeds the float range"
+            ) from None
 
     def __mul__(self, other) -> "PowerProduct":
         other = _as_power(other)
@@ -218,13 +224,38 @@ class PowerProduct:
         return hash((h, frac)) if frac else h
 
     def ceil_int(self) -> int:
-        """Smallest integer >= the product value (exact for exact products)."""
-        m = max(1, math.ceil(self.value() - 1e-9))
-        while PowerProduct(Fraction(m)) < self:
-            m += 1
-        while m > 1 and self <= PowerProduct(Fraction(m - 1)):
-            m -= 1
-        return m
+        """Smallest integer >= the product value (exact for exact products).
+
+        Gallops from the float estimate, doubling its step, until the answer
+        lies in ``(lo, hi]``, then bisects; an estimate that is the answer
+        costs two comparisons.  A value beyond the float range starts the
+        gallop at ``e**709``.
+        """
+
+        def fits(m):
+            return self <= PowerProduct(Fraction(m))
+
+        m = max(1, math.ceil(math.exp(min(self._log()[0], 709.0)) - 1e-9))
+        step = 1
+        if fits(m):
+            hi = m
+            while hi - step >= 1 and fits(hi - step):
+                hi -= step
+                step *= 2
+            lo = max(hi - step, 0)
+        else:
+            lo = m
+            while not fits(lo + step):
+                lo += step
+                step *= 2
+            hi = lo + step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if fits(mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi
 
     def __repr__(self):
         body = " * ".join(f"{b}^({e})" for b, e in self.factors)

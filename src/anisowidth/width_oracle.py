@@ -307,15 +307,13 @@ def _descend(X, B0, q, shape, cfg):
     """Smoothed Stiefel descent from each of the starts ``B0``.
 
     ``B0`` is a stack of S starts, an ``(S, K, n)`` array or a list of
-    ``(K, n)`` bases, and the list of the S descended bases is returned; a
-    single ``(K, n)`` basis gives its descended basis.  The starts descend in
-    lockstep, so each kernel call serves all of them, and each gives exactly
-    the basis it gives alone.  Until the first retraction each start is used
-    as laid out (see :func:`_times`), and a start that no iterate beats is
-    returned itself, as a lone descent returns it.
+    ``(K, n)`` bases, and the list of the S descended bases is returned.  The
+    starts descend in lockstep, so each kernel call serves all of them, and
+    each gives exactly the basis it gives alone.  Until the first retraction
+    each start is used as laid out (see :func:`_times`), and a start that no
+    iterate beats is returned itself, as a lone descent returns it.
     """
-    single = isinstance(B0, np.ndarray) and B0.ndim == 2
-    starts = [B0] if single else list(B0)
+    starts = list(B0)
     B = np.stack(starts)
     K, n = B.shape[1:]
     best_val = np.full(len(starts), math.inf)
@@ -341,8 +339,7 @@ def _descend(X, B0, q, shape, cfg):
         C = _times(B, X.T, True)
     _, f = _inner_solve(X, B, q, shape, None, iters=60)
     improved = f.max(axis=1) < best_val
-    best_B = [b if up else old for b, up, old in zip(B, improved, best_B)]
-    return best_B[0] if single else best_B
+    return [b if up else old for b, up, old in zip(B, improved, best_B)]
 
 
 # Relative margin by which :func:`_dual_lower` shrinks its bounds, far above
@@ -392,12 +389,16 @@ _POLISH_TOP = 6
 _POLISH_TOL = 1e-8
 
 
-def _evaluate_exact(X, B, q, shape, cutoff=math.inf) -> float:
+def _evaluate_exact(X, B, q, shape, C, start, cutoff) -> float:
     """Certified max distance of the points from the span of ``B``.
 
-    After the batched solve the ``_POLISH_TOP`` farthest points are polished
-    by Powell, farthest first, and each keeps the smaller of its two values.
-    ``B`` must be orthonormal, as every starting and descended basis is.
+    ``B`` must be orthonormal, as every starting and descended basis is, and
+    have at least one column.  ``C`` holds the points' least-squares
+    coefficients and ``start`` is the largest :func:`_dual_lower` bound at
+    them, as :func:`width_upper` computes both once per candidate.  After
+    the batched solve from ``C`` the ``_POLISH_TOP`` farthest points are
+    polished by Powell, farthest first, and each keeps the smaller of its two
+    values.
 
     Every value this function computes for a point (its solved value, or the
     smaller of that and its polish) is at least the point's true distance,
@@ -413,27 +414,19 @@ def _evaluate_exact(X, B, q, shape, cutoff=math.inf) -> float:
       ``result < cutoff``.  The full result is at least every ``L_j``, and a
       polish can only lower a point's value, so the maximum of the ``L_j``,
       of the values already settled and of the largest value outside the
-      polished top is a lower bound on it.  With a finite cutoff the bounds
-      are first taken at the least-squares start, and when their maximum
-      reaches ``cutoff`` it is returned without the batched solve; after the
-      solve the bounds are retaken and, as soon as the running lower bound
-      reaches ``cutoff``, the remaining polishes are skipped and it is
-      returned.  Either way the result is ``>= cutoff``, so the test reads
-      false exactly as it would on the full result.  Below the cutoff, and
-      with the default ``cutoff = inf``, the result is the full maximum.
+      polished top is a lower bound on it.  When ``start`` reaches
+      ``cutoff`` it is returned without the batched solve; after the solve
+      the bounds are retaken and, as soon as the running lower bound reaches
+      ``cutoff``, the remaining polishes are skipped and it is returned.
+      Either way the result is ``>= cutoff``, so the test reads false
+      exactly as it would on the full result.  Below the cutoff, and with
+      ``cutoff = inf``, the result is the full maximum.
     """
-    if B.shape[1] == 0:
-        return float(
-            _mixed_norm_array(X.T.reshape(shape + (X.shape[0],), order="F"), q).max()
-        )
-    C = np.linalg.lstsq(B, X.T, rcond=None)[0]
     if _is_flat_two(q):
         R = X.T - B @ C
         return float(np.sqrt((R * R).sum(axis=0)).max())
-    if cutoff < math.inf:
-        start = float(_dual_lower(X, B, q, shape, C).max())
-        if start >= cutoff:
-            return start
+    if start >= cutoff:
+        return start
     C, f = _inner_solve(X, B, q, shape, C, iters=120)
     L = _dual_lower(X, B, q, shape, C)
     # max_(j != i) L_j is the largest bound, or the second largest at its owner.
@@ -466,11 +459,14 @@ def width_upper(
     and its certified max distance.  The candidates, each start and then its
     descended basis, are evaluated best-first: in the order of the certified
     bound :func:`_dual_lower` gives at their least-squares starts, so a good
-    basis sets a low cutoff early and the losing ones are pruned.  The
-    result is still the least value and, among equal values, the first
-    candidate in the fixed order, bit for bit: every pruned evaluation
-    returns a value at or above its cutoff, and the cutoff lies just above
-    the running best for a candidate that would win a tie.
+    basis sets a low cutoff early and the losing ones are pruned.  Each
+    candidate's least-squares start and start bound are computed once, here,
+    and passed to :func:`_evaluate_exact`.  The result is still the least
+    value and, among equal values, the first candidate in the fixed order,
+    bit for bit: every pruned evaluation returns a value at or above its
+    cutoff, and the cutoff lies just above the running best for a candidate
+    that would win a tie.  For ``n = 0`` the value is the largest norm of a
+    point, and for ``n = dim`` it is 0.
     Deterministic for fixed (cfg.seed, restarts).  The points are rescaled
     under the range policy of :func:`mixed_norm` and the value is scaled
     back, so no stage overflows, and on points whose largest magnitude lies
@@ -484,9 +480,12 @@ def width_upper(
     if q.d != len(shape):
         raise ValidationError("exponent vector and point dimension mismatch")
     if n == 0:
-        B = np.zeros((K, 0))
-        val = _ldexp(_evaluate_exact(X, B, q, shape), e)
-        return WidthEstimate(value=val, witness=SubspaceCandidate(B), iterations=0)
+        val = _mixed_norm_array(X.T.reshape(shape + (X.shape[0],), order="F"), q).max()
+        return WidthEstimate(
+            value=_ldexp(float(val), e),
+            witness=SubspaceCandidate(np.zeros((K, 0))),
+            iterations=0,
+        )
     if n == K:
         return WidthEstimate(value=0.0, witness=SubspaceCandidate(np.eye(K)), iterations=0)
 
@@ -505,14 +504,12 @@ def width_upper(
     # _evaluate_exact), so an earlier index, which wins a tie, is evaluated
     # with its cutoff just above best_val and a later one with best_val.
     cands = [B for pair in zip(inits, _descend(X, inits, q, shape, cfg)) for B in pair]
-    keys = [
-        _dual_lower(X, B, q, shape, np.linalg.lstsq(B, X.T, rcond=None)[0]).max()
-        for B in cands
-    ]
+    lsq = [np.linalg.lstsq(B, X.T, rcond=None)[0] for B in cands]
+    keys = [float(_dual_lower(X, B, q, shape, C).max()) for B, C in zip(cands, lsq)]
     best_val, best_i = math.inf, len(cands)
     for i in sorted(range(len(cands)), key=lambda i: (keys[i], i)):
         cutoff = math.nextafter(best_val, math.inf) if i < best_i else best_val
-        val = _evaluate_exact(X, cands[i], q, shape, cutoff)
+        val = _evaluate_exact(X, cands[i], q, shape, lsq[i], keys[i], cutoff)
         if val < best_val or (val == best_val and i < best_i):
             best_val, best_i = val, i
     return WidthEstimate(

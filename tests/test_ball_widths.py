@@ -55,12 +55,62 @@ def test_power_product_comparisons():
     assert a < 3 and a > Fraction(5, 2)
 
 
-def test_power_product_ceil():
-    assert PowerProduct.power(2, Fraction(3, 2)).ceil_int() == 3
-    assert PowerProduct.power(4, Fraction(1, 2)).ceil_int() == 2
-    assert PowerProduct.power(7, Fraction(0)).ceil_int() == 1
-    big = PowerProduct.power(10, Fraction(7, 2))
-    assert big.ceil_int() == 3163  # ceil(10^3.5)
+def _counted_comparisons(monkeypatch, cap):
+    """A list that grows by one per ``PowerProduct._cmp`` call; a call past
+    ``cap`` fails the test at once instead of letting a linear walk run."""
+    calls = []
+    real = PowerProduct._cmp
+
+    def counted(self, other):
+        calls.append(1)
+        assert len(calls) <= cap, f"more than {cap} comparisons"
+        return real(self, other)
+
+    monkeypatch.setattr(PowerProduct, "_cmp", counted)
+    return calls
+
+
+def test_power_product_ceil(monkeypatch):
+    # An estimate that is the answer costs two comparisons, 1 costs one.
+    calls = _counted_comparisons(monkeypatch, 2)
+    for base, exp, ceiling in [
+        (2, Fraction(3, 2), 3),
+        (4, Fraction(1, 2), 2),
+        (7, Fraction(0), 1),
+        (10, Fraction(7, 2), 3163),  # ceil(10^3.5)
+    ]:
+        calls.clear()
+        assert PowerProduct.power(base, exp).ceil_int() == ceiling
+        assert len(calls) == min(ceiling, 2)
+
+
+@pytest.mark.parametrize(
+    "base, exp, ceiling",
+    [
+        # Float estimate 464158883361277266167332864, 6.2e11 below: a walk one
+        # integer per comparison hung the window plan of k = 10^80, n = 10^40.
+        (10**80, Fraction(1, 3), 464158883361277889241007636),
+        (10**80 + 1, Fraction(1, 2), 10**40 + 1),
+        # Float estimate 9.8e22 above.
+        (108015708067021612213714474748348285604, Fraction(1), 108015708067021612213714474748348285604),
+    ],
+    ids=["cube-root-below", "square-root-below", "integer-above"],
+)
+def test_power_product_ceil_gallops_from_a_far_estimate(monkeypatch, base, exp, ceiling):
+    big = PowerProduct.power(base, exp)
+    distance = abs(math.ceil(big.value()) - ceiling)
+    calls = _counted_comparisons(monkeypatch, 2 * distance.bit_length() + 2)
+    assert big.ceil_int() == ceiling
+    assert len(calls) > 2
+
+
+def test_power_product_beyond_float_range():
+    # math.exp raised a raw OverflowError (exit 5 at the CLI).
+    with pytest.raises(ValidationError, match="exceeds the float range"):
+        PowerProduct.power(10**700, Fraction(1, 2)).value()
+    assert PowerProduct.power(10**700, Fraction(-1, 2)).value() == 0.0
+    # The ceiling is an integer, so it has no range to leave.
+    assert PowerProduct.power(10**1000 + 1, Fraction(1, 2)).ceil_int() == 10**500 + 1
 
 
 def test_power_product_division():

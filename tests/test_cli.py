@@ -314,6 +314,44 @@ def test_phi_with_large_exponent_denominators_finishes(tmp_path):
     assert json.loads(res.stdout)["regime"] == "window"
 
 
+def test_phi_window_side_far_from_its_float_estimate_finishes(tmp_path):
+    # The window side's float estimate lies 6.2e11 below its ceiling, which
+    # a walk one integer per exact comparison did not cover in minutes.
+    path = write(
+        tmp_path, "ball.json", {"kind": "ball", "k": [10**80], "n": 10**40, "p": [3], "q": [8]}
+    )
+    res = run_cli(["phi", "--input", path], timeout=20)
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout)
+    assert report["regime"] == "window"
+    assert report["s_vector"] == [464158883361277889241007636]
+
+
+def test_phi_value_beyond_float_range_exit_two(tmp_path, capsys):
+    # The corner order k^(1/2) = 10^350 made math.exp raise OverflowError (exit 5).
+    path = write(
+        tmp_path, "ball.json", {"kind": "ball", "k": [10**700], "n": 1, "p": ["inf"], "q": [2]}
+    )
+    assert main(["phi", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: power product")
+    assert captured.err.endswith("exceeds the float range\n")
+
+
+def test_phi_call_leaves_scipy_unimported(ball_file):
+    # scipy.optimize is imported only by the oracle's polish, which phi never runs.
+    code = (
+        "import sys, anisowidth\n"
+        "from anisowidth.cli import main\n"
+        f"code = main(['phi', '--input', {ball_file!r}])\n"
+        "print(code, 'scipy' in sys.modules, file=sys.stderr)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == b"0 False\n"
+
+
 def test_unexpected_error_exit_five(sobolev_file, capsys, monkeypatch):
     import numpy as np
 

@@ -40,6 +40,7 @@ from anisowidth.width_oracle import (
     SubspaceCandidate,
     WidthEstimate,
     _descend,
+    _dual_lower,
     _evaluate_exact,
     _inner_solve,
     _is_flat_two,
@@ -326,7 +327,7 @@ def test_lockstep_starts_keep_their_lone_bits(data):
     contiguous = [np.ascontiguousarray(B) for B in strided]
     starts = contiguous + strided
     lone = [_lone_descend(X, B0, q, shape, cfg) for B0 in starts]
-    assert np.array_equal(_descend(X, strided[-1], q, shape, cfg), lone[-1])
+    assert np.array_equal(_descend(X, [strided[-1]], q, shape, cfg)[0], lone[-1])
     descended = _descend(X, starts, q, shape, cfg)
     assert len(descended) == len(starts)
     for B0, B, B_lone in zip(starts, descended, lone):
@@ -368,7 +369,7 @@ def _full_polish_width_upper(points, n, q, cfg):
         val0 = _full_polish_value(X, B0, q, shape)
         if val0 < best_val:
             best_val, best_B = val0, B0
-        B = _descend(X, B0, q, shape, cfg)
+        B = _descend(X, [B0], q, shape, cfg)[0]
         valx = _full_polish_value(X, B, q, shape)
         if valx < best_val:
             best_val, best_B = valx, B
@@ -390,15 +391,11 @@ def _unit_vectors_and_l1_points(shape, extra, seed):
     return points
 
 
-def _cutoff_only_evaluate_exact(X, B, q, shape, cutoff=math.inf) -> float:
+def _cutoff_only_evaluate_exact(X, B, q, shape, C, start, cutoff) -> float:
     """``_evaluate_exact`` with the polish cutoff alone, before the dual-bound
     prunes: a verbatim copy of that version, kept as the reference for the
-    number of solves and polishes."""
-    if B.shape[1] == 0:
-        return float(
-            _mixed_norm_array(X.T.reshape(shape + (X.shape[0],), order="F"), q).max()
-        )
-    C = np.linalg.lstsq(B, X.T, rcond=None)[0]
+    number of solves and polishes, that takes the least-squares start ``C``
+    from its caller and ignores the start bound."""
     if _is_flat_two(q):
         R = X.T - B @ C
         return float(np.sqrt((R * R).sum(axis=0)).max())
@@ -417,7 +414,8 @@ def _fixed_order_width_upper(points, n, q, cfg):
     """``width_upper`` for 0 < n < dim with its candidates evaluated in the
     fixed order, each start and then its descended basis: a verbatim copy of
     that version's loop, kept as the reference for the number of solves and
-    polishes."""
+    polishes, with each candidate's least-squares start and start bound
+    computed before its evaluation."""
     q = as_exponents(q)
     X, shape, n, e = _stack_points(points, n)
     K = X.shape[1]
@@ -434,7 +432,9 @@ def _fixed_order_width_upper(points, n, q, cfg):
     descended = _descend(X, inits, q, shape, cfg)
     for B0, B1 in zip(inits, descended):
         for B in (B0, B1):
-            val = _evaluate_exact(X, B, q, shape, best_val)
+            C = np.linalg.lstsq(B, X.T, rcond=None)[0]
+            start = float(_dual_lower(X, B, q, shape, C).max())
+            val = _evaluate_exact(X, B, q, shape, C, start, best_val)
             if val < best_val:
                 best_val, best_B = val, B
     return WidthEstimate(
@@ -456,12 +456,12 @@ ORACLE_CFG = OracleConfig(restarts=2, outer_iterations=10)
 
 @functools.lru_cache(maxsize=None)
 def _counted_width_upper(shape, n, q, extra, cutoff_only, fixed_order=False):
-    """``width_upper`` on the case's points with its polishes and 120-iteration
-    solves counted, run with the cutoff-only evaluation or the current one,
-    best-first or in the fixed order."""
+    """``width_upper`` on the case's points with its polishes, 120-iteration
+    solves and dual bounds counted, run with the cutoff-only evaluation or the
+    current one, best-first or in the fixed order."""
     points = _unit_vectors_and_l1_points(shape, extra, seed=n)
-    counts = {"polish": 0, "solve": 0}
-    real_polish, real_solve = _polish_point, _inner_solve
+    counts = {"polish": 0, "solve": 0, "dual": 0}
+    real_polish, real_solve, real_dual = _polish_point, _inner_solve, _dual_lower
 
     def polish(*args):
         counts["polish"] += 1
@@ -471,11 +471,16 @@ def _counted_width_upper(shape, n, q, extra, cutoff_only, fixed_order=False):
         counts["solve"] += kwargs.get("iters") == 120
         return real_solve(*args, **kwargs)
 
+    def dual(*args):
+        counts["dual"] += 1
+        return real_dual(*args)
+
     with pytest.MonkeyPatch.context() as mp:
         # The copy above resolves its helpers in this module, the library in its own.
         for module in (width_oracle, sys.modules[__name__]):
             mp.setattr(module, "_polish_point", polish)
             mp.setattr(module, "_inner_solve", solve)
+            mp.setattr(module, "_dual_lower", dual)
         if cutoff_only:
             mp.setattr(width_oracle, "_evaluate_exact", _cutoff_only_evaluate_exact)
         run = _fixed_order_width_upper if fixed_order else width_upper
@@ -520,3 +525,12 @@ def test_best_first_order_keeps_the_result_with_fewer_solves_and_polishes():
         for fixed_order, (_, counts) in runs.items():
             totals[fixed_order] += (counts["polish"], counts["solve"])
     assert (totals[False] < totals[True]).all(), totals
+
+
+def test_each_candidate_takes_its_start_bound_once():
+    # width_upper bounds each candidate at its least-squares start once, for
+    # its key; every other bound is taken after a 120-iteration solve.
+    candidates = 2 * (2 + ORACLE_CFG.restarts)
+    for case in PRUNING_CASES:
+        counts = _counted_width_upper(*case, False)[1]
+        assert counts["dual"] == candidates + counts["solve"], (case, counts)

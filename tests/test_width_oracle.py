@@ -186,6 +186,12 @@ def test_width_upper_edge_ranks():
     assert est0.value == pytest.approx(max(norms), rel=1e-12)
     estK = width_upper(pts, 5, (2,))
     assert estK.value < 1e-10
+    rng = np.random.default_rng(1)
+    mixed = [Tensor.from_array(rng.standard_normal((3, 2, 2))) for _ in range(9)]
+    for q in [(4, 2, 1), (Fraction(3, 2), math.inf, 3)]:
+        est0 = width_upper(mixed, 0, q)
+        assert est0.value == max(mixed_norm(x, q) for x in mixed)
+        assert est0.witness.basis.shape == (12, 0)
 
 
 def test_width_upper_scaling_homogeneous():
@@ -238,7 +244,7 @@ def _stubbed_width_upper(values, keys, pruned_to_cutoff):
     def index(B):
         return next(i for i, c in enumerate(cands) if c is B)
 
-    def evaluate(X, B, q, shape, cutoff=math.inf):
+    def evaluate(X, B, q, shape, C, start, cutoff):
         i = index(B)
         order.append(i)
         if values[i] < cutoff:
