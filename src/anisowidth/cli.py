@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -183,16 +185,16 @@ def _exponent_report(prob: dict) -> dict:
             "mode": "low_q",
             "nu_split": prob["nu_split"],
             "exponent": wo.exponent,
-            "conditions": {
-                "emb_cond_ok": wo.conditions.emb_cond_ok,
-                "strict_min_ok": wo.conditions.strict_min_ok,
-            },
+            "conditions": asdict(wo.conditions),
             "regime_note": wo.regime_note,
         }
     wo = width_exponent(p, q, r)
     prof = sorted_profile(p, q)
     hf = h_family_minimize(p, q, r)
-    gap = abs(float(hf.value) - float(wo.exponent))
+    # exact values are compared exactly: their floats may overflow
+    a, b = hf.value, wo.exponent
+    if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
+        a, b = float(a), float(b)
     return {
         "mode": "sorted",
         "omega": list(prof.omega),
@@ -200,17 +202,14 @@ def _exponent_report(prob: dict) -> dict:
         "mu": prof.mu,
         "nu": prof.nu,
         "theta_table": {str(t): v for t, v in wo.all_theta.items()},
-        "conditions": {
-            "emb_cond_ok": wo.conditions.emb_cond_ok,
-            "strict_min_ok": wo.conditions.strict_min_ok,
-        },
+        "conditions": asdict(wo.conditions),
         "exponent": wo.exponent,
         "argmin_index": wo.argmin_index,
         "regime_note": wo.regime_note,
         "h_min_crosscheck": {
             "value": hf.value,
             "s_star": hf.s_star,
-            "agrees": gap <= 1e-10 * max(1.0, abs(float(wo.exponent))),
+            "agrees": abs(a - b) <= Fraction(1e-10) * max(1, abs(b)),
         },
     }
 
@@ -546,7 +545,8 @@ def _run_suite(name: str, seed: int, budget: str, out_dir=None):
 
 
 def _cmd_problem(args) -> int:
-    _emit(args.report(load_problem(args.input)), args.format, sys.stdout)
+    report = _exponent_report if args.command == "exponent" else _phi_report
+    _emit(report(load_problem(args.input)), args.format, sys.stdout)
     return 0
 
 
@@ -607,42 +607,41 @@ def _add_common(sp, out_required=False):
     sp.add_argument("--out", required=out_required, help="directory for artifacts")
 
 
+@functools.cache  # one parser per process, built by the first ``main`` call
 def build_parser() -> argparse.ArgumentParser:
+    """The command syntax only: ``main`` picks the handler from ``args.command``."""
     parser = argparse.ArgumentParser(
         prog="anisowidth",
         description="width-order exponents and desk-scale checks for anisotropic classes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, text, report in (
-        ("exponent", "width-order exponent of a class problem", _exponent_report),
-        ("phi", "closed-form order for a ball problem", _phi_report),
+    for name, text in (
+        ("exponent", "width-order exponent of a class problem"),
+        ("phi", "closed-form order for a ball problem"),
     ):
         sp = sub.add_parser(name, help=text)
         sp.add_argument("--input", required=True)
         _add_common(sp)
-        sp.set_defaults(func=_cmd_problem, report=report)
 
     sp = sub.add_parser("verify", help="run one self-check suite")
     vsub = sp.add_subparsers(dest="suite", required=True)
     for name in sorted(_SUITES):
-        vs = vsub.add_parser(name)
-        _add_common(vs)
-        vs.set_defaults(func=_cmd_verify)
+        _add_common(vsub.add_parser(name))
 
     sp = sub.add_parser("report", help="run all suites and write artifacts")
     sp.add_argument("--input", default=None)
     _add_common(sp, out_required=True)
-    sp.set_defaults(func=_cmd_report)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code (callable repeatedly)."""
+    args = build_parser().parse_args(argv)
+    cmd = {"verify": _cmd_verify, "report": _cmd_report}.get(args.command, _cmd_problem)
     try:
-        return args.func(args)
+        return cmd(args)
     except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -63,7 +63,8 @@ class NotCompactError(ValidationError):
 
 
 def smoothness_vector(r) -> tuple:
-    """Validate a smoothness vector: positive finite entries.
+    """Validate a smoothness vector: positive finite entries whose
+    reciprocals ``1/r_j`` are finite too.
 
     Integer-valued floats are upgraded to ``Fraction`` so that common inputs
     like ``2.0`` keep the exact-arithmetic path.
@@ -79,6 +80,8 @@ def smoothness_vector(r) -> tuple:
         elif isinstance(v, float):
             if not (math.isfinite(v) and v > 0):
                 raise ValidationError(f"smoothness entries must be positive, got {v}")
+            if math.isinf(1 / v):
+                raise ValidationError(f"smoothness entry {v!r} has no finite reciprocal 1/r")
             out.append(Fraction(int(v)) if v.is_integer() else v)
         else:
             raise ValidationError(f"bad smoothness entry type {type(v).__name__}")

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, report shapes, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -411,3 +412,123 @@ def test_negative_seed_exit_two(capsys, suite):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --seed must be nonnegative, got -1\n"
+
+
+# ---------------------------------------------------------------------------
+# exact cross-check and smoothness entries at the float range
+
+
+def test_exponent_cross_check_beyond_float_range(tmp_path, capsys):
+    # Both routes give the exact exponent r = 10^400; comparing their
+    # floats raised OverflowError (exit 5).
+    from fractions import Fraction
+
+    from anisowidth import width_exponent
+    from anisowidth.cli import _enc
+
+    r = 10**400
+    path = write(tmp_path, "big_r.json", {"kind": "sobolev", "p": [2], "q": [4], "r": [r]})
+    assert main(["exponent", "--input", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    exact = width_exponent((2,), (4,), (r,)).exponent
+    assert isinstance(exact, Fraction) and exact == r
+    assert report["exponent"] == report["h_min_crosscheck"]["value"] == _enc(exact)
+    assert report["h_min_crosscheck"]["agrees"] is True
+
+
+@pytest.mark.parametrize("r", [1e-320, 2.0**-1060])
+def test_smoothness_entry_without_finite_reciprocal_exit_two(tmp_path, capsys, r):
+    path = write(tmp_path, "tiny_r.json", {"kind": "sobolev", "p": [2], "q": [4], "r": [r]})
+    assert main(["exponent", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: smoothness entry {r!r} has no finite reciprocal 1/r\n"
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_repeated_calls_build_no_further_parser(sobolev_file, ball_file, capsys, monkeypatch):
+    assert main(["exponent", "--input", sobolev_file]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["exponent", "--input", sobolev_file, "--format", "csv"]) == 0
+    assert main(["phi", "--input", ball_file]) == 0
+    assert main(["phi", "--input", sobolev_file]) == 2
+    with pytest.raises(SystemExit):
+        main(["verify", "nosuch"])
+    assert built == []
+
+
+def test_parser_built_on_first_call_not_at_import(sobolev_file):
+    code = (
+        "import argparse, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "from anisowidth.cli import main\n"
+        "at_import = len(built)\n"
+        "for _ in range(3):\n"
+        f"    main(['exponent', '--input', {sobolev_file!r}])\n"
+        "print(at_import, len(built), file=sys.stderr)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    # main, exponent, phi, verify, the five suites and report: one pass
+    assert res.stderr == b"0 10\n"
+
+
+def test_no_state_leaks_between_calls(sobolev_file, capsys):
+    assert main(["exponent", "--input", sobolev_file]) == 0
+    first = capsys.readouterr().out
+    assert main(["exponent", "--input", sobolev_file, "--format", "table"]) == 0
+    assert not capsys.readouterr().out.startswith("{")
+    assert main(["exponent", "--input", sobolev_file]) == 0
+    assert capsys.readouterr().out == first
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "nosuch"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["exponent", "--input", sobolev_file]) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_report_patched_after_the_parser_exists_is_used(ball_file, capsys, monkeypatch):
+    from anisowidth import cli
+
+    assert main(["phi", "--input", ball_file]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_phi_report", lambda prob: {"patched": prob["n"]})
+    assert main(["phi", "--input", ball_file]) == 0
+    assert capsys.readouterr().out == '{"patched": 4}\n'
+
+
+@pytest.mark.parametrize(
+    "command, fixture, extra",
+    [
+        ("exponent", "sobolev_file", []),
+        ("phi", "ball_file", []),
+        ("exponent", "sobolev_file", ["--format", "csv"]),
+        ("phi", "sobolev_file", []),  # refused: exit 2
+    ],
+)
+def test_warm_call_prints_what_a_fresh_process_prints(request, capsys, command, fixture, extra):
+    argv = [command, "--input", request.getfixturevalue(fixture), *extra]
+    ball, sobolev = request.getfixturevalue("ball_file"), request.getfixturevalue("sobolev_file")
+    for other in (["phi", "--input", ball, "--format", "table"], ["exponent", "--input", sobolev]):
+        main(other)
+    capsys.readouterr()
+    code = main(argv)
+    warm = capsys.readouterr()
+    cold = run_cli(argv)
+    assert (code, warm.out.encode(), warm.err.encode()) == (cold.returncode, cold.stdout, cold.stderr)

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anisowidth import (
@@ -171,6 +171,29 @@ def test_smoothness_vector_coercion():
         smoothness_vector((0,))
     with pytest.raises(ValidationError):
         smoothness_vector((-1,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=5e-324, max_value=1e-300), st.integers(0, 10**6), st.integers(1, 4))
+@example(1e-320, 1, 1)
+@example(2.0**-1060, 2, 3)
+def test_smoothness_entry_without_finite_reciprocal_is_refused_by_name(v, state, d):
+    # Such an entry used to reach the compactness margin as inf - inf and be
+    # refused as "not compactly embedded: ... = nan <= 0".
+    p, q, r = draw_instance(state, d)
+    r = r[:-1] + (v,)
+    if 1 / v < math.inf:
+        assert smoothness_vector(r)[-1] == v
+        return
+    for call in (
+        lambda: smoothness_vector(r),
+        lambda: width_exponent(p, q, r),
+        lambda: h_family_minimize(p, q, r),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert not isinstance(exc.value, NotCompactError)
+        assert str(exc.value) == f"smoothness entry {v!r} has no finite reciprocal 1/r"
 
 
 # ---------------------------------------------------------------------------
