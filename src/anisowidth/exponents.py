@@ -64,7 +64,10 @@ class NotCompactError(ValidationError):
 
 def smoothness_vector(r) -> tuple:
     """Validate a smoothness vector: positive finite entries whose
-    reciprocals ``1/r_j`` are finite too.
+    reciprocals ``1/r_j`` are finite too.  With a float entry the exponent
+    formulas sum the reciprocals in floats, so their sum must then stay
+    finite in every summation order; exact (``Fraction``) sums are not
+    bounded.
 
     Integer-valued floats are upgraded to ``Fraction`` so that common inputs
     like ``2.0`` keep the exact-arithmetic path.
@@ -87,6 +90,18 @@ def smoothness_vector(r) -> tuple:
             raise ValidationError(f"bad smoothness entry type {type(v).__name__}")
     if not out:
         raise ValidationError("smoothness vector must have at least one axis")
+    if any(isinstance(v, float) for v in out):
+        # Room for the rounding of a float sum in any order: the formulas sum
+        # the reciprocals, with weights at most 1, in their own orders.
+        recips = (1 / v if isinstance(v, float) else v.denominator / v.numerator for v in out)
+        try:
+            total = math.fsum(recips) * (1 + len(out) * 2.0**-52)
+        except OverflowError:  # an exact reciprocal or the sum beyond the float range
+            total = math.inf
+        if total == math.inf:
+            raise ValidationError(
+                "the reciprocals 1/r_j of the smoothness vector sum beyond the float range"
+            )
     return tuple(out)
 
 

@@ -10,8 +10,9 @@ Function norms here use normalized measure (grid means), in contrast with
 the counting-measure norms of :mod:`anisowidth.mixed_norm`.
 
 Each coefficient-space decision (band slices, FFT positions, a multiplier
-along one axis, the Weyl multiplier, degree powers, order checks) is made
-by one private helper.  Kernel, taper and difference orders must be finite
+along one axis, the Weyl multiplier, the difference multiplier, the
+quadrature grid, degree powers, order checks) is made by one private
+helper.  Kernel, taper and difference orders must be finite
 and >= 1, Weyl orders finite and >= 0, phases finite; anything else is
 refused with :class:`ValidationError`, so no input yields NaN.
 """
@@ -28,10 +29,11 @@ import numpy as np
 
 from .mixed_norm import (
     ExponentVector,
-    Tensor,
     ValidationError,
     as_exponents,
-    mixed_norm,
+    _ldexp,
+    _mixed_norm_array,
+    _prescaled,
     _require_int,
 )
 from .exponents import dyadic_beta, smoothness_vector
@@ -77,15 +79,15 @@ def _band(inner, outer) -> tuple:
     return tuple(slice(No - Ni, No + Ni + 1) for Ni, No in zip(inner, outer))
 
 
-def _spectrum_index(degree, grid):
-    """FFT positions of the band ``|k_j| <= N_j`` on a uniform grid that
-    resolves it (``G_j >= 2 N_j + 1``)."""
+def _spectrum_positions(degree, grid) -> list:
+    """Per axis, the FFT positions of the band ``|k_j| <= N_j`` on a uniform
+    grid that resolves it (``G_j >= 2 N_j + 1``), in frequency order."""
     if len(grid) != len(degree):
         raise ValidationError(f"grid {grid} and degree {degree} differ in dimension")
     for G, N in zip(grid, degree):
         if G < 2 * N + 1:
             raise ValidationError(f"grid {G} aliases a degree-{N} band (need >= {2 * N + 1})")
-    return np.ix_(*((np.arange(-N, N + 1) % G) for N, G in zip(degree, grid)))
+    return [np.arange(-N, N + 1) % G for N, G in zip(degree, grid)]
 
 
 def _along(a: np.ndarray, axis: int, mult: np.ndarray) -> np.ndarray:
@@ -215,12 +217,25 @@ class TrigPoly:
         """Evaluate on the uniform grid ``x_j = 2 pi g_j / G_j``.
 
         Requires ``G_j >= 2 N_j + 1`` on every axis (no aliasing).
+
+        The inverse transform runs as 1-d passes, last axis first, as
+        ``np.fft.ifftn`` orders them.  Each pass spreads the band of its
+        axis onto the grid and transforms only the lines that can be
+        nonzero: band positions on the axes still to do, every grid point
+        on those done.  A skipped line is all zeros and would transform to
+        zeros, and each line that is transformed holds the same entries as
+        in the full transform, so the result is that of
+        ``ifftn(spectrum) * prod(grid)`` bit for bit.
         """
         grid = _degree(grid, 1, "grid size")
-        index = _spectrum_index(self.degree, grid)
-        spec = np.zeros(grid, dtype=complex)
-        spec[index] = self.coeff
-        return np.fft.ifftn(spec) * math.prod(grid)
+        positions = _spectrum_positions(self.degree, grid)
+        out = self.coeff
+        for axis in reversed(range(self.d)):
+            spread = np.zeros(out.shape[:axis] + (grid[axis],) + out.shape[axis + 1 :], complex)
+            spread[(slice(None),) * axis + (positions[axis],)] = out
+            out = np.fft.ifft(spread, axis=axis)
+        out *= math.prod(grid)
+        return out
 
     def real_values(self, grid) -> np.ndarray:
         return self.values(grid).real
@@ -230,12 +245,20 @@ def samples_to_trigpoly(values: np.ndarray, degree) -> TrigPoly:
     """Recover coefficients up to ``degree`` from uniform grid samples.
 
     The grid must resolve the claimed band: ``G_j >= 2 N_j + 1``.
+
+    The forward transform runs as 1-d passes, last axis first, as
+    ``np.fft.fftn`` orders them, and each pass keeps only the band
+    positions of its axis.  The later passes so skip the lines whose
+    results would be thrown away, and each line that is transformed holds
+    the same entries as in the full transform, so the coefficients are
+    those of ``fftn(values)[band] / prod(grid)`` bit for bit.
     """
-    values = np.asarray(values)
+    values = spec = np.asarray(values)
     degree = _degree(degree)
-    index = _spectrum_index(degree, values.shape)
-    spec = np.fft.fftn(values) / math.prod(values.shape)
-    return TrigPoly(degree, spec[index])
+    positions = _spectrum_positions(degree, values.shape)
+    for axis in reversed(range(values.ndim)):
+        spec = np.fft.fft(spec, axis=axis).take(positions[axis], axis=axis)
+    return TrigPoly(degree, spec / math.prod(values.shape))
 
 
 def trigpoly_to_json(t: TrigPoly) -> str:
@@ -505,8 +528,13 @@ def trig_lp_norm(t: TrigPoly, p, oversample: int = 8) -> float:
     if p.d != t.d:
         raise ValidationError("exponent vector dimension mismatch")
     oversample = _require_int("oversample", oversample, 4)
-    grid = tuple(oversample * max(N, 1) + 1 for N in t.degree)
-    return _grid_norm(t.values(grid), p)
+    return _grid_norm(t.values(_norm_grid(t.degree, oversample)), p)
+
+
+def _norm_grid(degree, oversample: int = 8) -> tuple:
+    """The quadrature grid of :func:`trig_lp_norm`: ``oversample * max(N, 1)
+    + 1`` points per axis."""
+    return tuple(oversample * max(N, 1) + 1 for N in degree)
 
 
 def _degree_power(degree, exponents) -> float:
@@ -528,10 +556,11 @@ def nikolskii_ratio(t: TrigPoly, p, q) -> float:
     q = as_exponents(q)
     if not (p.d == q.d == t.d):
         raise ValidationError("dimension mismatch among t, p, q")
-    np_val = trig_lp_norm(t, p)
+    vals = t.values(_norm_grid(t.degree))
+    np_val = _grid_norm(vals, p)
     if np_val == 0:
         raise ValidationError("zero polynomial has no norm ratio")
-    nq_val = trig_lp_norm(t, q)
+    nq_val = _grid_norm(vals, q)
     gaps = [max(float(rp) - float(rq), 0.0) for rp, rq in zip(p.recip, q.recip)]
     return nq_val / (np_val * _degree_power(t.degree, gaps))
 
@@ -594,18 +623,30 @@ def finite_difference(values: np.ndarray, h: float, axis: int, order: int) -> np
         raise ValidationError(f"axis {axis} outside 1..{values.ndim}")
     _require_int("difference order", order, 1)
     h = _finite("step h", h)
-    G = values.shape[axis - 1]
     spec = np.fft.fft(values, axis=axis - 1)
+    return _difference(spec, h, axis - 1, order, np.isrealobj(values))
+
+
+def _difference(spec: np.ndarray, h: float, axis: int, order: int, real: bool) -> np.ndarray:
+    """Samples of ``Delta_h^order`` from their spectrum ``spec`` along the
+    0-based ``axis``: the multiplier ``(e^(i k h) - 1)^order``, then the
+    inverse transform; the real part when the samples were ``real``."""
+    G = spec.shape[axis]
     k = np.fft.fftfreq(G) * G
-    spec = _along(spec, axis - 1, (np.exp(1j * k * h) - 1.0) ** order)
-    out = np.fft.ifft(spec, axis=axis - 1)
-    if np.isrealobj(values):
-        return out.real
-    return out
+    out = np.fft.ifft(_along(spec, axis, (np.exp(1j * k * h) - 1.0) ** order), axis=axis)
+    return out.real if real else out
 
 
 def _grid_norm(values: np.ndarray, p: ExponentVector) -> float:
-    raw = mixed_norm(Tensor.from_array(np.abs(values)), p)
+    """Normalized-measure mixed norm of grid samples.
+
+    ``np.abs(values, order="F")`` is laid out as ``Tensor.array`` is, so
+    the reductions, and with them the bits, are those of
+    ``mixed_norm(Tensor.from_array(np.abs(values)), p)`` without its two
+    grid-sized copies.  Non-finite samples are refused as there.
+    """
+    arr, e = _prescaled(np.abs(values, order="F"))
+    raw = _ldexp(float(_mixed_norm_array(arr, p)), e)
     return raw * _degree_power(values.shape, [-float(recip) for recip in p.recip])
 
 
@@ -626,15 +667,16 @@ def smoothness_margin(t: TrigPoly, r, p) -> float:
     class on the sampled steps.
     """
     rr, p = _class_args(t, r, p)
-    grid = tuple(8 * max(N, 1) + 1 for N in t.degree)
-    vals = t.values(grid)
-    if t.is_real():
+    vals = t.values(_norm_grid(t.degree))
+    real = t.is_real()
+    if real:
         vals = vals.real
     worst = 0.0
     for j, rj in enumerate(rr):
         lj = int(math.floor(float(rj))) + 1
+        spec = np.fft.fft(vals, axis=j)
         for h in _MARGIN_STEPS:
-            diff = finite_difference(vals, h, j + 1, lj)
+            diff = _difference(spec, h, j, lj, real)
             worst = max(worst, _grid_norm(diff, p) / float(h) ** float(rj))
     return worst
 

@@ -1,0 +1,242 @@
+"""Band-only grid transforms: bit identity with the full transforms, and the
+work they skip."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from anisowidth import (
+    Tensor,
+    TrigPoly,
+    ValidationError,
+    mixed_norm,
+    nikolskii_ratio,
+    samples_to_trigpoly,
+)
+from anisowidth.mixed_norm import as_exponents
+from anisowidth.trig_approx import _degree_power, _grid_norm, smoothness_margin
+
+EXPONENTS = (1, 1.5, 2, 3, 4, math.inf)
+
+
+# ---------------------------------------------------------------------------
+# the full transforms, copied verbatim from before the band-only passes
+
+
+def _spectrum_index(degree, grid):
+    """FFT positions of the band ``|k_j| <= N_j`` on a uniform grid that
+    resolves it (``G_j >= 2 N_j + 1``)."""
+    if len(grid) != len(degree):
+        raise ValidationError(f"grid {grid} and degree {degree} differ in dimension")
+    for G, N in zip(grid, degree):
+        if G < 2 * N + 1:
+            raise ValidationError(f"grid {G} aliases a degree-{N} band (need >= {2 * N + 1})")
+    return np.ix_(*((np.arange(-N, N + 1) % G) for N, G in zip(degree, grid)))
+
+
+def full_values(self, grid):
+    index = _spectrum_index(self.degree, grid)
+    spec = np.zeros(grid, dtype=complex)
+    spec[index] = self.coeff
+    return np.fft.ifftn(spec) * math.prod(grid)
+
+
+def full_samples_to_trigpoly(values, degree):
+    values = np.asarray(values)
+    index = _spectrum_index(degree, values.shape)
+    spec = np.fft.fftn(values) / math.prod(values.shape)
+    return TrigPoly(degree, spec[index])
+
+
+def full_grid_norm(values, p):
+    raw = mixed_norm(Tensor.from_array(np.abs(values)), p)
+    return raw * _degree_power(values.shape, [-float(recip) for recip in p.recip])
+
+
+def same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+
+@st.composite
+def polynomials(draw):
+    """A polynomial of dimension <= 3, with degree-0 axes allowed: real,
+    complex, or with a few nonzero coefficients (signed zeros among them)."""
+    degree = tuple(draw(st.lists(st.integers(0, 6), min_size=1, max_size=3)))
+    shape = tuple(2 * N + 1 for N in degree)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("real", "complex", "sparse")))
+    if kind == "real":
+        return TrigPoly.random_real(degree, rng)
+    if kind == "complex":
+        return TrigPoly(degree, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    coeff = np.zeros(shape, dtype=complex)
+    for _ in range(draw(st.integers(1, 3))):
+        at = tuple(draw(st.integers(0, s - 1)) for s in shape)
+        coeff[at] = complex(
+            draw(st.sampled_from((-0.0, 0.0, 1.0, -2.5))), draw(st.floats(-4, 4))
+        )
+    return TrigPoly(degree, coeff)
+
+
+@st.composite
+def grids_for(draw, degree):
+    """Grids from the least that resolves ``degree`` (``2N + 1``) up."""
+    return tuple(2 * N + 1 + draw(st.integers(0, 10)) for N in degree)
+
+
+@st.composite
+def polys_on_grids(draw):
+    t = draw(polynomials())
+    return t, draw(grids_for(t.degree))
+
+
+# ---------------------------------------------------------------------------
+# bit identity
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys_on_grids())
+@example((TrigPoly((0,), [2.0]), (1,)))
+@example((TrigPoly.from_coeff_dict((0, 3), {(0, 3): 1.0}), (5, 7)))
+def test_values_are_the_full_inverse_transform_bit_for_bit(case):
+    t, grid = case
+    assert same_bytes(t.values(grid), full_values(t, grid))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 13), min_size=1, max_size=3),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.data(),
+)
+def test_sampling_is_the_full_forward_transform_bit_for_bit(grid, seed, real, data):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(grid)
+    if not real:
+        values = values + 1j * rng.standard_normal(grid)
+    degree = tuple(data.draw(st.integers(0, (G - 1) // 2)) for G in grid)
+    got = samples_to_trigpoly(values, degree)
+    want = full_samples_to_trigpoly(values, degree)
+    assert got.degree == want.degree and same_bytes(got.coeff, want.coeff)
+
+
+def scaled(values, e):
+    """``values * 2**e`` entry by entry, without a complex multiply."""
+    if np.isrealobj(values):
+        return np.ldexp(values, e)
+    out = np.empty(values.shape, dtype=complex)
+    out.real, out.imag = np.ldexp(values.real, e), np.ldexp(values.imag, e)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    polys_on_grids(),
+    st.booleans(),
+    st.sampled_from(("C", "F")),
+    st.integers(-1070, 1015),
+    st.lists(st.sampled_from(EXPONENTS), min_size=3, max_size=3),
+)
+@example((TrigPoly((1,), [1, 2, 3]), (5,)), True, "C", 400, [2, 2, 2])
+@example((TrigPoly((2, 1), np.ones((5, 3))), (5, 4)), False, "F", -400, [1, 3, 2])
+def test_grid_norm_is_the_tensor_norm_bit_for_bit(case, real, order, e, p):
+    # on data beyond 2**+-300 both take the power-of-two rescaling route
+    t, grid = case
+    values = t.values(grid)
+    if real:
+        values = values.real
+    values = np.asarray(scaled(values, e), order=order)
+    p = as_exponents(p[: len(grid)])
+    assert same_bytes(_grid_norm(values, p), full_grid_norm(values, p))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_grid_norm_refuses_non_finite_samples_as_the_tensor_norm_does(bad, order):
+    t = TrigPoly.random_real((2, 3), np.random.default_rng(4))
+    values = np.asarray(t.values((7, 9)), order=order)
+    values[3, 5] = bad
+    p = as_exponents((2, 3))
+    with pytest.raises(ValidationError) as want:
+        full_grid_norm(values, p)
+    with pytest.raises(ValidationError) as got:
+        _grid_norm(values, p)
+    assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# work done
+
+
+def test_nikolskii_ratio_evaluates_the_polynomial_once(monkeypatch):
+    t = TrigPoly.random_real((5, 3), np.random.default_rng(7))
+    want = nikolskii_ratio(t, (1, 4), (2, math.inf))
+    calls = []
+    values = TrigPoly.values
+
+    def counting(self, grid):
+        calls.append(tuple(grid))
+        return values(self, grid)
+
+    monkeypatch.setattr(TrigPoly, "values", counting)
+    assert nikolskii_ratio(t, (1, 4), (2, math.inf)) == want
+    assert calls == [(41, 25)]
+
+
+@pytest.mark.parametrize("degree", [(6,), (5, 3), (2, 3, 1)])
+def test_smoothness_margin_takes_one_forward_transform_per_axis(monkeypatch, degree):
+    t = TrigPoly.random_real(degree, np.random.default_rng(8))
+    r = tuple(1.5 for _ in degree)
+    p = tuple(2 for _ in degree)
+    want = smoothness_margin(t, r, p)
+    axes = []
+    fft = np.fft.fft
+
+    def counting(a, *args, **kwargs):
+        axes.append(kwargs.get("axis", -1))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting)
+    assert smoothness_margin(t, r, p) == want
+    assert axes == list(range(len(degree)))
+
+
+def _recording(monkeypatch, name):
+    """Patch ``np.fft.<name>``; returns the list of ``(lines, length)`` of
+    each pass it runs."""
+    passes = []
+    transform = getattr(np.fft, name)
+
+    def recording(a, *args, axis=-1, **kwargs):
+        a = np.asarray(a)
+        passes.append((a.size // a.shape[axis], a.shape[axis]))
+        return transform(a, *args, axis=axis, **kwargs)
+
+    monkeypatch.setattr(np.fft, name, recording)
+    return passes
+
+
+def test_values_transform_only_the_band_lines(monkeypatch):
+    # degree (64, 32) on its quadrature grid (513, 257): the last axis goes
+    # first over the 129 band rows, not all 513, then axis 1 over all 257
+    # columns.
+    t = TrigPoly.random_real((64, 32), np.random.default_rng(9))
+    passes = _recording(monkeypatch, "ifft")
+    t.values((513, 257))
+    assert passes == [(129, 257), (257, 513)]
+
+
+def test_sampling_transforms_only_the_lines_it_keeps(monkeypatch):
+    values = np.random.default_rng(10).standard_normal((513, 257))
+    passes = _recording(monkeypatch, "fft")
+    samples_to_trigpoly(values, (64, 32))
+    assert passes == [(513, 257), (65, 513)]
