@@ -278,7 +278,7 @@ def _prescaled(arr: np.ndarray) -> tuple:
     """``(arr * 2**-e, e)``: ``e = 0`` when the largest magnitude lies in
     ``[2**-300, 2**300]`` or is 0, else the exponent that moves it into
     ``[1/2, 1)``.  NaN or infinite entries are refused."""
-    m = float(np.abs(arr).max())
+    m = float(max(arr.max(), -arr.min()))
     if _SAFE_DATA_MIN <= m <= _SAFE_DATA_MAX or m == 0.0:
         return arr, 0
     if not m < math.inf:
@@ -326,10 +326,16 @@ def _rescue(arr: np.ndarray, p: ExponentVector, r: np.ndarray, y=None):
 def _mixed_norm_array(a: np.ndarray, p: ExponentVector) -> np.ndarray:
     """Mixed norm over the first ``p.d`` axes of ``a``, laid out like
     ``Tensor.array``; trailing axes are a batch.  0-d for a single tensor."""
-    r = np.abs(a)
+    return _magnitude_norm(np.abs(a), p)
+
+
+def _magnitude_norm(mag: np.ndarray, p: ExponentVector) -> np.ndarray:
+    """:func:`_mixed_norm_array` of an array with no negative entries, such
+    as magnitudes already taken, without taking them again."""
+    r = mag
     for step in p.plan:
         r = _reduce_axis0(r, step)
-    return r if _in_range(r) else _rescue(a, p, r)
+    return r if _in_range(r) else _rescue(mag, p, r)
 
 
 def _norming_array(arr: np.ndarray, p: ExponentVector) -> tuple:

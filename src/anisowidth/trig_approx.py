@@ -19,7 +19,6 @@ refused with :class:`ValidationError`, so no input yields NaN.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +31,7 @@ from .mixed_norm import (
     ValidationError,
     as_exponents,
     _ldexp,
-    _mixed_norm_array,
+    _magnitude_norm,
     _prescaled,
     _require_int,
 )
@@ -41,12 +40,9 @@ from .exponents import dyadic_beta, smoothness_vector
 __all__ = [
     "TrigPoly",
     "samples_to_trigpoly",
-    "trigpoly_to_json",
-    "trigpoly_from_json",
     "fejer",
     "vallee_poussin",
     "vp_power_kernel",
-    "KernelSpec",
     "vp_multiplier",
     "vp_operator",
     "vp_at_scale",
@@ -112,6 +108,13 @@ def _finite(what: str, v) -> float:
     if not math.isfinite(v):
         raise ValidationError(f"{what} must be finite, got {v}")
     return v
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array ``re + i im``, each part written as it is."""
+    out = np.empty(re.shape, complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def _like(x, vals):
@@ -218,27 +221,52 @@ class TrigPoly:
 
         Requires ``G_j >= 2 N_j + 1`` on every axis (no aliasing).
 
-        The inverse transform runs as 1-d passes, last axis first, as
-        ``np.fft.ifftn`` orders them.  Each pass spreads the band of its
-        axis onto the grid and transforms only the lines that can be
-        nonzero: band positions on the axes still to do, every grid point
-        on those done.  A skipped line is all zeros and would transform to
-        zeros, and each line that is transformed holds the same entries as
-        in the full transform, so the result is that of
-        ``ifftn(spectrum) * prod(grid)`` bit for bit.
+        Exactly conjugate-symmetric coefficients (a real polynomial) give a
+        float array: the values of :func:`_real_values`, which are those of
+        ``np.fft.irfftn`` on the spread half-spectrum, times ``prod(grid)``,
+        bit for bit.  Other coefficients are split into their Hermitian and
+        anti-Hermitian parts, ``c = h + i b`` with ``h`` and ``b`` both
+        conjugate-symmetric, and give the complex array of the real
+        polynomials ``h`` and ``b``.
         """
         grid = _degree(grid, 1, "grid size")
         positions = _spectrum_positions(self.degree, grid)
-        out = self.coeff
-        for axis in reversed(range(self.d)):
-            spread = np.zeros(out.shape[:axis] + (grid[axis],) + out.shape[axis + 1 :], complex)
-            spread[(slice(None),) * axis + (positions[axis],)] = out
-            out = np.fft.ifft(spread, axis=axis)
-        out *= math.prod(grid)
-        return out
+        mirror = np.conj(np.flip(self.coeff))
+        odd = self.coeff - mirror
+        if not odd.any():
+            return _real_values(self.coeff, positions, grid)
+        even = 0.5 * self.coeff + 0.5 * mirror
+        return _complex(
+            _real_values(even, positions, grid), _real_values(-0.5j * odd, positions, grid)
+        )
 
     def real_values(self, grid) -> np.ndarray:
         return self.values(grid).real
+
+
+def _real_values(coeff: np.ndarray, positions: list, grid: tuple) -> np.ndarray:
+    """Values of the real polynomial with conjugate-symmetric ``coeff`` on
+    ``grid``, given the band's FFT positions there.
+
+    The passes run as ``np.fft.irfftn`` orders them: complex inverse
+    passes over the leading axes, first to last but one, then ``irfft`` on
+    the last axis, whose frequencies ``0..N`` alone determine a real
+    result.  Each complex pass spreads the band of its axis onto the grid
+    and transforms only the lines that can be nonzero: band positions on
+    the axes still to do, every grid point on those done.  A skipped line
+    is all zeros and would transform to zeros, and each line that is
+    transformed holds the same entries as in the full transform, so the
+    result is ``irfftn(half_spectrum, grid) * prod(grid)`` bit for bit.
+    """
+    last = coeff.ndim - 1
+    out = coeff[..., coeff.shape[last] // 2 :]
+    for axis in range(last):
+        spread = np.zeros(out.shape[:axis] + (grid[axis],) + out.shape[axis + 1 :], complex)
+        spread[(slice(None),) * axis + (positions[axis],)] = out
+        out = np.fft.ifft(spread, axis=axis)
+    out = np.fft.irfft(out, grid[last], axis=last)
+    out *= math.prod(grid)
+    return out
 
 
 def samples_to_trigpoly(values: np.ndarray, degree) -> TrigPoly:
@@ -259,30 +287,6 @@ def samples_to_trigpoly(values: np.ndarray, degree) -> TrigPoly:
     for axis in reversed(range(values.ndim)):
         spec = np.fft.fft(spec, axis=axis).take(positions[axis], axis=axis)
     return TrigPoly(degree, spec / math.prod(values.shape))
-
-
-def trigpoly_to_json(t: TrigPoly) -> str:
-    flat = t.coeff.reshape(-1)
-    return json.dumps(
-        {
-            "degree": list(t.degree),
-            "coeff": [[float(c.real), float(c.imag)] for c in flat],
-        },
-        sort_keys=True,
-    )
-
-
-def trigpoly_from_json(text: str) -> TrigPoly:
-    try:
-        obj = json.loads(text)
-        degree = _degree(obj["degree"])
-        shape = tuple(2 * N + 1 for N in degree)
-        flat = np.array([complex(re, im) for re, im in obj["coeff"]])
-        return TrigPoly(degree, flat.reshape(shape))
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(f"bad TrigPoly JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -347,44 +351,6 @@ def bernoulli_kernel(r, alpha, x, truncation: int) -> Union[float, np.ndarray]:
             axis=-1
         )
     return _like(x, out)
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Named kernel with its evaluation parameters.
-
-    ``kind`` is one of ``fejer``, ``vallee_poussin``, ``vp_power``,
-    ``bernoulli``.  ``order >= 1`` always, an integer for the Fejer and
-    de la Vallee Poussin kernels; the Bernoulli evaluation additionally
-    requires ``truncation >= 10 * order``.
-    """
-
-    kind: str
-    order: int = 1
-    r: float = 0.0
-    alpha: float = 0.0
-    truncation: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("fejer", "vallee_poussin", "vp_power", "bernoulli"):
-            raise ValidationError(f"unknown kernel kind {self.kind!r}")
-        if self.kind in ("fejer", "vallee_poussin"):
-            _require_int("kernel order", self.order, 1)
-        else:
-            _require_order(self.order)
-        if self.kind == "bernoulli" and self.truncation < 10 * self.order:
-            raise ValidationError(
-                "Bernoulli evaluation needs truncation >= 10 * order"
-            )
-
-    def evaluate(self, x):
-        if self.kind == "fejer":
-            return fejer(self.order, x)
-        if self.kind == "vallee_poussin":
-            return vallee_poussin(self.order, x)
-        if self.kind == "vp_power":
-            return vp_power_kernel(self.order, self.r, self.alpha, x)
-        return bernoulli_kernel(self.r, self.alpha, x, self.truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +486,16 @@ def weyl_integral(t: TrigPoly, axis: int, r, alpha) -> TrigPoly:
 def trig_lp_norm(t: TrigPoly, p, oversample: int = 8) -> float:
     """Mixed norm with normalized measure, by grid quadrature.
 
-    Uses ``oversample * max(N, 1) + 1`` points per axis.  Exact whenever
-    every exponent is an even integer at most ``oversample`` (the integrand
-    is then itself a polynomial the grid resolves); approximate otherwise.
+    Uses the grid of :func:`_norm_grid`: at least ``oversample * max(N, 1)
+    + 1`` points per axis.  Exact whenever the exponents are even integers
+    at most ``oversample``, each a multiple of the one before (equal ones,
+    say): each inner norm raised to the next exponent is then itself a
+    polynomial the grid resolves.  Approximate otherwise.  For a real
+    polynomial and ``p = inf`` the grid maximum is at least
+    ``prod_j cos(pi N_j / G_j) >= cos(pi / oversample)^d`` of the true
+    maximum: along each axis, ``arccos(t / max|t|)`` moves at rate at most
+    ``N_j`` (Bernstein's inequality), and a grid point lies within
+    ``pi / G_j``.
     """
     p = as_exponents(p)
     if p.d != t.d:
@@ -532,9 +505,26 @@ def trig_lp_norm(t: TrigPoly, p, oversample: int = 8) -> float:
 
 
 def _norm_grid(degree, oversample: int = 8) -> tuple:
-    """The quadrature grid of :func:`trig_lp_norm`: ``oversample * max(N, 1)
-    + 1`` points per axis."""
-    return tuple(oversample * max(N, 1) + 1 for N in degree)
+    """The quadrature grid of :func:`trig_lp_norm`: per axis, the least
+    5-smooth length ``2^a 3^b 5^c`` of at least ``oversample * max(N, 1) + 1``
+    points.  pocketfft runs such lengths without Bluestein's algorithm,
+    which it needs for a length with a large prime factor (``8N + 1`` often
+    has one: 97, 257, 1761 = 3 * 587)."""
+    return tuple(_smooth_length(oversample * max(N, 1) + 1) for N in degree)
+
+
+def _smooth_length(n: int) -> int:
+    """The least ``2^a 3^b 5^c >= n``: over each ``3^b 5^c`` below the best
+    so far, the least power of two that lifts it to ``n``."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
 
 
 def _degree_power(degree, exponents) -> float:
@@ -623,18 +613,25 @@ def finite_difference(values: np.ndarray, h: float, axis: int, order: int) -> np
         raise ValidationError(f"axis {axis} outside 1..{values.ndim}")
     _require_int("difference order", order, 1)
     h = _finite("step h", h)
-    spec = np.fft.fft(values, axis=axis - 1)
-    return _difference(spec, h, axis - 1, order, np.isrealobj(values))
+    axis -= 1
+    return _difference(_half_spectra(values, axis), h, axis, order, values.shape[axis])
 
 
-def _difference(spec: np.ndarray, h: float, axis: int, order: int, real: bool) -> np.ndarray:
-    """Samples of ``Delta_h^order`` from their spectrum ``spec`` along the
-    0-based ``axis``: the multiplier ``(e^(i k h) - 1)^order``, then the
-    inverse transform; the real part when the samples were ``real``."""
-    G = spec.shape[axis]
-    k = np.fft.fftfreq(G) * G
-    out = np.fft.ifft(_along(spec, axis, (np.exp(1j * k * h) - 1.0) ** order), axis=axis)
-    return out.real if real else out
+def _half_spectra(values: np.ndarray, axis: int) -> list:
+    """``rfft`` along the 0-based ``axis`` of the real samples, or of the
+    real and the imaginary part of complex ones."""
+    parts = [values] if np.isrealobj(values) else [values.real, values.imag]
+    return [np.fft.rfft(part, axis=axis) for part in parts]
+
+
+def _difference(spectra: list, h: float, axis: int, order: int, G: int) -> np.ndarray:
+    """Samples of ``Delta_h^order`` on ``G`` points along the 0-based
+    ``axis``, from the :func:`_half_spectra` of the samples: the multiplier
+    ``(e^(i k h) - 1)^order`` on ``k = 0..G // 2``, then ``irfft``; real for
+    one spectrum, complex for two."""
+    mult = (np.exp(1j * h * np.arange(G // 2 + 1)) - 1.0) ** order
+    parts = [np.fft.irfft(_along(spec, axis, mult), G, axis=axis) for spec in spectra]
+    return parts[0] if len(parts) == 1 else _complex(*parts)
 
 
 def _grid_norm(values: np.ndarray, p: ExponentVector) -> float:
@@ -643,10 +640,12 @@ def _grid_norm(values: np.ndarray, p: ExponentVector) -> float:
     ``np.abs(values, order="F")`` is laid out as ``Tensor.array`` is, so
     the reductions, and with them the bits, are those of
     ``mixed_norm(Tensor.from_array(np.abs(values)), p)`` without its two
-    grid-sized copies.  Non-finite samples are refused as there.
+    grid-sized copies; the magnitudes are taken once, and the range check
+    and the reductions read them as they are.  Non-finite samples are
+    refused as there.
     """
     arr, e = _prescaled(np.abs(values, order="F"))
-    raw = _ldexp(float(_mixed_norm_array(arr, p)), e)
+    raw = _ldexp(float(_magnitude_norm(arr, p)), e)
     return raw * _degree_power(values.shape, [-float(recip) for recip in p.recip])
 
 
@@ -664,19 +663,21 @@ def smoothness_margin(t: TrigPoly, r, p) -> float:
 
     ``l_j = floor(r_j) + 1`` and ``h`` runs over ``pi/3, pi/7, pi/16,
     pi/40``.  A value at most 1 witnesses membership in the smoothness
-    class on the sampled steps.
+    class on the sampled steps.  The norms are taken on the quadrature
+    grid of :func:`_norm_grid`, from one evaluation of ``t`` and one
+    ``rfft`` per axis (two for a complex ``t``: real and imaginary part)
+    for all four steps; each difference goes back through
+    :func:`_difference`.
     """
     rr, p = _class_args(t, r, p)
-    vals = t.values(_norm_grid(t.degree))
-    real = t.is_real()
-    if real:
-        vals = vals.real
+    grid = _norm_grid(t.degree)
+    vals = t.values(grid)
     worst = 0.0
     for j, rj in enumerate(rr):
         lj = int(math.floor(float(rj))) + 1
-        spec = np.fft.fft(vals, axis=j)
+        spectra = _half_spectra(vals, j)
         for h in _MARGIN_STEPS:
-            diff = _difference(spec, h, j, lj, real)
+            diff = _difference(spectra, h, j, lj, grid[j])
             worst = max(worst, _grid_norm(diff, p) / float(h) ** float(rj))
     return worst
 
@@ -695,9 +696,11 @@ def approximation_rate(
 
     Computes ``e_m = ||f - V_m f||_p`` for the dyadic taper outputs of the
     smoothness vector ``r`` and fits ``log2 e_m`` against ``m >= 2`` by
-    least squares.  When every error is zero (the taper reproduces ``f``)
-    the slope is ``-inf``.  With ``check_membership``, a finite-difference
-    scan must witness ``f`` in the unit class first.
+    least squares (:func:`_slope`), over the scales whose error exceeds
+    ``1e-13``.  When fewer than two do (the taper reproduces ``f`` from
+    scale 3 on, up to rounding) the slope is ``-inf``.  With
+    ``check_membership``, a finite-difference scan must witness ``f`` in
+    the unit class first.
     """
     rr, p = _class_args(f, r, p)
     m_max = _require_int("m_max", m_max, 3)
@@ -710,9 +713,30 @@ def approximation_rate(
     errors = [trig_lp_norm(f - vp_at_scale(f, rr, m), p) for m in range(m_max + 1)]
     ms = [m for m in range(2, m_max + 1) if errors[m] > 1e-13]
     slope = -math.inf
-    if ms:
-        slope = float(np.polyfit(ms, [math.log2(errors[m]) for m in ms], 1)[0])
+    if len(ms) >= 2:
+        slope = _slope(ms, [math.log2(errors[m]) for m in ms])
     return RateResult(slope=slope, errors=tuple(errors), scales=tuple(range(m_max + 1)))
+
+
+def _slope(xs: list, ys: list) -> float:
+    """Least-squares slope of the points ``(x_i, y_i)``: distinct integers
+    ``x_i`` (at least two, ``|x_i| < 2^12``) and finite floats ``y_i``.
+
+    The slope is ``sum_i w_i y_i / D`` with the integer weights
+    ``w_i = n x_i - sum x`` and the integer ``D = sum_i w_i x_i``, so only
+    the numerator rounds.  Each ``y_i`` is split into two halves of at
+    most 26 bits (Veltkamp), whose products with ``w_i`` are exact, and
+    ``math.fsum`` rounds their sum once: the slope is within two roundings
+    of the exact one, whatever the cancellation.
+    """
+    n, sx = len(xs), sum(xs)
+    w = [n * x - sx for x in xs]
+    terms = []
+    for wi, y in zip(w, ys):
+        big = 134217729.0 * y  # 2**27 + 1
+        hi = big - (big - y)
+        terms += (wi * hi, wi * (y - hi))
+    return math.fsum(terms) / sum(wi * x for wi, x in zip(w, xs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Periodic kernels, taper operators, fractional calculus, rate slopes."""
 
-import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anisowidth import (
-    KernelSpec,
     TrigPoly,
     ValidationError,
     approximation_rate,
@@ -23,8 +24,6 @@ from anisowidth import (
     samples_to_trigpoly,
     tensor_series_2d,
     trig_lp_norm,
-    trigpoly_from_json,
-    trigpoly_to_json,
     vallee_poussin,
     vp_at_scale,
     vp_multiplier,
@@ -33,7 +32,7 @@ from anisowidth import (
     weyl_derivative,
     weyl_integral,
 )
-from anisowidth.trig_approx import scale_degrees, smoothness_margin
+from anisowidth.trig_approx import _slope, scale_degrees, smoothness_margin
 
 
 def grid_1d(G):
@@ -128,19 +127,6 @@ def test_arithmetic_and_reality():
     assert np.isrealobj(vals)
 
 
-def test_json_roundtrip_exact():
-    rng = np.random.default_rng(4)
-    t = TrigPoly.random_real((2, 2), rng)
-    text = trigpoly_to_json(t)
-    obj = json.loads(text)
-    assert list(obj) == sorted(obj)
-    back = trigpoly_from_json(text)
-    assert back.degree == t.degree
-    assert np.array_equal(back.coeff, t.coeff)
-    with pytest.raises(ValidationError):
-        trigpoly_from_json("{}")
-
-
 # ---------------------------------------------------------------------------
 # kernels
 
@@ -200,21 +186,6 @@ def test_bernoulli_validation():
         bernoulli_kernel(0.0, 0.0, 1.0, 100)
     with pytest.raises(ValidationError):
         bernoulli_kernel(2.0, 0.0, 1.0, 0)
-
-
-def test_kernel_spec_dispatch_and_guards():
-    assert KernelSpec(kind="fejer", order=3).evaluate(0.0) == pytest.approx(3.0)
-    assert KernelSpec(kind="vallee_poussin", order=2).evaluate(0.0) == pytest.approx(
-        vallee_poussin(2, 0.0)
-    )
-    spec = KernelSpec(kind="bernoulli", order=2, r=2.0, truncation=100)
-    assert spec.evaluate(1.0) == pytest.approx(bernoulli_kernel(2.0, 0.0, 1.0, 100))
-    with pytest.raises(ValidationError):
-        KernelSpec(kind="bernoulli", order=11, r=2.0, truncation=100)
-    with pytest.raises(ValidationError):
-        KernelSpec(kind="unknown")
-    with pytest.raises(ValidationError):
-        KernelSpec(kind="fejer", order=0)
 
 
 def test_power_kernel_matches_derivative_multiplier():
@@ -356,7 +327,6 @@ def test_kernel_orders_must_be_finite_and_at_least_one(m):
         lambda: vp_power_kernel(m, 1.0, 0.0, x),
         lambda: fejer_shift_sum_check(m, 0.5),
         lambda: finite_difference(x, 0.1, 1, m),
-        lambda: KernelSpec(kind="fejer", order=m),
     ]
     for call in calls:
         with pytest.raises(ValidationError):
@@ -372,8 +342,6 @@ def test_fejer_orders_must_be_integers(m):
         lambda: fejer(m, 0.3),
         lambda: vallee_poussin(m, 0.3),
         lambda: fejer_shift_sum_check(m, 0.5),
-        lambda: KernelSpec(kind="fejer", order=m),
-        lambda: KernelSpec(kind="vallee_poussin", order=m),
     ]
     for call in calls:
         with pytest.raises(ValidationError, match="integer"):
@@ -386,7 +354,6 @@ def test_fejer_closed_form_is_the_series_and_taper_orders_stay_real():
         series = 1 + 2 * sum((1 - k / m) * np.cos(k * x) for k in range(1, m))
         assert np.allclose(fejer(m, x), series, rtol=0, atol=1e-12)
     assert vp_multiplier(1.5, 2) == pytest.approx(2 / 3)
-    assert KernelSpec(kind="bernoulli", order=1.5, r=2.0, truncation=15).order == 1.5
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -425,9 +392,6 @@ INTEGER_MISUSES = {
     "restrict degree": lambda: _P1.restrict((1.5,)),
     "values grid": lambda: _P1.values((9.5,)),
     "samples_to_trigpoly degree": lambda: samples_to_trigpoly(np.ones(9), (1.5,)),
-    "trigpoly_from_json degree": lambda: trigpoly_from_json(
-        '{"coeff": [[0, 0], [1, 0], [0, 0]], "degree": [1.0]}'
-    ),
     "weyl_derivative axis": lambda: weyl_derivative(_P2, 1.5, 1, 0),
     "finite_difference axis": lambda: finite_difference(np.ones((5, 5)), 0.1, 1.5, 1),
     "finite_difference order": lambda: finite_difference(np.ones(5), 0.1, 1, 1.5),
@@ -581,3 +545,40 @@ def test_rate_lacunary_slope_near_order():
     lac = lacunary_1d(1, levels=8)
     res = approximation_rate(lac, (1,), (2,), m_max=7)
     assert abs(res.slope - (-1.0)) <= 0.3
+
+
+def exact_slope(xs, ys):
+    """The least-squares slope of the points, in exact rational arithmetic."""
+    xs, ys = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-4095, 4095), min_size=2, max_size=12, unique=True), st.data())
+@example([2, 3, 4], [1000.0, 1000.0000000000001, 1000.0])
+@example([2, 3, 4, 5], [-3.0, -3.0, -3.0, -3.0])
+def test_slope_is_the_exact_least_squares_slope(xs, ys):
+    if not isinstance(ys, list):
+        # |y| >= 2**-900 or 0 keeps a nonzero slope out of the subnormal
+        # range, where no float is within 1e-14 relative of it
+        y = st.floats(-1100, 1100).filter(lambda v: v == 0 or abs(v) >= 2.0**-900)
+        ys = ys.draw(st.lists(y, min_size=len(xs), max_size=len(xs)))
+    want = exact_slope(xs, ys)
+    assert abs(Fraction(_slope(xs, ys)) - want) <= Fraction(1e-14) * abs(want)
+
+
+@pytest.mark.parametrize(
+    "f, r, p",
+    [
+        (decaying_series_1d(1, terms=64), (1,), (2,)),
+        (lacunary_1d(1, levels=6), (1,), (2,)),
+        (tensor_series_2d((1, 2), terms=(24, 12)), (1, 2), (2, 2)),
+        (decaying_series_1d(1.5, terms=40, p=(3,)), (1.5,), (3,)),
+    ],
+)
+def test_rate_slope_is_the_exact_fit_of_its_errors(f, r, p):
+    res = approximation_rate(f, r, p, m_max=6)
+    ms = [m for m in range(2, 7) if res.errors[m] > 1e-13]
+    want = exact_slope(ms, [math.log2(res.errors[m]) for m in ms])
+    assert abs(Fraction(res.slope) - want) <= Fraction(1e-14) * abs(want)

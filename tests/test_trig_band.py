@@ -1,5 +1,5 @@
-"""Band-only grid transforms: bit identity with the full transforms, and the
-work they skip."""
+"""Band-only grid transforms: bit identity with the full transforms (the
+real inverse transform for real polynomials), and the work they skip."""
 
 import math
 
@@ -17,13 +17,13 @@ from anisowidth import (
     samples_to_trigpoly,
 )
 from anisowidth.mixed_norm import as_exponents
-from anisowidth.trig_approx import _degree_power, _grid_norm, smoothness_margin
+from anisowidth.trig_approx import _degree_power, _grid_norm, _norm_grid, smoothness_margin
 
 EXPONENTS = (1, 1.5, 2, 3, 4, math.inf)
 
 
 # ---------------------------------------------------------------------------
-# the full transforms, copied verbatim from before the band-only passes
+# the full transforms
 
 
 def _spectrum_index(degree, grid):
@@ -42,6 +42,23 @@ def full_values(self, grid):
     spec = np.zeros(grid, dtype=complex)
     spec[index] = self.coeff
     return np.fft.ifftn(spec) * math.prod(grid)
+
+
+def full_real_values(coeff, grid):
+    """``irfftn`` of the half-spectrum (last-axis frequencies ``0..N``) of
+    conjugate-symmetric ``coeff``, spread onto the whole grid."""
+    degree = tuple((n - 1) // 2 for n in coeff.shape)
+    half = np.zeros(grid[:-1] + (grid[-1] // 2 + 1,), dtype=complex)
+    positions = [np.arange(-N, N + 1) % G for N, G in zip(degree[:-1], grid[:-1])]
+    half[np.ix_(*positions, np.arange(degree[-1] + 1))] = coeff[..., degree[-1] :]
+    return np.fft.irfftn(half, grid, axes=range(len(grid))) * math.prod(grid)
+
+
+def hermitian_parts(coeff):
+    """``(h, b)`` with ``coeff = h + i b``, both conjugate-symmetric, as
+    ``TrigPoly.values`` splits them."""
+    mirror = np.conj(np.flip(coeff))
+    return 0.5 * coeff + 0.5 * mirror, -0.5j * (coeff - mirror)
 
 
 def full_samples_to_trigpoly(values, degree):
@@ -98,17 +115,44 @@ def polys_on_grids(draw):
     return t, draw(grids_for(t.degree))
 
 
+@st.composite
+def real_polys_on_grids(draw):
+    """Real polynomials: the draws of :func:`polynomials` made exactly
+    conjugate-symmetric."""
+    t = draw(polynomials())
+    return TrigPoly(t.degree, hermitian_parts(t.coeff)[0]), draw(grids_for(t.degree))
+
+
 # ---------------------------------------------------------------------------
 # bit identity
 
 
 @settings(max_examples=300, deadline=None)
-@given(polys_on_grids())
+@given(real_polys_on_grids())
 @example((TrigPoly((0,), [2.0]), (1,)))
-@example((TrigPoly.from_coeff_dict((0, 3), {(0, 3): 1.0}), (5, 7)))
+@example((TrigPoly.from_coeff_dict((0, 3), {(0, 3): 1.0, (0, -3): 1.0}), (5, 7)))
+@example((TrigPoly((1, 1), [[0, 0, 0], [-0.0, 1, -0.0], [0, 0, 0]]), (3, 4)))
 def test_values_are_the_full_inverse_transform_bit_for_bit(case):
+    # a real polynomial: float values, those of irfftn on the whole grid
     t, grid = case
-    assert same_bytes(t.values(grid), full_values(t, grid))
+    assert same_bytes(t.values(grid), full_real_values(t.coeff, grid))
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys_on_grids())
+@example((TrigPoly.from_coeff_dict((0, 3), {(0, 3): 1.0}), (5, 7)))
+def test_other_values_are_those_of_their_two_real_parts(case):
+    t, grid = case
+    got = t.values(grid)
+    if np.isrealobj(got):  # exactly conjugate-symmetric, up to signed zeros
+        assert not (t.coeff - np.conj(np.flip(t.coeff))).any()
+        return
+    h, b = hermitian_parts(t.coeff)
+    assert same_bytes(got.real, full_real_values(h, grid))
+    assert same_bytes(got.imag, full_real_values(b, grid))
+    full = full_values(t, grid)
+    scale = float(np.abs(t.coeff).sum())
+    assert np.abs(got - full).max() <= 1e-14 * scale * math.prod(grid)
 
 
 @settings(max_examples=300, deadline=None)
@@ -189,7 +233,24 @@ def test_nikolskii_ratio_evaluates_the_polynomial_once(monkeypatch):
 
     monkeypatch.setattr(TrigPoly, "values", counting)
     assert nikolskii_ratio(t, (1, 4), (2, math.inf)) == want
-    assert calls == [(41, 25)]
+    assert calls == [(45, 25)]
+
+
+def _recording(monkeypatch, *names):
+    """Patch each ``np.fft.<name>``; returns the list of ``(name, lines,
+    length)`` of each pass they run, the length being that of the output."""
+    passes = []
+    for name in names:
+        transform = getattr(np.fft, name)
+
+        def recording(a, n=None, axis=-1, *args, name=name, transform=transform, **kwargs):
+            a = np.asarray(a)
+            length = n if n is not None else a.shape[axis]
+            passes.append((name, a.size // a.shape[axis], length))
+            return transform(a, n, axis, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, recording)
+    return passes
 
 
 @pytest.mark.parametrize("degree", [(6,), (5, 3), (2, 3, 1)])
@@ -198,45 +259,26 @@ def test_smoothness_margin_takes_one_forward_transform_per_axis(monkeypatch, deg
     r = tuple(1.5 for _ in degree)
     p = tuple(2 for _ in degree)
     want = smoothness_margin(t, r, p)
-    axes = []
-    fft = np.fft.fft
-
-    def counting(a, *args, **kwargs):
-        axes.append(kwargs.get("axis", -1))
-        return fft(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "fft", counting)
+    passes = _recording(monkeypatch, "fft", "rfft")
     assert smoothness_margin(t, r, p) == want
-    assert axes == list(range(len(degree)))
-
-
-def _recording(monkeypatch, name):
-    """Patch ``np.fft.<name>``; returns the list of ``(lines, length)`` of
-    each pass it runs."""
-    passes = []
-    transform = getattr(np.fft, name)
-
-    def recording(a, *args, axis=-1, **kwargs):
-        a = np.asarray(a)
-        passes.append((a.size // a.shape[axis], a.shape[axis]))
-        return transform(a, *args, axis=axis, **kwargs)
-
-    monkeypatch.setattr(np.fft, name, recording)
-    return passes
+    # one real forward transform over the whole grid per axis, none complex
+    grid = _norm_grid(degree)
+    assert [(name, length) for name, _, length in passes] == [("rfft", G) for G in grid]
 
 
 def test_values_transform_only_the_band_lines(monkeypatch):
-    # degree (64, 32) on its quadrature grid (513, 257): the last axis goes
-    # first over the 129 band rows, not all 513, then axis 1 over all 257
-    # columns.
+    # degree (64, 32) on its quadrature grid (540, 270): axis 0 goes first,
+    # over the 33 lines of the half band of axis 1 (not 129 or 270), then
+    # the real inverse transform runs over all 540 rows.
     t = TrigPoly.random_real((64, 32), np.random.default_rng(9))
-    passes = _recording(monkeypatch, "ifft")
-    t.values((513, 257))
-    assert passes == [(129, 257), (257, 513)]
+    assert _norm_grid(t.degree) == (540, 270)
+    passes = _recording(monkeypatch, "ifft", "irfft")
+    t.values((540, 270))
+    assert passes == [("ifft", 33, 540), ("irfft", 540, 270)]
 
 
 def test_sampling_transforms_only_the_lines_it_keeps(monkeypatch):
     values = np.random.default_rng(10).standard_normal((513, 257))
     passes = _recording(monkeypatch, "fft")
     samples_to_trigpoly(values, (64, 32))
-    assert passes == [(513, 257), (65, 513)]
+    assert passes == [("fft", 513, 257), ("fft", 65, 513)]

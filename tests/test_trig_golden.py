@@ -6,12 +6,17 @@ powers; regrouping either, or the Weyl phase, moves the last bits (and the
 sign of zero coefficients).  So the ``repr`` of every scalar output below
 and the sha256 of every coefficient or sample array are pinned in
 ``golden_trig.json``, and a change to the toolkit must keep each one bit
-for bit.  Three-axis inputs with non-integer gaps and orders are there
-because a product of two factors does not depend on its grouping.
+for bit, unless it is meant to change values.  Three-axis inputs with
+non-integer gaps and orders are there because a product of two factors
+does not depend on its grouping.
 
 Rewrite the golden file (only when an output is meant to change) with::
 
     PYTHONPATH=src python tests/test_trig_golden.py --record
+
+It prints, per output family (the first word of a key), how many outputs
+changed and the largest relative change of a scalar output, the re-base
+report of a value-changing change.
 """
 
 import hashlib
@@ -204,5 +209,60 @@ def test_trig_outputs_are_unchanged():
     assert not changed, f"{len(changed)} outputs changed, first: {changed[0]}"
 
 
+def _scalars(text):
+    """The floats of a scalar or tuple output; None for an array digest or
+    a refusal."""
+    try:
+        return [float(v) for v in text.strip("()").split(",") if v.strip()]
+    except ValueError:
+        return None
+
+
+def _relative_change(old, new) -> float:
+    """Largest relative change between two outputs' floats; 0 where the
+    floats are equal (NaN and infinities too), inf where they cannot be
+    compared."""
+    a, b = _scalars(old), _scalars(new)
+    if a is None or b is None or len(a) != len(b):
+        return math.inf
+    worst = 0.0
+    for x, y in zip(a, b):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        worst = max(worst, abs(y - x) / abs(x) if x != 0 and math.isfinite(x) else math.inf)
+    return worst
+
+
+def rebase_report(old: dict, new: dict) -> list:
+    """Lines of ``family, outputs changed of outputs, largest relative
+    scalar change``; entries only on one side count as changed."""
+    families = {}
+    for key in sorted(set(old) | set(new)):
+        row = families.setdefault(key.split(" ", 1)[0], [0, 0, None])
+        row[1] += 1
+        if old.get(key) == new.get(key):
+            continue
+        row[0] += 1
+        if key in old and key in new and _scalars(old[key]) is not None:
+            row[2] = max(row[2] or 0.0, _relative_change(old[key], new[key]))
+    lines = [f"{'family':24} {'changed':>8} {'of':>5}  largest relative scalar change"]
+    for name, (changed, total, worst) in families.items():
+        shown = "-" if worst is None else f"{worst:.2e}"
+        lines.append(f"{name:24} {changed:8d} {total:5d}  {shown}")
+    return lines
+
+
+def test_rebase_report_counts_changes_per_family():
+    old = {"norm a": "1.0", "norm b": "2.0", "norm c": "(1.0, -inf)", "ops d": "float64 (3,) ab"}
+    new = {"norm a": "1.0", "norm b": "2.5", "norm c": "(1.5, -inf)", "ops d": "float64 (3,) cd"}
+    assert rebase_report(old, new)[1:] == [
+        f"{'norm':24} {2:8d} {3:5d}  5.00e-01",
+        f"{'ops':24} {1:8d} {1:5d}  -",
+    ]
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
-    GOLDEN.write_text(json.dumps(render(), indent=1, sort_keys=True) + "\n")
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    new = render()
+    print("\n".join(rebase_report(old, new)))
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
