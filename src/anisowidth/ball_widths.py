@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
@@ -314,6 +314,13 @@ class BallProblem:
     def d(self) -> int:
         return len(self.k)
 
+    @cached_property
+    def _axes(self) -> tuple:
+        """:func:`_sorted_axes` of ``(p, q)`` with the box sides as column,
+        built on first use and shared by :func:`phi` and
+        :func:`lower_bound_plan`."""
+        return _sorted_axes(self.p, self.q, self.k)
+
 
 def _corner(ks, rqs, rps, lo, hi) -> list:
     """Factors of the corner order ``prod_(lo <= j < hi) k_j^(1/q_j - 1/p_j)``."""
@@ -347,7 +354,7 @@ def phi(prob: BallProblem) -> PhiResult:
     branch and the constant branch report the constant branch; ties among
     ``t`` branches report the smallest ``t``.
     """
-    prof, rqs, rps, oms, ks = _sorted_axes(prob.p, prob.q, prob.k)
+    prof, rqs, rps, oms, ks = prob._axes
     d, mu = prof.d, prof.mu
     prefix = PowerProduct(1, _corner(ks, rqs, rps, 0, mu))
 
@@ -408,7 +415,7 @@ def lower_bound_plan(prob: BallProblem) -> PlanResult:
     ``s`` is in original axis order; ``predicted`` is the matching order
     value, a pure power product.
     """
-    prof, rqs, rps, oms, ks = _sorted_axes(prob.p, prob.q, prob.k)
+    prof, rqs, rps, oms, ks = prob._axes
     d, mu, nu = prof.d, prof.mu, prof.nu
 
     def threshold(t):

@@ -40,12 +40,7 @@ from .mixed_norm import (
     norming_functional,
     _require_int,
 )
-from .exponents import (
-    h_family_minimize,
-    sorted_profile,
-    width_exponent,
-    width_exponent_low_q,
-)
+from .exponents import _h_family, _tables, _width_exponent, width_exponent_low_q
 from .ball_widths import (
     BallProblem,
     ball_order_low_q,
@@ -188,9 +183,11 @@ def _exponent_report(prob: dict) -> dict:
             "conditions": asdict(wo.conditions),
             "regime_note": wo.regime_note,
         }
-    wo = width_exponent(p, q, r)
-    prof = sorted_profile(p, q)
-    hf = h_family_minimize(p, q, r)
+    # one validated sorted profile serves both routes
+    tables = _tables(p, q, r)
+    prof = tables[0]
+    wo = _width_exponent(tables)
+    hf = _h_family(tables)
     # exact values are compared exactly: their floats may overflow
     a, b = hf.value, wo.exponent
     if not (isinstance(a, Fraction) and isinstance(b, Fraction)):

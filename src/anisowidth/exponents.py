@@ -11,8 +11,11 @@ The main entry points are
   ``omega`` (target exponents ``q_j >= 2``),
 * :func:`width_exponent_low_q` for the two-block pattern with small target
   exponents,
-* :func:`h_family_minimize`, an independent route to the same exponent via
-  the pointwise maximum of a finite affine family.
+* :func:`h_family_minimize`, a second route to the same exponent via the
+  pointwise maximum of a finite affine family.
+
+Both routes start from one validated sorted profile (:func:`_tables`) and
+are independent after it; a caller that wants both builds it once.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ __all__ = [
     "NotCompactError",
     "smoothness_vector",
     "omega",
-    "harmonic_mean",
     "SortedProfile",
     "sorted_profile",
     "theta_t",
@@ -43,9 +45,7 @@ __all__ = [
     "WidthOrder",
     "width_exponent",
     "width_exponent_low_q",
-    "DyadicSchedule",
     "dyadic_beta",
-    "dyadic_schedule",
     "HFamily",
     "h_family_minimize",
 ]
@@ -118,38 +118,23 @@ def omega(p, q) -> Union[Fraction, float]:
     """
     rp = _recip_of(p)
     rq = _recip_of(q)
+    _require_target(rq, q)
+    return _omega(rp, rq)
+
+
+def _require_target(rq, q):
     if rq == 0 or rq > _HALF:
         raise ValidationError(f"target exponent q={q} must lie in [2, inf)")
+
+
+def _omega(rp, rq) -> Union[Fraction, float]:
+    """:func:`omega` on the reciprocals ``rp = 1/p`` and ``rq = 1/q``, with
+    ``q`` already checked to lie in ``[2, inf)``."""
     if rp < rq:
         return Fraction(0)
     if rp >= _HALF:
         return Fraction(1)
     return (rp - rq) / (_HALF - rq)
-
-
-def harmonic_mean(values, indices=None) -> Union[Fraction, float]:
-    """Harmonic mean ``<v>_I = |I| / sum_{j in I} 1/v_j`` over 1-based ``I``.
-
-    ``values`` may be an :class:`ExponentVector` or any sequence of positive
-    entries (``inf`` allowed); the empty index set returns 1 by convention.
-    """
-    if isinstance(values, ExponentVector):
-        recips = values.recip
-    else:
-        recips = tuple(_recip_of(v) for v in values)
-    d = len(recips)
-    if indices is None:
-        idx = list(range(1, d + 1))
-    else:
-        idx = sorted(set(_require_int("index", i) for i in indices))
-        if idx and not (1 <= idx[0] and idx[-1] <= d):
-            raise ValidationError(f"index set {idx} outside 1..{d}")
-    if not idx:
-        return Fraction(1)
-    total = sum(recips[i - 1] for i in idx)
-    if total == 0:
-        return math.inf
-    return len(idx) / total
 
 
 @dataclass(frozen=True)
@@ -182,7 +167,14 @@ def sorted_profile(p, q) -> SortedProfile:
     q = as_exponents(q)
     if p.d != q.d:
         raise ValidationError(f"dimension mismatch: p has {p.d} axes, q has {q.d}")
-    om = tuple(omega(pv, qv) for pv, qv in zip(p.p, q.p))
+    for rq, qv in zip(q.recip, q.p):
+        _require_target(rq, qv)
+    return _profile(p, q)
+
+
+def _profile(p: ExponentVector, q: ExponentVector) -> SortedProfile:
+    """:func:`sorted_profile` of checked ``(p, q)``, from their reciprocals."""
+    om = tuple(map(_omega, p.recip, q.recip))
     d = p.d
     order = sorted(range(d), key=lambda j: om[j])
     sigma = tuple(j + 1 for j in order)
@@ -205,14 +197,18 @@ def _sorted_axes(p: ExponentVector, q: ExponentVector, column):
     sigma-ordered tables ``1/q``, ``1/p``, ``omega`` and ``column`` (one
     entry per axis, in axis order)."""
     _require_q_range(q)
-    prof = sorted_profile(p, q)
+    prof = _profile(p, q)
     pos = [a - 1 for a in prof.sigma]
     tables = (q.recip, p.recip, prof.omega, column)
     return (prof,) + tuple([col[a] for a in pos] for col in tables)
 
 
 def _tables(p, q, r):
-    """Validated ``(p, q, r)`` as :func:`_sorted_axes` tables, ``1/r`` last."""
+    """Validated ``(p, q, r)`` as :func:`_sorted_axes` tables, ``1/r`` last.
+
+    One problem's tables serve both routes to its exponent,
+    :func:`_width_exponent` and :func:`_h_family`.
+    """
     p = as_exponents(p)
     q = as_exponents(q)
     rr = smoothness_vector(r)
@@ -298,7 +294,12 @@ def width_exponent(p, q, r) -> WidthOrder:
     reported via ``conditions.strict_min_ok = False`` (the exponent is still
     the minimum value).
     """
-    prof, rq_s, rp_s, _, ir_s = _tables(p, q, r)
+    return _width_exponent(_tables(p, q, r))
+
+
+def _width_exponent(tables) -> WidthOrder:
+    """:func:`width_exponent` on the tables of :func:`_tables`."""
+    prof, rq_s, rp_s, _, ir_s = tables
     margin = _margin(ir_s, rq_s, rp_s, prof.mu)
     if not margin > 0:
         raise NotCompactError(
@@ -350,43 +351,12 @@ def width_exponent_low_q(p, q, r, nu_split: int) -> WidthOrder:
     )
 
 
-@dataclass(frozen=True)
-class DyadicSchedule:
-    """Per-axis dyadic growth weights and the two norm-gap exponents."""
-
-    beta: tuple
-    r_mean: Union[Fraction, float]
-    gamma0: Union[Fraction, float]
-    gamma: Union[Fraction, float]
-
-
 def dyadic_beta(r) -> tuple:
     """Growth weights beta_j = (1/r_j) / sum_i (1/r_i); sums to 1."""
     rr = smoothness_vector(r)
     ir = [1 / v for v in rr]
     total = sum(ir)
     return tuple(v / total for v in ir)
-
-
-def dyadic_schedule(p, q, r) -> DyadicSchedule:
-    """Dyadic block schedule and the gap exponents gamma0 <= gamma.
-
-    ``gamma0`` clips the per-axis exponent gap at zero, ``gamma`` does not,
-    so ``gamma0 == gamma`` exactly when ``p_j <= q_j`` on every axis.
-    """
-    p = as_exponents(p)
-    q = as_exponents(q)
-    rr = smoothness_vector(r)
-    if not (p.d == q.d == len(rr)):
-        raise ValidationError("dimension mismatch among p, q, r")
-    ir = [1 / v for v in rr]
-    total = sum(ir)
-    beta = dyadic_beta(rr)
-    r_mean = len(rr) / total
-    gap = [p.recip[j] - q.recip[j] for j in range(len(rr))]
-    gamma0 = 1 - sum(ir[j] * max(gap[j], 0) for j in range(len(rr)))
-    gamma = 1 - sum(ir[j] * gap[j] for j in range(len(rr)))
-    return DyadicSchedule(beta=beta, r_mean=r_mean, gamma0=gamma0, gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -413,12 +383,18 @@ def h_family_minimize(p, q, r) -> HFamily:
     The family consists of one line per boundary transition (labels
     ``mu-1``, ``mu .. nu-1``, and ``d-1`` when the tail carries a target
     exponent above 2), on the domain ``[1, s_mu]`` cut by the breakpoints
-    ``s_t``.  Its envelope minimum equals the width order exponent; the two
-    routes are computed independently and cross-checked in tests.  A float
-    ``s_mu`` within relative ``_S_MU_RTOL`` below 1 is rounding and is
-    clamped to 1; an exact ``s_mu < 1`` is refused.
+    ``s_t``.  Its envelope minimum equals the width order exponent.  Both
+    routes start from the same validated sorted profile (:func:`_tables`)
+    and are independent after it; tests cross-check them.  A float ``s_mu``
+    within relative ``_S_MU_RTOL`` below 1 is rounding and is clamped to 1;
+    an exact ``s_mu < 1`` is refused.
     """
-    prof, rq_s, rp_s, om_s, ir_s = _tables(p, q, r)
+    return _h_family(_tables(p, q, r))
+
+
+def _h_family(tables) -> HFamily:
+    """:func:`h_family_minimize` on the tables of :func:`_tables`."""
+    prof, rq_s, rp_s, om_s, ir_s = tables
     d, mu, nu = prof.d, prof.mu, prof.nu
     margin = _margin(ir_s, rq_s, rp_s, mu)
     if not margin > 0:
@@ -451,8 +427,11 @@ def h_family_minimize(p, q, r) -> HFamily:
         if lo <= s <= hi:
             candidates.add(s)
     for (a1, b1), (a2, b2) in combinations([lines[t] for t in sorted(lines)], 2):
-        if a1 != a2:
-            s = (b2 - b1) / (a1 - a2)
+        # a Fraction and a float slope can differ while their float
+        # difference is 0: such lines are parallel for this arithmetic
+        gap = a1 - a2
+        if gap:
+            s = (b2 - b1) / gap
             if lo <= s <= hi:
                 candidates.add(s)
 

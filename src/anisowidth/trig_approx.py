@@ -182,8 +182,9 @@ class TrigPoly:
         return cls(degree, 0.5 * (raw + np.conj(np.flip(raw))))
 
     def is_real(self) -> bool:
-        scale = max(1.0, float(np.abs(self.coeff).max()))
-        return bool(np.abs(self.coeff - np.conj(np.flip(self.coeff))).max() <= 1e-12 * scale)
+        """Exactly conjugate-symmetric coefficients: the test by which
+        :meth:`values` returns a float array."""
+        return not (self.coeff - np.conj(np.flip(self.coeff))).any()
 
     def pad(self, degree) -> "TrigPoly":
         out = TrigPoly(degree)

@@ -361,7 +361,7 @@ def test_unexpected_error_exit_five(sobolev_file, capsys, monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix\nsecond line")
 
-    monkeypatch.setattr(cli, "width_exponent", singular)
+    monkeypatch.setattr(cli, "_width_exponent", singular)
     assert main(["exponent", "--input", sobolev_file]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -127,6 +127,15 @@ def test_arithmetic_and_reality():
     assert np.isrealobj(vals)
 
 
+def test_is_real_agrees_with_values():
+    # A 1e-14 imaginary part used to pass the 1e-12 tolerance of is_real,
+    # while values, which decides exactly, returned a complex array.
+    for coeff in ([1, 2, 1 + 1e-14j], [1j, 2, -1j], [1, 2j, 1], [0.5, 3, 0.5]):
+        t = TrigPoly((1,), coeff)
+        assert t.is_real() == (not np.iscomplexobj(t.values((5,)))), coeff
+    assert not TrigPoly((1,), [1, 2, 1 + 1e-14j]).is_real()
+
+
 # ---------------------------------------------------------------------------
 # kernels
 
