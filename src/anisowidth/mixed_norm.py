@@ -21,9 +21,7 @@ Conventions
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -40,15 +38,10 @@ __all__ = [
     "Tensor",
     "as_exponents",
     "mixed_norm",
-    "dual_exponents",
     "norming_functional",
     "norm_duality_lower",
     "InterpolationReport",
     "holder_interpolation_check",
-    "tensor_to_json",
-    "tensor_from_json",
-    "tensor_to_bytes",
-    "tensor_from_bytes",
 ]
 
 # Relative slack for all norm-inequality assertions.
@@ -183,11 +176,6 @@ class ExponentVector:
 def as_exponents(p) -> ExponentVector:
     """Coerce an ExponentVector or a sequence of exponent values."""
     return ExponentVector.from_p(p)
-
-
-def dual_exponents(p) -> ExponentVector:
-    """Entrywise conjugate exponents, 1/p + 1/p' = 1."""
-    return as_exponents(p).dual()
 
 
 class Tensor:
@@ -462,45 +450,3 @@ def holder_interpolation_check(x: Tensor, q, weight) -> InterpolationReport:
     )
     holds = lhs <= rhs * (1.0 + EPS_TOL) + 1e-300
     return InterpolationReport(lhs=lhs, rhs=rhs, holds=holds, p_tilde=p_tilde)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-_MAGIC = b"AWT1"
-
-
-def tensor_to_json(x: Tensor) -> str:
-    return json.dumps(
-        {"shape": list(x.shape), "data": x.data.tolist()}, sort_keys=True
-    )
-
-
-def tensor_from_json(text: str) -> Tensor:
-    try:
-        obj = json.loads(text)
-        return Tensor(obj["shape"], obj["data"])
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(f"bad tensor JSON: {exc}") from exc
-
-
-def tensor_to_bytes(x: Tensor) -> bytes:
-    head = _MAGIC + struct.pack("<I", x.d) + struct.pack(f"<{x.d}I", *x.shape)
-    return head + x.data.astype("<f8").tobytes()
-
-
-def tensor_from_bytes(blob: bytes) -> Tensor:
-    if len(blob) < 8 or blob[:4] != _MAGIC:
-        raise ValidationError("bad tensor blob header")
-    (d,) = struct.unpack_from("<I", blob, 4)
-    need = 8 + 4 * d
-    if len(blob) < need:
-        raise ValidationError("truncated tensor blob shape header")
-    shape = struct.unpack_from(f"<{d}I", blob, 8)
-    size = math.prod(shape)
-    payload = blob[need:]
-    if len(payload) != 8 * size:
-        raise ValidationError("tensor blob payload size mismatch")
-    return Tensor(shape, np.frombuffer(payload, dtype="<f8"))

@@ -6,15 +6,17 @@ per-axis growth weights of a smoothness vector, fractional derivatives and
 integrals as coefficient multipliers, and empirical approximation-rate
 slopes for functions in anisotropic smoothness classes.
 
-Function norms here use normalized measure (grid means), in contrast with
-the counting-measure norms of :mod:`anisowidth.mixed_norm`.
+Function norms here use normalized measure (grid means, or by Parseval
+the coefficients' l2 norm when every exponent is 2), in contrast with the
+counting-measure norms of :mod:`anisowidth.mixed_norm`.
 
 Each coefficient-space decision (band slices, FFT positions, a multiplier
 along one axis, the Weyl multiplier, the difference multiplier, the
-quadrature grid, degree powers, order checks) is made by one private
-helper.  Kernel, taper and difference orders must be finite
-and >= 1, Weyl orders finite and >= 0, phases finite; anything else is
-refused with :class:`ValidationError`, so no input yields NaN.
+quadrature grid, the norm's route and range scaling, degree powers, order
+checks) is made by one private helper.  Kernel, taper and difference
+orders must be finite and >= 1, Weyl orders finite and >= 0, phases
+finite; anything else is refused with :class:`ValidationError`, so no
+input yields NaN.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ __all__ = [
 SHIFT_SUM_WINDOW = (0.25, 8.0)
 # steps h of the finite-difference scan in smoothness_margin
 _MARGIN_STEPS = (math.pi / 3, math.pi / 7, math.pi / 16, math.pi / 40)
+_FLAT_2 = as_exponents((2,))  # _l2_norm's exponent, one axis
 
 
 def _band(inner, outer) -> tuple:
@@ -485,10 +488,14 @@ def weyl_integral(t: TrigPoly, axis: int, r, alpha) -> TrigPoly:
 
 
 def trig_lp_norm(t: TrigPoly, p, oversample: int = 8) -> float:
-    """Mixed norm with normalized measure, by grid quadrature.
+    """Mixed norm with normalized measure.
 
-    Uses the grid of :func:`_norm_grid`: at least ``oversample * max(N, 1)
-    + 1`` points per axis.  Exact whenever the exponents are even integers
+    For ``p = (2, ..., 2)`` it is the l2 norm of the coefficients
+    (Parseval, :func:`_l2_norm`), and no grid is built.  Other exponents
+    are taken by quadrature on the grid of :func:`_norm_grid`: at least
+    ``oversample * max(N, 1) + 1`` points per axis, with the coefficients
+    first moved into range by :func:`_scaled` and the norm scaled back.
+    The quadrature is exact whenever the exponents are even integers
     at most ``oversample``, each a multiple of the one before (equal ones,
     say): each inner norm raised to the next exponent is then itself a
     polynomial the grid resolves.  Approximate otherwise.  For a real
@@ -502,7 +509,33 @@ def trig_lp_norm(t: TrigPoly, p, oversample: int = 8) -> float:
     if p.d != t.d:
         raise ValidationError("exponent vector dimension mismatch")
     oversample = _require_int("oversample", oversample, 4)
-    return _grid_norm(t.values(_norm_grid(t.degree, oversample)), p)
+    if _is_l2(p):
+        return _l2_norm(t.coeff)
+    t, e = _scaled(t)
+    return _ldexp(_grid_norm(t.values(_norm_grid(t.degree, oversample)), p), e)
+
+
+def _is_l2(p: ExponentVector) -> bool:
+    """Whether every exponent is 2: the norm is then Parseval's."""
+    return all(kind == "two" for kind, _ in p.plan)
+
+
+def _l2_norm(coeff: np.ndarray) -> float:
+    """By Parseval, the L2 norm with normalized measure of the polynomial
+    with coefficients ``coeff``: their l2 norm, under the range policy of
+    :func:`anisowidth.mixed_norm.mixed_norm`."""
+    arr, e = _prescaled(np.abs(coeff).ravel())
+    return _ldexp(float(_magnitude_norm(arr, _FLAT_2)), e)
+
+
+def _scaled(t: TrigPoly) -> tuple:
+    """``(t * 2**-e, e)`` with ``e`` chosen by :func:`_prescaled` from the
+    coefficient magnitudes: ``t`` itself when the largest lies in
+    ``[2**-300, 2**300]``, so that no grid evaluation over- or underflows."""
+    e = _prescaled(np.abs(t.coeff))[1]
+    if e == 0:
+        return t, 0
+    return TrigPoly(t.degree, _complex(np.ldexp(t.coeff.real, -e), np.ldexp(t.coeff.imag, -e))), e
 
 
 def _norm_grid(degree, oversample: int = 8) -> tuple:
@@ -541,17 +574,20 @@ def nikolskii_ratio(t: TrigPoly, p, q) -> float:
     """Norm-gap ratio ``||t||_q / (||t||_p prod N^((1/p - 1/q)_+))``.
 
     Bounded over all polynomials of a given degree; degree-0 axes count
-    as ``N = 1``.
+    as ``N = 1``.  The norms are those of :func:`trig_lp_norm`, taken of
+    ``t`` moved into range by :func:`_scaled` (the ratio does not change
+    with scale): a ``(2, ..., 2)`` norm from the coefficients, any other
+    from one grid evaluation, made only when one of them needs it.
     """
     p = as_exponents(p)
     q = as_exponents(q)
     if not (p.d == q.d == t.d):
         raise ValidationError("dimension mismatch among t, p, q")
-    vals = t.values(_norm_grid(t.degree))
-    np_val = _grid_norm(vals, p)
+    t = _scaled(t)[0]
+    vals = None if _is_l2(p) and _is_l2(q) else t.values(_norm_grid(t.degree))
+    np_val, nq_val = (_l2_norm(t.coeff) if _is_l2(s) else _grid_norm(vals, s) for s in (p, q))
     if np_val == 0:
         raise ValidationError("zero polynomial has no norm ratio")
-    nq_val = _grid_norm(vals, q)
     gaps = [max(float(rp) - float(rq), 0.0) for rp, rq in zip(p.recip, q.recip)]
     return nq_val / (np_val * _degree_power(t.degree, gaps))
 
@@ -572,6 +608,7 @@ def bernstein_ratio(t: TrigPoly, r, alpha, p) -> float:
             raise ValidationError(
                 f"axis {j + 1}: phase must vanish where the order is zero"
             )
+    t = _scaled(t)[0]  # the ratio does not change with scale
     base = trig_lp_norm(t, p)
     if base == 0:
         raise ValidationError("zero polynomial has no norm ratio")
@@ -630,9 +667,15 @@ def _difference(spectra: list, h: float, axis: int, order: int, G: int) -> np.nd
     ``axis``, from the :func:`_half_spectra` of the samples: the multiplier
     ``(e^(i k h) - 1)^order`` on ``k = 0..G // 2``, then ``irfft``; real for
     one spectrum, complex for two."""
-    mult = (np.exp(1j * h * np.arange(G // 2 + 1)) - 1.0) ** order
+    mult = _difference_multiplier(np.arange(G // 2 + 1), h, order)
     parts = [np.fft.irfft(_along(spec, axis, mult), G, axis=axis) for spec in spectra]
     return parts[0] if len(parts) == 1 else _complex(*parts)
+
+
+def _difference_multiplier(k: np.ndarray, h: float, order: int) -> np.ndarray:
+    """``(e^(i k h) - 1)^order``: the multiplier of ``Delta_h^order`` at the
+    integer frequencies ``k``."""
+    return (np.exp(1j * h * k) - 1.0) ** order
 
 
 def _grid_norm(values: np.ndarray, p: ExponentVector) -> float:
@@ -664,23 +707,32 @@ def smoothness_margin(t: TrigPoly, r, p) -> float:
 
     ``l_j = floor(r_j) + 1`` and ``h`` runs over ``pi/3, pi/7, pi/16,
     pi/40``.  A value at most 1 witnesses membership in the smoothness
-    class on the sampled steps.  The norms are taken on the quadrature
-    grid of :func:`_norm_grid`, from one evaluation of ``t`` and one
-    ``rfft`` per axis (two for a complex ``t``: real and imaginary part)
-    for all four steps; each difference goes back through
-    :func:`_difference`.
+    class on the sampled steps.  The norms are those of
+    :func:`trig_lp_norm`, taken of ``t`` moved into range by :func:`_scaled`
+    and scaled back.  For ``p = (2, ..., 2)`` they come from the difference
+    coefficients ``c_k (e^(i k_j h) - 1)^(l_j)`` along axis ``j``, with no
+    grid.  Other exponents take them on the quadrature grid of
+    :func:`_norm_grid`, from one evaluation of ``t`` and one ``rfft`` per
+    axis (two for a complex ``t``: real and imaginary part) for all four
+    steps; each difference goes back through :func:`_difference`.
     """
     rr, p = _class_args(t, r, p)
-    grid = _norm_grid(t.degree)
-    vals = t.values(grid)
+    t, e = _scaled(t)
+    vals = None if _is_l2(p) else t.values(_norm_grid(t.degree))
     worst = 0.0
     for j, rj in enumerate(rr):
         lj = int(math.floor(float(rj))) + 1
-        spectra = _half_spectra(vals, j)
-        for h in _MARGIN_STEPS:
-            diff = _difference(spectra, h, j, lj, grid[j])
-            worst = max(worst, _grid_norm(diff, p) / float(h) ** float(rj))
-    return worst
+        if vals is None:
+            k = np.arange(-t.degree[j], t.degree[j] + 1)
+            diff = (_along(t.coeff, j, _difference_multiplier(k, h, lj)) for h in _MARGIN_STEPS)
+            norms = (_l2_norm(c) for c in diff)
+        else:
+            spectra = _half_spectra(vals, j)
+            diff = (_difference(spectra, h, j, lj, vals.shape[j]) for h in _MARGIN_STEPS)
+            norms = (_grid_norm(values, p) for values in diff)
+        for h, norm in zip(_MARGIN_STEPS, norms):
+            worst = max(worst, norm / float(h) ** float(rj))
+    return _ldexp(worst, e)
 
 
 @dataclass(frozen=True)

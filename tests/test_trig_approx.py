@@ -490,6 +490,53 @@ def test_bernstein_phase_hypothesis():
     assert val == pytest.approx(1.0, rel=1e-10)
 
 
+def _times_pow2(t, e):
+    return TrigPoly(t.degree, np.ldexp(t.coeff.real, e) + 1j * np.ldexp(t.coeff.imag, e))
+
+
+@st.composite
+def unit_polys(draw):
+    """A real or complex polynomial, d <= 2, whose largest coefficient
+    magnitude lies in [1/2, 1)."""
+    degree = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = TrigPoly.random_real(degree, rng)
+    if draw(st.booleans()):
+        t = TrigPoly(degree, t.coeff + 1j * rng.standard_normal(t.coeff.shape))
+    return _times_pow2(t, -math.frexp(float(np.abs(t.coeff).max()))[1])
+
+
+_NORM_EXPONENTS = (1, 1.5, 2, 3, 4, math.inf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    unit_polys(),
+    st.one_of(st.integers(-960, -301), st.integers(301, 1000)),
+    st.data(),
+)
+@example(_times_pow2(TrigPoly((2,), [1e307, 2e306, 3e307, 2e306, 1e307]), -1022), 1022, None)
+def test_norms_of_out_of_range_coefficients_scale_exactly(u, e, data):
+    # Coefficients beyond 2**+-300 are moved into range by a power of two
+    # before any transform.  The example's grid differences overflowed
+    # (RuntimeWarnings from rfft, then a non-finite refusal), and its
+    # order-3 Bernstein ratio read NaN.
+    t = _times_pow2(u, e)
+    d = u.d
+    if data is None:
+        p, q, r = (4,), (math.inf,), (1,)
+    else:
+        p, q, r = (
+            tuple(data.draw(st.sampled_from(choices)) for _ in range(d))
+            for choices in (_NORM_EXPONENTS, _NORM_EXPONENTS, (0.5, 1, 2, 3))
+        )
+    for p_ in (p, (2,) * d):
+        assert trig_lp_norm(t, p_) == math.ldexp(trig_lp_norm(u, p_), e)
+        assert smoothness_margin(t, r, p_) == math.ldexp(smoothness_margin(u, r, p_), e)
+        assert bernstein_ratio(t, r, (0,) * d, p_) == bernstein_ratio(u, r, (0,) * d, p_)
+    assert nikolskii_ratio(t, p, q) == nikolskii_ratio(u, p, q)
+
+
 # ---------------------------------------------------------------------------
 # finite differences and membership
 

@@ -12,9 +12,11 @@ from anisowidth import (
     Tensor,
     TrigPoly,
     ValidationError,
+    approximation_rate,
     mixed_norm,
     nikolskii_ratio,
     samples_to_trigpoly,
+    trig_lp_norm,
 )
 from anisowidth.mixed_norm import as_exponents
 from anisowidth.trig_approx import _degree_power, _grid_norm, _norm_grid, smoothness_margin
@@ -255,15 +257,33 @@ def _recording(monkeypatch, *names):
 
 @pytest.mark.parametrize("degree", [(6,), (5, 3), (2, 3, 1)])
 def test_smoothness_margin_takes_one_forward_transform_per_axis(monkeypatch, degree):
+    # p = 3: the grid route (a flat p = 2 takes no transform at all)
     t = TrigPoly.random_real(degree, np.random.default_rng(8))
     r = tuple(1.5 for _ in degree)
-    p = tuple(2 for _ in degree)
+    p = tuple(3 for _ in degree)
     want = smoothness_margin(t, r, p)
     passes = _recording(monkeypatch, "fft", "rfft")
     assert smoothness_margin(t, r, p) == want
     # one real forward transform over the whole grid per axis, none complex
     grid = _norm_grid(degree)
     assert [(name, length) for name, _, length in passes] == [("rfft", G) for G in grid]
+
+
+@pytest.mark.parametrize("degree", [(6,), (0, 4), (5, 3), (2, 3, 1)])
+def test_two_norms_take_no_transform(monkeypatch, degree):
+    # every norm with p = (2, ..., 2) comes from the coefficients
+    t = TrigPoly.random_real(degree, np.random.default_rng(11))
+    z = TrigPoly(degree, t.coeff + 1j * np.random.default_rng(12).standard_normal(t.coeff.shape))
+    two = (2,) * len(degree)
+    r = (1.5,) * len(degree)
+    passes = _recording(monkeypatch, "fft", "rfft", "ifft", "irfft")
+    for s in (t, z):
+        assert trig_lp_norm(s, two) > 0
+        assert smoothness_margin(s, r, two) > 0
+        assert nikolskii_ratio(s, two, two) == 1.0
+        approximation_rate(s, r, two, m_max=3, check_membership=False)
+    approximation_rate(t * (0.5 / smoothness_margin(t, r, two)), r, two, m_max=3)
+    assert passes == []
 
 
 def test_values_transform_only_the_band_lines(monkeypatch):

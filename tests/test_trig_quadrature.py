@@ -1,6 +1,7 @@
 """The quadrature of ``trig_lp_norm`` on its 5-smooth grid: exact where the
 integrand is a polynomial the grid resolves, within the grid bound for the
-maximum otherwise."""
+maximum otherwise; and the two-norms taken from the coefficients instead,
+which agree with the quadrature to a few ulps."""
 
 import math
 
@@ -8,8 +9,20 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anisowidth import Tensor, TrigPoly, mixed_norm, trig_lp_norm
-from anisowidth.trig_approx import _degree_power, _norm_grid
+from anisowidth import Tensor, TrigPoly, finite_difference, mixed_norm, trig_lp_norm
+from anisowidth.mixed_norm import as_exponents
+from anisowidth.trig_approx import (
+    _MARGIN_STEPS,
+    _degree_power,
+    _grid_norm,
+    _norm_grid,
+    smoothness_margin,
+)
+
+# Parseval's l2 sum and a quadrature of the grid values differ by the
+# rounding of the transforms: at most 5 ulps over 3,000 random draws of
+# the kind below.
+ULPS = 8 * 2.0**-52
 
 
 def old_grid_norm(t, p, oversample):
@@ -22,6 +35,18 @@ def old_grid_norm(t, p, oversample):
     values = np.fft.ifftn(spec) * math.prod(grid)
     raw = mixed_norm(Tensor.from_array(np.abs(values)), p)
     return raw * _degree_power(grid, [-1.0 / pj for pj in p])
+
+
+def grid_margin(t, r):
+    """``smoothness_margin(t, r, (2, ..., 2))`` by quadrature: each
+    difference of the values on the grid of ``trig_lp_norm``, normed there."""
+    two = as_exponents((2,) * t.d)
+    values = t.values(_norm_grid(t.degree))
+    return max(
+        _grid_norm(finite_difference(values, h, j + 1, math.floor(rj) + 1), two) / h**rj
+        for j, rj in enumerate(r)
+        for h in _MARGIN_STEPS
+    )
 
 
 @st.composite
@@ -93,3 +118,17 @@ def test_the_grid_maximum_is_within_the_grid_bound(t, oversample):
     dense_max = float(np.abs(t.values((32 * G,))).max())
     assert dense_max * math.cos(math.pi * N / G) <= grid_max * (1 + 1e-13)
     assert grid_max <= dense_max * (1 + 1e-13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials(), st.data())
+@example(TrigPoly((0, 0), [[1.5 - 2j]]), None)
+def test_two_norms_from_coefficients_agree_with_the_quadrature(t, data):
+    two = (2,) * t.d
+    want = old_grid_norm(t, two, 8)
+    assert abs(trig_lp_norm(t, two) - want) <= ULPS * want
+    r = (1.5,) * t.d
+    if data is not None:
+        r = tuple(data.draw(st.sampled_from((0.5, 1, 1.5, 2, 2.5, 3.2))) for _ in two)
+    want = grid_margin(t, r)
+    assert abs(smoothness_margin(t, r, two) - want) <= ULPS * want
