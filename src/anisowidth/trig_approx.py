@@ -22,6 +22,7 @@ input yields NaN.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -523,19 +524,26 @@ def _is_l2(p: ExponentVector) -> bool:
 def _l2_norm(coeff: np.ndarray) -> float:
     """By Parseval, the L2 norm with normalized measure of the polynomial
     with coefficients ``coeff``: their l2 norm, under the range policy of
-    :func:`anisowidth.mixed_norm.mixed_norm`."""
-    arr, e = _prescaled(np.abs(coeff).ravel())
-    return _ldexp(float(_magnitude_norm(arr, _FLAT_2)), e)
+    :func:`anisowidth.mixed_norm.mixed_norm` (inf where it overflows)."""
+    coeff, e = _prescaled_parts(coeff)
+    return _ldexp(float(_magnitude_norm(np.abs(coeff).ravel(), _FLAT_2)), e)
 
 
 def _scaled(t: TrigPoly) -> tuple:
-    """``(t * 2**-e, e)`` with ``e`` chosen by :func:`_prescaled` from the
-    coefficient magnitudes: ``t`` itself when the largest lies in
-    ``[2**-300, 2**300]``, so that no grid evaluation over- or underflows."""
-    e = _prescaled(np.abs(t.coeff))[1]
-    if e == 0:
-        return t, 0
-    return TrigPoly(t.degree, _complex(np.ldexp(t.coeff.real, -e), np.ldexp(t.coeff.imag, -e))), e
+    """``(t * 2**-e, e)`` with ``e`` from :func:`_prescaled_parts`: ``t``
+    itself when its largest part lies in ``[2**-300, 2**300]``, so that no
+    grid evaluation over- or underflows."""
+    coeff, e = _prescaled_parts(t.coeff)
+    return (t, 0) if e == 0 else (TrigPoly(t.degree, coeff), e)
+
+
+def _prescaled_parts(coeff: np.ndarray) -> tuple:
+    """``(coeff * 2**-e, e)`` with ``e`` chosen by :func:`_prescaled` from
+    the real and imaginary parts of ``coeff``.  The scale is picked before
+    any magnitude is taken, so a finite coefficient whose magnitude exceeds
+    the float range is scaled, not refused as non-finite."""
+    parts, e = _prescaled(np.ascontiguousarray(coeff, dtype=complex).view(np.float64))
+    return parts.view(complex), e
 
 
 def _norm_grid(degree, oversample: int = 8) -> tuple:
@@ -707,9 +715,10 @@ def smoothness_margin(t: TrigPoly, r, p) -> float:
 
     ``l_j = floor(r_j) + 1`` and ``h`` runs over ``pi/3, pi/7, pi/16,
     pi/40``.  A value at most 1 witnesses membership in the smoothness
-    class on the sampled steps.  The norms are those of
-    :func:`trig_lp_norm`, taken of ``t`` moved into range by :func:`_scaled`
-    and scaled back.  For ``p = (2, ..., 2)`` they come from the difference
+    class on the sampled steps.  An order ``r_j`` for which ``(pi/40)**r_j``
+    is below the normal float range is refused with ``ValidationError``.
+    The norms are those of :func:`trig_lp_norm`, taken of ``t`` moved into
+    range by :func:`_scaled` and scaled back.  For ``p = (2, ..., 2)`` they come from the difference
     coefficients ``c_k (e^(i k_j h) - 1)^(l_j)`` along axis ``j``, with no
     grid.  Other exponents take them on the quadrature grid of
     :func:`_norm_grid`, from one evaluation of ``t`` and one ``rfft`` per
@@ -717,6 +726,15 @@ def smoothness_margin(t: TrigPoly, r, p) -> float:
     steps; each difference goes back through :func:`_difference`.
     """
     rr, p = _class_args(t, r, p)
+    for j, rj in enumerate(rr):
+        # The finest step's power must stay a normal float: above r_j of
+        # about 278.4 it is not, and from about 292.6 on it is 0, so the
+        # quotient below would divide by 0.
+        if _MARGIN_STEPS[-1] ** float(rj) < sys.float_info.min:
+            raise ValidationError(
+                f"smoothness order r_{j} = {rj} is too large: (pi/40)**r_{j} "
+                "is below the normal float range"
+            )
     t, e = _scaled(t)
     vals = None if _is_l2(p) else t.values(_norm_grid(t.degree))
     worst = 0.0

@@ -15,16 +15,21 @@ functional of a point's residual, projected onto the orthogonal complement of
 the subspace, pairs with the point to at most the distance times its dual
 norm (Holder's inequality for mixed norms, Benedek & Panzone 1961; duality
 for best approximation, Singer 1970).  The exact evaluation uses these
-certified per-point bounds to skip solves and polishes whose result cannot
-change the reported value (:func:`_evaluate_exact`).  :func:`width_upper`
+certified per-point bounds to skip solves, points and polishes whose result
+cannot change the reported value (:func:`_evaluate_exact`).  :func:`width_upper`
 evaluates its candidate bases best-first, by that bound at each basis's
 least-squares start, so the running cutoff falls early; its tie rule keeps
 the result of the fixed order bit for bit.
 
+Each stage stops once its outcome is settled, and every output bit stays
+the same.  Tracked values never rise, so a descent's closing solve drops a
+basis as soon as it beats its best iterate (:func:`_descend`), and the exact
+evaluation solves only the points that can reach the maximum.  A polish is
+skipped, or stops after its first Powell start, once the point's value is
+at most a value that another point reaches.
+
 Lower estimates are exact closed forms from corner-block hulls
-(:func:`width_lower_vset`, :func:`anisowidth.ball_widths.vset_l2_lower`) and
-an independent Euclidean dual route (:func:`point_set_lower_q2`, mirror
-ascent on point weights, any iterate certifies).
+(:func:`width_lower_vset`, :func:`anisowidth.ball_widths.vset_l2_lower`).
 
 Everything is deterministic for a fixed :class:`OracleConfig`.
 """
@@ -75,10 +80,8 @@ __all__ = [
     "OracleConfig",
     "SubspaceCandidate",
     "harmonic_frame",
-    "distance_to_subspace",
     "WidthEstimate",
     "width_upper",
-    "point_set_lower_q2",
     "width_lower_vset",
     "SandwichReport",
     "sandwich_report",
@@ -193,20 +196,44 @@ def _flat_functional(Y: np.ndarray, K: int, nb: int) -> np.ndarray:
     return Y.transpose((*range(1, nb + 1), 0, nb + 1))
 
 
-def _inner_solve(X, B, q, shape, C0, iters):
+def _inner_solve(X, B, q, shape, C0, iters, below=None):
     """Approximate per-point best-approximation coefficients, batched.
 
     Subgradient descent with best-value tracking; the Euclidean projection
     is the starting point, so for flat q = 2 this is already exact.  Each
-    basis of a batch gives exactly what it gives alone.
+    basis of a batch gives exactly what it gives alone.  Each point of a
+    subset of the points gives what it gives in the full set when the
+    subset has at least two points and ``B`` at least two columns; one
+    point or one column makes the products with ``B`` or ``B^T``
+    matrix-vector (BLAS gemv), whose bits for one point depend on the
+    others.
+
+    ``below``, one value per basis of an ``(S, K, n)`` stack, is for a
+    caller that asks only whether each basis's largest value ends below
+    its entry.  A basis leaves the batch at the first step where its
+    largest tracked value is below its entry, and its tracked coefficients
+    and values at that step are returned.  Tracked values never rise, so
+    the full solve would end below the entry too.  The bases that stay run
+    every iteration with their own bits.
     """
     C = _times(B, X.T, True) if C0 is None else C0
     if _is_flat_two(q):
         return C, _mixed_norm_array(_batch_residual(X, B, C, shape), q)
     best_C = C
     best_f = np.full(C.shape[:-2] + (X.shape[0],), math.inf)
+    if below is not None:
+        live = np.arange(len(below))
+        out_C, out_f = np.empty(C.shape), np.empty(best_f.shape)
     step = 1.0
     for _ in range(iters):
+        if below is not None:
+            keep = best_f.max(axis=1) >= below[live]
+            if not keep.all():
+                out_C[live], out_f[live] = best_C, best_f
+                live, B, C = live[keep], B[keep], C[keep]
+                best_C, best_f = best_C[keep], best_f[keep]
+                if not live.size:
+                    return out_C, out_f
         f, Y = _norming_array(_batch_residual(X, B, C, shape), q)
         improved = f < best_f
         best_f = np.where(improved, f, best_f)
@@ -220,14 +247,25 @@ def _inner_solve(X, B, q, shape, C0, iters):
     improved = f < best_f
     best_f = np.where(improved, f, best_f)
     best_C = np.where(improved[..., None, :], C, best_C)
-    return best_C, best_f
+    if below is None:
+        return best_C, best_f
+    out_C[live], out_f[live] = best_C, best_f
+    return out_C, out_f
 
 
 def _is_flat_two(q: ExponentVector) -> bool:
     return all(r == _HALF for r in q.recip)
 
 
-def _polish_point(x_flat, B, q, shape, c0):
+def _polish_point(x_flat, B, q, shape, c0, floor=-math.inf):
+    """Powell's method from ``c0`` and then from 0: ``(value, c)``, the
+    least value found, which is never above ``c0``'s, and its coefficients.
+
+    The second start is skipped once the value is at most ``floor``, a
+    value that the caller knows some other point's value reaches (see
+    :func:`_evaluate_exact`).  From then on this point cannot set the
+    maximum, so a lower value would not change it.
+    """
     # Imported here: scipy.optimize is most of the package's import time and
     # only this polish needs it.
     from scipy.optimize import minimize
@@ -247,37 +285,9 @@ def _polish_point(x_flat, B, q, shape, c0):
         if res.fun < best:
             best = float(res.fun)
             best_c = res.x
+        if best <= floor:
+            break
     return best, best_c
-
-
-def distance_to_subspace(x: Tensor, L, q) -> float:
-    """Best-approximation distance of ``x`` from the span of ``L`` in ``q``.
-
-    Exact least squares for flat q = 2; otherwise a derivative-free polish
-    from the Euclidean projection (and from zero), so the result is an upper
-    value that meets the true distance to within the solver tolerance on
-    desk-scale problems.  ``L`` may be a SubspaceCandidate or a (dim x n)
-    array; ``n = 0`` returns the norm itself.  Data are rescaled under the
-    range policy of :func:`mixed_norm`, so on data whose largest magnitude
-    lies outside ``[2**-300, 2**300]`` the result is exact under
-    power-of-two scaling.
-    """
-    q = as_exponents(q)
-    B = L.basis if isinstance(L, SubspaceCandidate) else np.asarray(L, dtype=float)
-    if B.ndim != 2 or B.shape[0] != x.size:
-        raise ValidationError(
-            f"basis shape {B.shape} incompatible with tensor size {x.size}"
-        )
-    if q.d != x.d:
-        raise ValidationError("exponent vector and tensor dimension mismatch")
-    if B.shape[1] == 0:
-        return mixed_norm(x, q)
-    xs, e = _prescaled(x.data)
-    c0, *_ = np.linalg.lstsq(B, xs, rcond=None)
-    if _is_flat_two(q):
-        return _ldexp(float(np.linalg.norm(xs - B @ c0)), e)
-    val, _ = _polish_point(xs, B, q, x.shape, c0)
-    return _ldexp(val, e)
 
 
 @dataclass
@@ -312,6 +322,13 @@ def _descend(X, B0, q, shape, cfg):
     each gives exactly the basis it gives alone.  Until the first retraction
     each start is used as laid out (see :func:`_times`), and a start that no
     iterate beats is returned itself, as a lone descent returns it.
+
+    The closing 60-iteration solve only decides whether the last basis beats
+    the best iterate, so it takes the best values as ``below`` (see
+    :func:`_inner_solve`): a basis stops once its largest tracked value is
+    under its best value.  Only the bases that never get there run all 60
+    iterations, and every decision, so every returned basis, is the one the
+    full solve gives.
     """
     starts = list(B0)
     B = np.stack(starts)
@@ -337,7 +354,7 @@ def _descend(X, B0, q, shape, cfg):
         eta = (0.5 / (1.0 + it / 8.0)) * math.sqrt(n) / gn
         B, _ = np.linalg.qr(B + eta[:, None, None] * G)
         C = _times(B, X.T, True)
-    _, f = _inner_solve(X, B, q, shape, None, iters=60)
+    _, f = _inner_solve(X, B, q, shape, None, iters=60, below=best_val)
     improved = f.max(axis=1) < best_val
     return [b if up else old for b, up, old in zip(B, improved, best_B)]
 
@@ -404,12 +421,27 @@ def _evaluate_exact(X, B, q, shape, C, start, cutoff) -> float:
     smaller of that and its polish) is at least the point's true distance,
     and :func:`_dual_lower` gives certified bounds ``L_j`` at most the true
     distances; its margins (``_DUAL_RTOL`` and the rounding terms) are far
-    above the rounding of the values it is compared with.  Two prunes
-    follow, and neither moves a returned value:
+    above the rounding of the values it is compared with.  So the point
+    that set ``start`` keeps every value at or above ``start``, and so does
+    the result.  These exits follow, and none moves a returned value:
 
-    - A top point ``i`` whose solved value is at most ``max_(j != i) L_j``
-      is not polished: its value, polished or not, is at most point ``j``'s,
+    - Points solved: for ``n >= 2`` only the points whose value at ``C``
+      reaches ``start`` enter the solve, and at least two (see
+      :func:`_inner_solve`; for ``n = 1`` every point does).  A point left
+      out is below ``start`` at ``C`` and tracked values never rise, so it
+      would end below ``start``, polished or not, and cannot set the
+      maximum.  Each solved point gets the bits it gets in the full batch,
+      so the polished top and the seventh value, where they can set the
+      maximum, are the same.  The ``L_j`` below are those of the solved
+      points.
+    - A top point ``i`` whose solved value is at most ``max(bound, max_(j !=
+      i) L_j)`` is not polished, where ``bound`` is the running maximum of
+      the values already settled and of the largest value outside the
+      polished top: its value, polished or not, is at most another point's,
       so it cannot set the maximum and the full result is bit-identical.
+    - A polish skips its second Powell start once its first brings the
+      value to at most that same floor (see :func:`_polish_point`), for the
+      same reason.
     - Cutoff contract: the caller uses the result only in the test
       ``result < cutoff``.  The full result is at least every ``L_j``, and a
       polish can only lower a point's value, so the maximum of the ``L_j``,
@@ -427,6 +459,10 @@ def _evaluate_exact(X, B, q, shape, C, start, cutoff) -> float:
         return float(np.sqrt((R * R).sum(axis=0)).max())
     if start >= cutoff:
         return start
+    if B.shape[1] > 1 and X.shape[0] > 2:
+        f0 = _mixed_norm_array(_batch_residual(X, B, C, shape), q)
+        near = np.flatnonzero(f0 >= min(start, np.partition(f0, -2)[-2]))
+        X, C = X[near], C[:, near]
     C, f = _inner_solve(X, B, q, shape, C, iters=120)
     L = _dual_lower(X, B, q, shape, C)
     # max_(j != i) L_j is the largest bound, or the second largest at its owner.
@@ -439,8 +475,9 @@ def _evaluate_exact(X, B, q, shape, C, start, cutoff) -> float:
         if max(bound, lower) >= cutoff:
             return max(bound, lower)
         val = float(f[i])
-        if val > (second if i == lead else lower):
-            val = min(val, _polish_point(X[i], B, q, shape, C[:, i])[0])
+        floor = max(bound, second if i == lead else lower)
+        if val > floor:
+            val = min(val, _polish_point(X[i], B, q, shape, C[:, i], floor)[0])
         bound = max(bound, val)
     return bound
 
@@ -517,39 +554,6 @@ def width_upper(
         witness=SubspaceCandidate(cands[best_i]),
         iterations=cfg.outer_iterations * len(inits),
     )
-
-
-# mirror-ascent steps of point_set_lower_q2
-_MIRROR_STEPS = 150
-
-
-def point_set_lower_q2(points: Sequence[Tensor], n: int) -> float:
-    """Certified Euclidean lower bound for the hull width of ``points``.
-
-    Mirror ascent on a weight vector over the points; for any weights the
-    sum of the smallest ``dim - n`` eigenvalues of the weighted second
-    moment lower-bounds the squared width, so the best iterate certifies.
-    The points are rescaled under the range policy of :func:`mixed_norm` and
-    the bound is scaled back, exact under power-of-two scaling of points
-    whose largest magnitude lies outside ``[2**-300, 2**300]``.
-    """
-    X, _, n, e = _stack_points(points, n)
-    P, K = X.shape
-    if n == K:
-        return 0.0
-    w = np.full(P, 1.0 / P)
-    best = 0.0
-    for t in range(_MIRROR_STEPS):
-        M = (X.T * w) @ X
-        vals, vecs = np.linalg.eigh(M)
-        tail = float(vals[: K - n].sum())
-        best = max(best, tail)
-        V = vecs[:, K - n :]
-        g = (X * X).sum(axis=1) - ((X @ V) ** 2).sum(axis=1)
-        gmax = max(float(np.abs(g).max()), 1e-30)
-        w = w * np.exp((1.0 / math.sqrt(1.0 + t)) * g / gmax)
-        w /= w.sum()
-    return _ldexp(math.sqrt(max(best, 0.0)), e)
 
 
 def width_lower_vset(v: VSet, n: int, q) -> float:

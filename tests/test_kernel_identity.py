@@ -8,6 +8,9 @@ The oracle's polish cutoff and its dual-bound prunes are held to the same
 standard: ``width_upper`` must give exactly what the loop that polishes every
 top point gives, with no more solves or polishes than the cutoff alone ran,
 and its best-first order exactly what the fixed order gives, with fewer.
+Its certified early exits are too: ``_evaluate_exact`` must give exactly
+what its version without them gives, below the cutoff, with fewer points
+solved and fewer Powell starts.
 """
 
 import functools
@@ -17,7 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.optimize
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -29,6 +33,7 @@ from anisowidth import (
     Tensor,
     ValidationError,
     as_exponents,
+    lower_bound_plan,
     mixed_norm,
     norming_functional,
     sandwich_report,
@@ -44,6 +49,7 @@ from anisowidth.width_oracle import (
     _evaluate_exact,
     _inner_solve,
     _is_flat_two,
+    _orbit_points,
     _polish_point,
     _stack_points,
     harmonic_frame,
@@ -344,6 +350,120 @@ def test_lockstep_starts_keep_their_lone_bits(data):
             assert np.array_equal(C_s, C_lone) and np.array_equal(f_s, f_lone)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_inner_solve_keeps_each_points_bits_on_a_column_subset(data):
+    # _evaluate_exact solves only the points whose start value reaches its
+    # start bound, at least two, as the columns picked from the least-squares
+    # start, and only for n >= 2.  Size 1, and every size below P at n = 1,
+    # make the products with B or B^T matrix-vector (BLAS gemv), whose bits
+    # for one point depend on the other points: under OpenBLAS's SkylakeX
+    # kernel they differ, so only the full set is compared there.  The
+    # strided basis is laid out as width_upper's eigenbasis start.
+    q = as_exponents(data.draw(st.sampled_from([(Fraction(3, 2),), (4,), (4, 2)])))
+    shape = (5,) if q.d == 1 else (3, 2)
+    K = math.prod(shape)
+    n = data.draw(st.one_of(st.just(1), st.integers(2, K - 1)))
+    P = data.draw(st.integers(8, 24))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((P, K))
+    B = np.linalg.eigh(X.T @ X)[1][:, ::-1][:, :n]
+    if data.draw(st.booleans()):
+        B = np.linalg.qr(rng.standard_normal((K, n)))[0]
+    C = np.linalg.lstsq(B, X.T, rcond=None)[0]
+    full_C, full_f = _inner_solve(X, B, q, shape, C, iters=120)
+    for size in (2, 7, P) if n > 1 else (P,):
+        near = np.sort(rng.choice(P, size, replace=False))
+        sub_C, sub_f = _inner_solve(X[near], B, q, shape, C[:, near], iters=120)
+        assert np.array_equal(sub_C, full_C[:, near]), size
+        assert np.array_equal(sub_f, full_f[near]), size
+
+
+def _reference_evaluate_exact(X, B, q, shape, C, start, cutoff) -> float:
+    """``_evaluate_exact`` before its certified early exits: a verbatim copy
+    of that version, kept as the reference for its value and for the number
+    of points solved and Powell starts run.  It solves every point and runs
+    both Powell starts of each polish."""
+    if _is_flat_two(q):
+        R = X.T - B @ C
+        return float(np.sqrt((R * R).sum(axis=0)).max())
+    if start >= cutoff:
+        return start
+    C, f = _inner_solve(X, B, q, shape, C, iters=120)
+    L = _dual_lower(X, B, q, shape, C)
+    # max_(j != i) L_j is the largest bound, or the second largest at its owner.
+    lead = int(np.argmax(L))
+    lower = float(L[lead])
+    second = float(np.delete(L, lead).max()) if L.size > 1 else -math.inf
+    order = np.argsort(f)[::-1]
+    bound = float(f[order[_POLISH_TOP]]) if f.size > _POLISH_TOP else -math.inf
+    for i in order[:_POLISH_TOP]:
+        if max(bound, lower) >= cutoff:
+            return max(bound, lower)
+        val = float(f[i])
+        if val > (second if i == lead else lower):
+            val = min(val, _polish_point(X[i], B, q, shape, C[:, i])[0])
+        bound = max(bound, val)
+    return bound
+
+
+def _assert_evaluation_matches_reference(X, B, q, shape):
+    """At cutoffs around the reference value: the same float wherever the
+    reference value is below the cutoff, a value at or above it elsewhere."""
+    C = np.linalg.lstsq(B, X.T, rcond=None)[0]
+    start = float(_dual_lower(X, B, q, shape, C).max())
+    full = _reference_evaluate_exact(X, B, q, shape, C, start, math.inf)
+    cutoffs = [math.inf, math.nextafter(full, math.inf), full, (start + full) / 2, start]
+    for cutoff in cutoffs:
+        val = _evaluate_exact(X, B, q, shape, C, start, cutoff)
+        if full < cutoff:
+            assert val == full, (cutoff, val, full)
+        else:
+            assert val >= cutoff, (cutoff, val, full)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([(Fraction(3, 2),), (4,), (1,), (4, 2)]),
+    st.integers(1, 5),
+    # Sets of at most 7 points leave no unpolished seventh value.
+    st.one_of(st.integers(1, 7), st.just(30)),
+    st.integers(0, 2**32 - 1),
+)
+# One point reaches the start bound: solved alone, its value would move.
+@example((4, 2), 4, 30, 0)
+# n = 1: solved apart from the others, the points that reach it would move.
+@example((4,), 1, 30, 2)
+def test_early_exits_keep_the_evaluation(q, n, P, seed):
+    q = as_exponents(q)
+    shape = (4,) if q.d == 1 else (3, 2)
+    K = math.prod(shape)
+    assume(n < K)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((P, K))
+    B = np.linalg.qr(rng.standard_normal((K, n)))[0]
+    _assert_evaluation_matches_reference(X, B, q, shape)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_early_exits_keep_the_evaluation_on_a_tied_orbit(n):
+    # The 64 corner-block points of ((4, 4), n, (4, 4)), the sandwich slot
+    # with the widest bracket at n = 1: from the harmonic frame and the
+    # eigenbasis, whole orbits of points share one value.
+    prob = BallProblem(k=(4, 4), n=n, p=(1.25, 1.75), q=(4, 4))
+    points = _orbit_points(prob.k, lower_bound_plan(prob).s, 256)
+    assert len(points) == 64
+    X = np.stack([Tensor.from_array(x).data for x in points])
+    K, n = X.shape[1], prob.n
+    bases = [
+        harmonic_frame(K, n),
+        np.linalg.eigh(X.T @ X)[1][:, ::-1][:, :n],
+        np.linalg.qr(np.random.default_rng(5).standard_normal((K, n)))[0],
+    ]
+    for B in bases:
+        _assert_evaluation_matches_reference(X, B, prob.q, prob.k)
+
+
 def _full_polish_value(X, B, q, shape):
     """The oracle's exact evaluation with no cutoff: all six top points polished."""
     C = np.linalg.lstsq(B, X.T, rcond=None)[0]
@@ -455,20 +575,28 @@ ORACLE_CFG = OracleConfig(restarts=2, outer_iterations=10)
 
 
 @functools.lru_cache(maxsize=None)
-def _counted_width_upper(shape, n, q, extra, cutoff_only, fixed_order=False):
-    """``width_upper`` on the case's points with its polishes, 120-iteration
-    solves and dual bounds counted, run with the cutoff-only evaluation or the
+def _counted_width_upper(shape, n, q, extra, evaluate=None, fixed_order=False):
+    """``width_upper`` on the case's points with its polishes, Powell starts,
+    120-iteration solves, the points entering them and its dual bounds
+    counted, run with the reference evaluation ``evaluate`` or, for None, the
     current one, best-first or in the fixed order."""
     points = _unit_vectors_and_l1_points(shape, extra, seed=n)
-    counts = {"polish": 0, "solve": 0, "dual": 0}
+    counts = {"polish": 0, "powell": 0, "solve": 0, "solved_points": 0, "dual": 0}
     real_polish, real_solve, real_dual = _polish_point, _inner_solve, _dual_lower
+    real_minimize = scipy.optimize.minimize
 
     def polish(*args):
         counts["polish"] += 1
         return real_polish(*args)
 
+    def minimize(*args, **kwargs):
+        counts["powell"] += 1
+        return real_minimize(*args, **kwargs)
+
     def solve(*args, **kwargs):
-        counts["solve"] += kwargs.get("iters") == 120
+        if kwargs.get("iters") == 120:
+            counts["solve"] += 1
+            counts["solved_points"] += len(args[0])
         return real_solve(*args, **kwargs)
 
     def dual(*args):
@@ -476,13 +604,15 @@ def _counted_width_upper(shape, n, q, extra, cutoff_only, fixed_order=False):
         return real_dual(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        # The copy above resolves its helpers in this module, the library in its own.
+        # The copies above resolve their helpers in this module, the library
+        # in its own; the polish imports minimize from scipy.optimize per call.
         for module in (width_oracle, sys.modules[__name__]):
             mp.setattr(module, "_polish_point", polish)
             mp.setattr(module, "_inner_solve", solve)
             mp.setattr(module, "_dual_lower", dual)
-        if cutoff_only:
-            mp.setattr(width_oracle, "_evaluate_exact", _cutoff_only_evaluate_exact)
+        mp.setattr(scipy.optimize, "minimize", minimize)
+        if evaluate is not None:
+            mp.setattr(width_oracle, "_evaluate_exact", evaluate)
         run = _fixed_order_width_upper if fixed_order else width_upper
         est = run(points, n, q, ORACLE_CFG)
     return est, counts
@@ -494,30 +624,44 @@ def test_polish_cutoff_keeps_width_upper_exact(shape, n, q, extra):
     value, basis, iterations, full_polishes = _full_polish_width_upper(
         points, n, q, ORACLE_CFG
     )
-    runs = {c: _counted_width_upper(shape, n, q, extra, c) for c in (True, False)}
+    evaluations = (_cutoff_only_evaluate_exact, _reference_evaluate_exact, None)
+    runs = {e: _counted_width_upper(shape, n, q, extra, e) for e in evaluations}
     for est, counts in runs.values():
         assert est.value == value
         assert est.iterations == iterations
         assert np.array_equal(est.witness.basis, basis)
         assert counts["polish"] < full_polishes
-    reference, counts = runs[True][1], runs[False][1]
+    reference, counts = runs[_cutoff_only_evaluate_exact][1], runs[None][1]
     assert counts["polish"] <= reference["polish"]
     assert counts["solve"] <= reference["solve"]
+    reference = runs[_reference_evaluate_exact][1]
+    assert counts["solve"] == reference["solve"]
+    assert counts["solved_points"] <= reference["solved_points"]
+    assert counts["powell"] <= reference["powell"]
 
 
 def test_dual_bounds_prune_solves_and_polishes():
-    totals = {True: np.zeros(2, dtype=int), False: np.zeros(2, dtype=int)}
+    totals = {e: np.zeros(2, dtype=int) for e in (_cutoff_only_evaluate_exact, None)}
     for case in PRUNING_CASES:
-        for cutoff_only in (True, False):
-            counts = _counted_width_upper(*case, cutoff_only)[1]
-            totals[cutoff_only] += (counts["polish"], counts["solve"])
-    assert (totals[False] < totals[True]).all(), totals
+        for evaluate in totals:
+            counts = _counted_width_upper(*case, evaluate)[1]
+            totals[evaluate] += (counts["polish"], counts["solve"])
+    assert (totals[None] < totals[_cutoff_only_evaluate_exact]).all(), totals
+
+
+def test_early_exits_cut_solved_points_and_powell_starts():
+    totals = {e: np.zeros(2, dtype=int) for e in (_reference_evaluate_exact, None)}
+    for case in PRUNING_CASES:
+        for evaluate in totals:
+            counts = _counted_width_upper(*case, evaluate)[1]
+            totals[evaluate] += (counts["solved_points"], counts["powell"])
+    assert (totals[None] < totals[_reference_evaluate_exact]).all(), totals
 
 
 def test_best_first_order_keeps_the_result_with_fewer_solves_and_polishes():
     totals = {True: np.zeros(2, dtype=int), False: np.zeros(2, dtype=int)}
     for case in PRUNING_CASES:
-        runs = {f: _counted_width_upper(*case, False, fixed_order=f) for f in (True, False)}
+        runs = {f: _counted_width_upper(*case, None, f) for f in (True, False)}
         reference, est = runs[True][0], runs[False][0]
         assert est.value == reference.value
         assert est.iterations == reference.iterations
@@ -532,5 +676,5 @@ def test_each_candidate_takes_its_start_bound_once():
     # its key; every other bound is taken after a 120-iteration solve.
     candidates = 2 * (2 + ORACLE_CFG.restarts)
     for case in PRUNING_CASES:
-        counts = _counted_width_upper(*case, False)[1]
+        counts = _counted_width_upper(*case, None)[1]
         assert counts["dual"] == candidates + counts["solve"], (case, counts)

@@ -454,6 +454,30 @@ def test_norm_sup_exponent():
     assert trig_lp_norm(t, (math.inf,)) == pytest.approx(1.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("p", [(2,), (4,)], ids=["parseval", "grid"])
+def test_norm_beyond_the_float_range_is_inf(p):
+    # The coefficient is finite but its magnitude is not: both routes pick
+    # their power-of-two scale from the parts and report inf, as mixed_norm
+    # does for a norm that overflows.
+    assert trig_lp_norm(TrigPoly((1,), [0, 1.5e308 + 1.5e308j, 0]), p) == math.inf
+    wave = TrigPoly((1,), [0, 0, 1.5e308 + 1.5e308j])
+    assert smoothness_margin(wave, (0.5,), p) == math.inf
+    half = TrigPoly((1,), [0, 0, 0.75e308 + 0.75e308j])
+    assert trig_lp_norm(half, p) == pytest.approx(math.hypot(0.75e308, 0.75e308))
+
+
+@pytest.mark.parametrize("r, j", [((300,), 0), ((1e6,), 0), ((1, 278.5), 1)])
+def test_smoothness_margin_refuses_orders_whose_finest_step_power_underflows(r, j):
+    # (pi/40)**r_j below the normal range: 0 at r = 300 made the margin's
+    # quotient raise ZeroDivisionError, and r = 1e6 overflowed the
+    # difference multiplier first.
+    t = TrigPoly.random_real((4,) * len(r), np.random.default_rng(1))
+    for p in ((2,) * len(r), (4,) * len(r)):
+        with pytest.raises(ValidationError, match=f"r_{j} = "):
+            smoothness_margin(t, r, p)
+    assert smoothness_margin(t, (278,) * len(r), (2,) * len(r)) > 0
+
+
 def test_nikolskii_constant_and_top_harmonic():
     const = TrigPoly.from_coeff_dict((1,), {(0,): 3.0})
     assert nikolskii_ratio(const, (1,), (2,)) == pytest.approx(1.0, rel=1e-12)
