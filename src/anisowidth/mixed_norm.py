@@ -248,8 +248,9 @@ def _reduce_axis0(a: np.ndarray, step: tuple) -> np.ndarray:
     if kind == "two":
         return np.sqrt((a * a).sum(axis=0))
     m = a.max(axis=0)
-    # m == 0 only on an all-zero fibre, which divides to 0 by 1 as well.
-    scaled = a / np.where(m > 0, m, 1.0)
+    # m == 0 only on an all-zero fibre, which divides to 0 by the least
+    # subnormal as well; every other m is at least that subnormal.
+    scaled = a / np.maximum(m, 5e-324)
     return m * np.power(scaled, pf, out=scaled).sum(axis=0) ** (1.0 / pf)
 
 
@@ -341,9 +342,9 @@ def _norming_array(arr: np.ndarray, p: ExponentVector) -> tuple:
             np.put_along_axis(w, idx, 1.0, axis=0)
         else:
             # A "sum" or "pow" norm is at least the fibre's maximum, so there
-            # cur == 0 only on an all-zero fibre; a "two" norm can be 0 over
-            # nonzero entries whose squares underflowed.
-            w = np.divide(prev, np.where(cur > 0, cur, 1.0))
+            # cur == 0 only on an all-zero fibre, which divides to 0; a "two"
+            # norm can be 0 over nonzero entries whose squares underflowed.
+            w = np.divide(prev, np.maximum(cur, 5e-324))
             if kind == "two":
                 np.copyto(w, 0.0, where=cur == 0)
             np.power(w, pf - 1.0, out=w)

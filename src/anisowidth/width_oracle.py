@@ -24,9 +24,18 @@ the result of the fixed order bit for bit.
 Each stage stops once its outcome is settled, and every output bit stays
 the same.  Tracked values never rise, so a descent's closing solve drops a
 basis as soon as it beats its best iterate (:func:`_descend`), and the exact
-evaluation solves only the points that can reach the maximum.  A polish is
+evaluation, for every subspace dimension, solves only the points that can
+reach the maximum.  Those points keep their bits because BLAS gives a
+column of a product bits that depend on the column's own entries and its
+position, not on the other columns: the products with ``B^T`` are taken at
+full width over zero columns for the points left out, which matters where a
+one-column basis makes them matrix-vector (BLAS gemv), and a one-column
+``B C`` is an exact outer product (:func:`_inner_solve`).  A polish is
 skipped, or stops after its first Powell start, once the point's value is
-at most a value that another point reaches.
+at most a value that another point reaches.  No kernel pass is taken twice:
+a descent step takes its norming functionals from its solve's last pass,
+and an evaluation takes its start values from the pass that gave its start
+bound.
 
 Lower estimates are exact closed forms from corner-block hulls
 (:func:`width_lower_vset`, :func:`anisowidth.ball_widths.vset_l2_lower`).
@@ -56,7 +65,6 @@ from .mixed_norm import (
     Tensor,
     ValidationError,
     as_exponents,
-    mixed_norm,
     _ldexp,
     _mixed_norm_array,
     _norming_array,
@@ -196,17 +204,32 @@ def _flat_functional(Y: np.ndarray, K: int, nb: int) -> np.ndarray:
     return Y.transpose((*range(1, nb + 1), 0, nb + 1))
 
 
-def _inner_solve(X, B, q, shape, C0, iters, below=None):
+def _inner_solve(X, B, q, shape, C0, iters, below=None, live=None, functional=False):
     """Approximate per-point best-approximation coefficients, batched.
 
     Subgradient descent with best-value tracking; the Euclidean projection
-    is the starting point, so for flat q = 2 this is already exact.  Each
-    basis of a batch gives exactly what it gives alone.  Each point of a
-    subset of the points gives what it gives in the full set when the
-    subset has at least two points and ``B`` at least two columns; one
-    point or one column makes the products with ``B`` or ``B^T``
-    matrix-vector (BLAS gemv), whose bits for one point depend on the
-    others.
+    is the starting point, so for flat q = 2 this is already exact.  Returns
+    the tracked coefficients and values and, with ``functional`` (not with
+    ``below``), the norming functionals of the tracked residuals in the
+    kernels' layout: each is kept from the kernel pass that took its value,
+    so a caller that needs them takes no pass of its own.  The evaluation
+    after the last step is folded into the loop as one more such pass, with
+    no step after it.  Each basis of a batch gives exactly what it gives
+    alone.
+
+    ``live``, the sorted positions of some of the points of ``X`` (with
+    ``C0`` given), solves only those points.  Each keeps the bits it gets
+    in the full set as long as the products do.  BLAS gives a column of a
+    product bits that depend on its own entries and its position among the
+    columns, not on the other columns; a one-column ``B`` makes the products
+    matrix-vector (BLAS gemv), whose bits do depend on that position.  So
+    the products with ``B^T`` are taken at full width, over the functional
+    of the live points scattered into zero columns.  The residual's ``B C``
+    is taken on the live points alone: for one column of ``B`` it is an
+    exact outer product, and for more a product over at least two points
+    (gemm), whose columns keep the full product's bits except, under
+    OpenBLAS's SkylakeX kernel, on some sets of about 190 points or more.
+    :func:`_evaluate_exact` picks the live points to match.
 
     ``below``, one value per basis of an ``(S, K, n)`` stack, is for a
     caller that asks only whether each basis's largest value ends below
@@ -216,41 +239,52 @@ def _inner_solve(X, B, q, shape, C0, iters, below=None):
     the full solve would end below the entry too.  The bases that stay run
     every iteration with their own bits.
     """
+    P, K = X.shape
     C = _times(B, X.T, True) if C0 is None else C0
+    if live is not None:
+        X, C = X[live], C[..., live]
     if _is_flat_two(q):
-        return C, _mixed_norm_array(_batch_residual(X, B, C, shape), q)
-    best_C = C
+        f, Y = _norming_array(_batch_residual(X, B, C, shape), q)
+        return (C, f, Y) if functional else (C, f)
+    best_C, best_Y = C, None
     best_f = np.full(C.shape[:-2] + (X.shape[0],), math.inf)
+    if live is not None:
+        full = np.zeros(C.shape[:-2] + (K, P))
     if below is not None:
-        live = np.arange(len(below))
+        kept = np.arange(len(below))
         out_C, out_f = np.empty(C.shape), np.empty(best_f.shape)
     step = 1.0
-    for _ in range(iters):
+    for it in range(iters + 1):
         if below is not None:
-            keep = best_f.max(axis=1) >= below[live]
+            keep = best_f.max(axis=1) >= below[kept]
             if not keep.all():
-                out_C[live], out_f[live] = best_C, best_f
-                live, B, C = live[keep], B[keep], C[keep]
+                out_C[kept], out_f[kept] = best_C, best_f
+                kept, B, C = kept[keep], B[keep], C[keep]
                 best_C, best_f = best_C[keep], best_f[keep]
-                if not live.size:
+                if not kept.size:
                     return out_C, out_f
         f, Y = _norming_array(_batch_residual(X, B, C, shape), q)
         improved = f < best_f
         best_f = np.where(improved, f, best_f)
         best_C = np.where(improved[..., None, :], C, best_C)
-        G = -_times(B, _flat_functional(Y, X.shape[1], C.ndim - 2), True)
-        gn2 = (G * G).sum(axis=-2) + 1e-30
+        if functional:
+            best_Y = Y if best_Y is None else np.where(improved, Y, best_Y)
+        if it == iters:
+            break
+        Y = _flat_functional(Y, K, C.ndim - 2)
+        if live is None:
+            H = _times(B, Y, True)
+        else:
+            full[..., live] = Y
+            H = _times(B, full, True)[..., live]
+        gn2 = (H * H).sum(axis=-2) + 1e-30
         eta = step * 0.5 * f / gn2
-        C = C - eta[..., None, :] * G
+        C = C + eta[..., None, :] * H
         step *= 0.97
-    f = _mixed_norm_array(_batch_residual(X, B, C, shape), q)
-    improved = f < best_f
-    best_f = np.where(improved, f, best_f)
-    best_C = np.where(improved[..., None, :], C, best_C)
-    if below is None:
-        return best_C, best_f
-    out_C[live], out_f[live] = best_C, best_f
-    return out_C, out_f
+    if below is not None:
+        out_C[kept], out_f[kept] = best_C, best_f
+        return out_C, out_f
+    return (best_C, best_f, best_Y) if functional else (best_C, best_f)
 
 
 def _is_flat_two(q: ExponentVector) -> bool:
@@ -323,6 +357,11 @@ def _descend(X, B0, q, shape, cfg):
     each start is used as laid out (see :func:`_times`), and a start that no
     iterate beats is returned itself, as a lone descent returns it.
 
+    Each outer step takes the norming functionals for its retraction from
+    its solve, at the tracked coefficients (see :func:`_inner_solve`), and
+    takes no kernel pass of its own: a step of the 4-iteration solve takes
+    5 passes, one per iteration and one at its end.
+
     The closing 60-iteration solve only decides whether the last basis beats
     the best iterate, so it takes the best values as ``below`` (see
     :func:`_inner_solve`): a basis stops once its largest tracked value is
@@ -338,7 +377,8 @@ def _descend(X, B0, q, shape, cfg):
     C = None
     for it in range(cfg.outer_iterations):
         Bi = B if it else starts
-        C, f = _inner_solve(X, Bi, q, shape, C, iters=4 if it else 30)
+        iters = 4 if it else 30
+        C, f, Y = _inner_solve(X, Bi, q, shape, C, iters=iters, functional=True)
         fmax = f.max(axis=1)
         improved = fmax < best_val
         best_val = np.where(improved, fmax, best_val)
@@ -347,7 +387,6 @@ def _descend(X, B0, q, shape, cfg):
         tau = np.maximum(0.02 * fmax, 0.35 * spread * (0.9**it)) + 1e-30
         wts = np.exp((f - fmax[:, None]) / tau[:, None])
         wts /= wts.sum(axis=1, keepdims=True)
-        _, Y = _norming_array(_batch_residual(X, Bi, C, shape), q)
         G = _flat_functional(Y, K, 1) @ (wts[:, :, None] * C.swapaxes(1, 2))
         # One BLAS norm per start, as a lone start computes it.
         gn = np.array([np.linalg.norm(g) for g in G]) + 1e-30
@@ -364,8 +403,9 @@ def _descend(X, B0, q, shape, cfg):
 _DUAL_RTOL = 1e-9
 
 
-def _dual_lower(X, B, q, shape, C) -> np.ndarray:
-    """Certified lower bound on each point's distance from the span of ``B``.
+def _dual_lower(X, B, q, shape, C) -> tuple:
+    """``(f, L)``: each point's residual norm at ``C`` and a certified lower
+    bound on its distance from the span of ``B``, from one kernel pass.
 
     ``B`` must be orthonormal.  With ``y_i`` the norming functional of the
     residual ``x_i - B c_i`` and ``z_i = y_i - B B^T y_i``, which is
@@ -387,7 +427,7 @@ def _dual_lower(X, B, q, shape, C) -> np.ndarray:
     positive, e.g. for a point inside span ``B``.
     """
     P, K = X.shape
-    _, Y = _norming_array(_batch_residual(X, B, C, shape), q)
+    f, Y = _norming_array(_batch_residual(X, B, C, shape), q)
     Y = Y.reshape(K, P, order="F")
     Z = Y - B @ (B.T @ Y)
     w = np.abs(B.T @ Z).sum(axis=0)
@@ -397,7 +437,7 @@ def _dual_lower(X, B, q, shape, C) -> np.ndarray:
     pairing -= K * 2.0**-1074
     bound = np.zeros(P)
     np.divide(pairing, dual_norm + math.sqrt(K) * w, out=bound, where=pairing > 0)
-    return (1.0 - _DUAL_RTOL) * bound
+    return f, (1.0 - _DUAL_RTOL) * bound
 
 
 # Points polished by :func:`_evaluate_exact`: the ones farthest from the
@@ -406,16 +446,16 @@ _POLISH_TOP = 6
 _POLISH_TOL = 1e-8
 
 
-def _evaluate_exact(X, B, q, shape, C, start, cutoff) -> float:
+def _evaluate_exact(X, B, q, shape, C, f0, start, cutoff) -> float:
     """Certified max distance of the points from the span of ``B``.
 
     ``B`` must be orthonormal, as every starting and descended basis is, and
     have at least one column.  ``C`` holds the points' least-squares
-    coefficients and ``start`` is the largest :func:`_dual_lower` bound at
-    them, as :func:`width_upper` computes both once per candidate.  After
-    the batched solve from ``C`` the ``_POLISH_TOP`` farthest points are
-    polished by Powell, farthest first, and each keeps the smaller of its two
-    values.
+    coefficients, and ``(f0, L)`` of :func:`_dual_lower` at them gives their
+    values ``f0`` and, as the largest ``L``, ``start``: :func:`width_upper`
+    computes all three once per candidate.  After the batched solve from
+    ``C`` the ``_POLISH_TOP`` farthest points are polished by Powell,
+    farthest first, and each keeps the smaller of its two values.
 
     Every value this function computes for a point (its solved value, or the
     smaller of that and its polish) is at least the point's true distance,
@@ -425,15 +465,20 @@ def _evaluate_exact(X, B, q, shape, C, start, cutoff) -> float:
     that set ``start`` keeps every value at or above ``start``, and so does
     the result.  These exits follow, and none moves a returned value:
 
-    - Points solved: for ``n >= 2`` only the points whose value at ``C``
-      reaches ``start`` enter the solve, and at least two (see
-      :func:`_inner_solve`; for ``n = 1`` every point does).  A point left
-      out is below ``start`` at ``C`` and tracked values never rise, so it
+    - Points solved: only the points whose value ``f0`` reaches ``start``
+      enter the solve, and for ``n >= 2`` at least two.  A point left out
+      is below ``start`` at ``C`` and tracked values never rise, so it
       would end below ``start``, polished or not, and cannot set the
-      maximum.  Each solved point gets the bits it gets in the full batch,
-      so the polished top and the seventh value, where they can set the
-      maximum, are the same.  The ``L_j`` below are those of the solved
-      points.
+      maximum.  Each solved point gets the bits it gets in the full batch
+      (see :func:`_inner_solve`): the products with ``B^T`` are taken at
+      full width, and the residual's ``B C`` is an exact outer product for
+      ``n = 1`` and a product with at least two columns (gemm) for ``n >=
+      2``.  So the polished top and the seventh value, where they can set
+      the maximum, are the same.  The ``L_j`` below are those of the solved
+      points.  For ``n = 1`` their last bits may differ from those of the
+      full set, since the products of :func:`_dual_lower` are gemv on the
+      solved points alone; the exits below hold for any certified bounds,
+      so the returned value does not depend on those bits.
     - A top point ``i`` whose solved value is at most ``max(bound, max_(j !=
       i) L_j)`` is not polished, where ``bound`` is the running maximum of
       the values already settled and of the largest value outside the
@@ -459,12 +504,14 @@ def _evaluate_exact(X, B, q, shape, C, start, cutoff) -> float:
         return float(np.sqrt((R * R).sum(axis=0)).max())
     if start >= cutoff:
         return start
-    if B.shape[1] > 1 and X.shape[0] > 2:
-        f0 = _mixed_norm_array(_batch_residual(X, B, C, shape), q)
-        near = np.flatnonzero(f0 >= min(start, np.partition(f0, -2)[-2]))
-        X, C = X[near], C[:, near]
-    C, f = _inner_solve(X, B, q, shape, C, iters=120)
-    L = _dual_lower(X, B, q, shape, C)
+    reach = start
+    # For n >= 2 at least two points, so that B C over them stays a gemm.
+    if B.shape[1] > 1 and f0.size > 1:
+        reach = min(start, np.partition(f0, -2)[-2])
+    live = np.flatnonzero(f0 >= reach)
+    C, f = _inner_solve(X, B, q, shape, C, iters=120, live=live)
+    X = X[live]
+    _, L = _dual_lower(X, B, q, shape, C)
     # max_(j != i) L_j is the largest bound, or the second largest at its owner.
     lead = int(np.argmax(L))
     lower = float(L[lead])
@@ -497,22 +544,28 @@ def width_upper(
     descended basis, are evaluated best-first: in the order of the certified
     bound :func:`_dual_lower` gives at their least-squares starts, so a good
     basis sets a low cutoff early and the losing ones are pruned.  Each
-    candidate's least-squares start and start bound are computed once, here,
-    and passed to :func:`_evaluate_exact`.  The result is still the least
-    value and, among equal values, the first candidate in the fixed order,
-    bit for bit: every pruned evaluation returns a value at or above its
-    cutoff, and the cutoff lies just above the running best for a candidate
-    that would win a tie.  For ``n = 0`` the value is the largest norm of a
-    point, and for ``n = dim`` it is 0.
+    candidate's least-squares start, the points' values there and its start
+    bound are computed once, here, and passed to :func:`_evaluate_exact`.
+    The result is still the least value and, among equal values, the first
+    candidate in the fixed order, bit for bit: every pruned evaluation
+    returns a value at or above its cutoff, and the cutoff lies just above
+    the running best for a candidate that would win a tie.  For ``n = 0``
+    the value is the largest norm of a point, and for ``n = dim`` it is 0.
     Deterministic for fixed (cfg.seed, restarts).  The points are rescaled
     under the range policy of :func:`mixed_norm` and the value is scaled
     back, so no stage overflows, and on points whose largest magnitude lies
     outside ``[2**-300, 2**300]`` the value is exact under power-of-two
     scaling.
     """
+    return _width_upper(*_stack_points(points, n), q, cfg)
+
+
+def _width_upper(X, shape, n, e, q, cfg) -> WidthEstimate:
+    """:func:`width_upper` of the points ``2**e X``, given as the rows of
+    ``X`` laid out as ``Tensor.data``, with ``X``, ``n`` and ``e`` as
+    :func:`_stack_points` returns them."""
     cfg = cfg or OracleConfig()
     q = as_exponents(q)
-    X, shape, n, e = _stack_points(points, n)
     K = X.shape[1]
     if q.d != len(shape):
         raise ValidationError("exponent vector and point dimension mismatch")
@@ -542,11 +595,15 @@ def width_upper(
     # with its cutoff just above best_val and a later one with best_val.
     cands = [B for pair in zip(inits, _descend(X, inits, q, shape, cfg)) for B in pair]
     lsq = [np.linalg.lstsq(B, X.T, rcond=None)[0] for B in cands]
-    keys = [float(_dual_lower(X, B, q, shape, C).max()) for B, C in zip(cands, lsq)]
+    norms, keys = [], []
+    for B, C in zip(cands, lsq):
+        f0, L = _dual_lower(X, B, q, shape, C)
+        norms.append(f0)
+        keys.append(float(L.max()))
     best_val, best_i = math.inf, len(cands)
     for i in sorted(range(len(cands)), key=lambda i: (keys[i], i)):
         cutoff = math.nextafter(best_val, math.inf) if i < best_i else best_val
-        val = _evaluate_exact(X, cands[i], q, shape, lsq[i], keys[i], cutoff)
+        val = _evaluate_exact(X, cands[i], q, shape, lsq[i], norms[i], keys[i], cutoff)
         if val < best_val or (val == best_val and i < best_i):
             best_val, best_i = val, i
     return WidthEstimate(
@@ -627,7 +684,9 @@ def _ball_extras(prob: BallProblem, cap: int, rng) -> list:
     out = []
     for _ in range(cap):
         arr = rng.standard_normal(prob.k)
-        nrm = mixed_norm(Tensor.from_array(arr), prob.p)
+        # mixed_norm's steps, on the axis-1-fastest layout of Tensor.array.
+        scaled, e = _prescaled(np.asfortranarray(arr))
+        nrm = _ldexp(float(_mixed_norm_array(scaled, prob.p)), e)
         if nrm > 0:
             out.append(arr / nrm)
     return out
@@ -715,10 +774,10 @@ def sandwich_report(
             seen.add(arr.tobytes())
             orbit.append(arr)
     extras = _ball_extras(prob, cfg.point_budget - len(orbit), rng)
-    points = [Tensor.from_array(scale * arr) for arr in orbit]
-    points += [Tensor.from_array(arr) for arr in extras]
+    points = [scale * arr for arr in orbit] + extras
+    X, e = _prescaled(np.stack([np.ravel(x, order="F") for x in points]))
 
-    est = width_upper(points, prob.n, prob.q, cfg)
+    est = _width_upper(X, prob.k, prob.n, e, prob.q, cfg)
     lower_ref = width_lower_vset(v, prob.n, prob.q) * scale
 
     norm_gap = PowerProduct(1, [(k, rq - _HALF) for k, rq in zip(prob.k, prob.q.recip)])

@@ -10,13 +10,19 @@ top point gives, with no more solves or polishes than the cutoff alone ran,
 and its best-first order exactly what the fixed order gives, with fewer.
 Its certified early exits are too: ``_evaluate_exact`` must give exactly
 what its version without them gives, below the cutoff, with fewer points
-solved and fewer Powell starts.
+solved and fewer Powell starts, for one-column bases as well.  The solve of
+a subset of the points rests on two facts about BLAS products, checked as a
+property under three OpenBLAS core types.  The lean kernels must give the
+bits of the kernels that divided by 1 on an all-zero fibre.
 """
 
 import functools
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +45,13 @@ from anisowidth import (
     sandwich_report,
     width_upper,
 )
-from anisowidth.mixed_norm import _ldexp, _mixed_norm_array, _norming_array
+from anisowidth.mixed_norm import (
+    _in_range,
+    _ldexp,
+    _mixed_norm_array,
+    _norming_array,
+    _reduce_axis0,
+)
 from anisowidth.width_oracle import (
     _POLISH_TOP,
     SubspaceCandidate,
@@ -188,6 +200,102 @@ def test_norming_is_zero_on_a_fibre_whose_squares_underflow(shape, q):
     _, y = _norming_array(batch, q)
     assert (y[:, 0] == 0).all()
     assert np.array_equal(y, _reference_norming(batch, q))
+
+
+def _divided_reduce_axis0(a, step):
+    """``_reduce_axis0`` as it read with ``np.where(m > 0, m, 1.0)`` as its
+    divisor: a verbatim copy, kept as the reference for the lean kernel."""
+    kind, pf = step
+    if kind == "max":
+        return a.max(axis=0)
+    if kind == "sum":
+        return a.sum(axis=0)
+    if kind == "two":
+        return np.sqrt((a * a).sum(axis=0))
+    m = a.max(axis=0)
+    # m == 0 only on an all-zero fibre, which divides to 0 by 1 as well.
+    scaled = a / np.where(m > 0, m, 1.0)
+    return m * np.power(scaled, pf, out=scaled).sum(axis=0) ** (1.0 / pf)
+
+
+def _divided_rescue(arr, p, r, y):
+    """``_rescue`` of :func:`_divided_norming`: a verbatim copy."""
+    if np.isnan(arr).any():
+        raise ValidationError("NaN in tensor data")
+    r = np.array(r)
+    for idx in map(tuple, np.argwhere(r < 2.0**-400)):
+        col = arr[(...,) + idx]
+        m = float(np.abs(col).max())
+        if m > 0.0:
+            e = math.frexp(m)[1]
+            norm, col_y = _divided_norming(np.ldexp(col, -e), p)
+            r[idx] = math.ldexp(float(norm), e)
+            y[(...,) + idx] = col_y
+    return r, y
+
+
+def _divided_norming(arr, p):
+    """``_norming_array`` as it read with ``np.where(cur > 0, cur, 1.0)`` as
+    its divisor: a verbatim copy, kept as the reference for the lean kernel."""
+    partials = [np.abs(arr)]
+    for step in p.plan:
+        partials.append(_divided_reduce_axis0(partials[-1], step))
+    y = np.sign(arr)
+    for k, (kind, pf) in enumerate(p.plan):
+        prev, cur = partials[k], partials[k + 1]
+        if kind == "max":
+            w = np.zeros_like(prev)
+            idx = np.expand_dims(np.argmax(prev, axis=0), axis=0)
+            np.put_along_axis(w, idx, 1.0, axis=0)
+        else:
+            # A "sum" or "pow" norm is at least the fibre's maximum, so there
+            # cur == 0 only on an all-zero fibre; a "two" norm can be 0 over
+            # nonzero entries whose squares underflowed.
+            w = np.divide(prev, np.where(cur > 0, cur, 1.0))
+            if kind == "two":
+                np.copyto(w, 0.0, where=cur == 0)
+            np.power(w, pf - 1.0, out=w)
+        y *= w
+    r = partials[-1]
+    return (r, y) if _in_range(r) else _divided_rescue(arr, p, r, y)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Signed zeros, subnormals, entries whose squares underflow (alone or in a
+# fibre of them) and entries of the range the entry points leave in place.
+_EDGE_ENTRIES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.0**-1060, 1e-170, -1e-170, 1e-160, 0.75, 1e80
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lean_kernels_keep_the_divided_kernels_bits(data):
+    # The lean kernels divide by np.maximum(m, 5e-324), which equals every
+    # m > 0 and sends an all-zero fibre to 0 as the divisor 1 did.
+    shape = data.draw(st.sampled_from([(3,), (2, 3), (3, 2, 2)])) + (
+        data.draw(st.integers(1, 3)),
+    )
+    # Whole fibres of one entry: all-zero, all-subnormal, all-underflowing.
+    entries = st.sampled_from(_EDGE_ENTRIES)
+    fill = st.just(data.draw(entries))
+    arr = data.draw(hnp.arrays(np.float64, shape, elements=entries, fill=fill))
+    kinds = st.sampled_from([math.inf, 1, 2, 4, Fraction(3, 2)])
+    q = as_exponents([data.draw(kinds) for _ in shape[:-1]])
+    partial = np.abs(arr)
+    for step in q.plan:
+        lean = _reduce_axis0(partial, step)
+        partial = _divided_reduce_axis0(partial, step)
+        assert _same_bits(lean, partial)
+    norm, y = _norming_array(arr, q)
+    ref_norm, ref_y = _divided_norming(arr, q)
+    assert _same_bits(norm, ref_norm) and _same_bits(y, ref_y)
+    assert _same_bits(_mixed_norm_array(arr, q), ref_norm)
 
 
 @settings(max_examples=150, deadline=None)
@@ -354,43 +462,116 @@ def test_lockstep_starts_keep_their_lone_bits(data):
 @given(st.data())
 def test_inner_solve_keeps_each_points_bits_on_a_column_subset(data):
     # _evaluate_exact solves only the points whose start value reaches its
-    # start bound, at least two, as the columns picked from the least-squares
-    # start, and only for n >= 2.  Size 1, and every size below P at n = 1,
-    # make the products with B or B^T matrix-vector (BLAS gemv), whose bits
-    # for one point depend on the other points: under OpenBLAS's SkylakeX
-    # kernel they differ, so only the full set is compared there.  The
-    # strided basis is laid out as width_upper's eigenbasis start.
+    # start bound, passed as ``live``: any number at n = 1, at least two for
+    # n >= 2.  Each must keep the bits it gets in the full set, also where
+    # a product with B or B^T is matrix-vector (BLAS gemv: n = 1, or a
+    # single point), whose bits for one point depend on its position among
+    # the points.  The strided basis is laid out as width_upper's eigenbasis
+    # start.  The functional handed back is the one at the tracked best.
     q = as_exponents(data.draw(st.sampled_from([(Fraction(3, 2),), (4,), (4, 2)])))
     shape = (5,) if q.d == 1 else (3, 2)
     K = math.prod(shape)
     n = data.draw(st.one_of(st.just(1), st.integers(2, K - 1)))
-    P = data.draw(st.integers(8, 24))
+    P = data.draw(st.integers(8, 40))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     X = rng.standard_normal((P, K))
     B = np.linalg.eigh(X.T @ X)[1][:, ::-1][:, :n]
     if data.draw(st.booleans()):
         B = np.linalg.qr(rng.standard_normal((K, n)))[0]
     C = np.linalg.lstsq(B, X.T, rcond=None)[0]
-    full_C, full_f = _inner_solve(X, B, q, shape, C, iters=120)
-    for size in (2, 7, P) if n > 1 else (P,):
-        near = np.sort(rng.choice(P, size, replace=False))
-        sub_C, sub_f = _inner_solve(X[near], B, q, shape, C[:, near], iters=120)
-        assert np.array_equal(sub_C, full_C[:, near]), size
-        assert np.array_equal(sub_f, full_f[near]), size
+    full_C, full_f, full_Y = _inner_solve(X, B, q, shape, C, iters=120, functional=True)
+    _, Y = _norming_array(_lone_residual(X, B, full_C, shape), q)
+    assert np.array_equal(full_Y, Y)
+    for size in (1, 2, 7, P) if n == 1 else (2, 7, P):
+        live = np.sort(rng.choice(P, size, replace=False))
+        sub_C, sub_f = _inner_solve(X, B, q, shape, C, iters=120, live=live)
+        assert np.array_equal(sub_C, full_C[:, live]), size
+        assert np.array_equal(sub_f, full_f[live]), size
 
 
-def _reference_evaluate_exact(X, B, q, shape, C, start, cutoff) -> float:
+@st.composite
+def blas_products(draw):
+    """A basis of 1 to 3 columns, laid out as width_upper's eigenbasis start
+    (the last columns of a square matrix, reversed) or as a contiguous copy,
+    and P columns, 1 to 300, of which a sorted nonempty subset is live.
+    Signed zeros and subnormals are among the entries."""
+    K = draw(st.integers(1, 16))
+    n = draw(st.integers(1, min(3, K)))
+    P = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B = rng.standard_normal((K, K))[:, ::-1][:, :n]
+    if draw(st.booleans()):
+        B = np.ascontiguousarray(B)
+    Y = rng.standard_normal((K, P))
+    for entries in (B, Y):
+        spots = rng.random(entries.shape)
+        entries[spots < 0.1] = 0.0
+        entries[spots > 0.95] = -0.0
+        entries[(spots > 0.9) & (spots < 0.92)] = 5e-324
+    live = np.sort(rng.choice(P, draw(st.integers(1, P)), replace=False))
+    return B, Y, live, rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(blas_products())
+def test_blas_products_keep_each_columns_bits(case):
+    # What the pruned solve of _inner_solve rests on.  A column of B^T Y
+    # gets its bits from its own entries and its position: at full width,
+    # the live columns read the same whatever the dead ones hold.  With one
+    # column, B @ C is an exact outer product on any set of columns: every
+    # entry a single product, the sign of a zero included.
+    B, Y, live, rng = case
+    dead = np.ones(Y.shape[1], dtype=bool)
+    dead[live] = False
+    others = Y.copy()
+    others[:, dead] = rng.standard_normal((Y.shape[0], int(dead.sum())))
+    zeros = Y.copy()
+    zeros[:, dead] = 0.0
+    products = [(B.T @ M)[:, live] for M in (Y, others, zeros)]
+    assert all(_same_bits(M, products[0]) for M in products)
+    if B.shape[1] == 1:
+        for C in (Y[:1], Y[:1, live]):
+            assert _same_bits(B @ C, B * C + 0.0)
+
+
+def test_blas_products_keep_each_columns_bits_under_each_core_type():
+    # OpenBLAS picks its kernels by core type; the property must hold under
+    # each of these, with the variable set in the child processes only.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    target = f"{__file__}::test_blas_products_keep_each_columns_bits"
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", target]
+    children = {}
+    try:
+        for core in ("SkylakeX", "Haswell", "Prescott"):
+            children[core] = subprocess.Popen(
+                command,
+                env=dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=path),
+                stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT,
+                text=True,
+            )
+        for core, child in children.items():
+            out, _ = child.communicate(timeout=300)
+            assert child.returncode == 0, (core, out)
+    finally:
+        for child in children.values():
+            child.kill()
+            child.wait()
+
+
+def _reference_evaluate_exact(X, B, q, shape, C, f0, start, cutoff) -> float:
     """``_evaluate_exact`` before its certified early exits: a verbatim copy
     of that version, kept as the reference for its value and for the number
     of points solved and Powell starts run.  It solves every point and runs
-    both Powell starts of each polish."""
+    both Powell starts of each polish, and it reads no start values ``f0``."""
     if _is_flat_two(q):
         R = X.T - B @ C
         return float(np.sqrt((R * R).sum(axis=0)).max())
     if start >= cutoff:
         return start
     C, f = _inner_solve(X, B, q, shape, C, iters=120)
-    L = _dual_lower(X, B, q, shape, C)
+    _, L = _dual_lower(X, B, q, shape, C)
     # max_(j != i) L_j is the largest bound, or the second largest at its owner.
     lead = int(np.argmax(L))
     lower = float(L[lead])
@@ -411,11 +592,12 @@ def _assert_evaluation_matches_reference(X, B, q, shape):
     """At cutoffs around the reference value: the same float wherever the
     reference value is below the cutoff, a value at or above it elsewhere."""
     C = np.linalg.lstsq(B, X.T, rcond=None)[0]
-    start = float(_dual_lower(X, B, q, shape, C).max())
-    full = _reference_evaluate_exact(X, B, q, shape, C, start, math.inf)
+    f0, L = _dual_lower(X, B, q, shape, C)
+    start = float(L.max())
+    full = _reference_evaluate_exact(X, B, q, shape, C, f0, start, math.inf)
     cutoffs = [math.inf, math.nextafter(full, math.inf), full, (start + full) / 2, start]
     for cutoff in cutoffs:
-        val = _evaluate_exact(X, B, q, shape, C, start, cutoff)
+        val = _evaluate_exact(X, B, q, shape, C, f0, start, cutoff)
         if full < cutoff:
             assert val == full, (cutoff, val, full)
         else:
@@ -432,8 +614,10 @@ def _assert_evaluation_matches_reference(X, B, q, shape):
 )
 # One point reaches the start bound: solved alone, its value would move.
 @example((4, 2), 4, 30, 0)
-# n = 1: solved apart from the others, the points that reach it would move.
+# n = 1: with B^T Y taken on the solved points alone, not at full width,
+# the values of the points that reach it would move; so too on two axes.
 @example((4,), 1, 30, 2)
+@example((4, 2), 1, 7, 7)
 def test_early_exits_keep_the_evaluation(q, n, P, seed):
     q = as_exponents(q)
     shape = (4,) if q.d == 1 else (3, 2)
@@ -511,11 +695,11 @@ def _unit_vectors_and_l1_points(shape, extra, seed):
     return points
 
 
-def _cutoff_only_evaluate_exact(X, B, q, shape, C, start, cutoff) -> float:
+def _cutoff_only_evaluate_exact(X, B, q, shape, C, f0, start, cutoff) -> float:
     """``_evaluate_exact`` with the polish cutoff alone, before the dual-bound
     prunes: a verbatim copy of that version, kept as the reference for the
     number of solves and polishes, that takes the least-squares start ``C``
-    from its caller and ignores the start bound."""
+    from its caller and ignores the start values and bound."""
     if _is_flat_two(q):
         R = X.T - B @ C
         return float(np.sqrt((R * R).sum(axis=0)).max())
@@ -553,8 +737,8 @@ def _fixed_order_width_upper(points, n, q, cfg):
     for B0, B1 in zip(inits, descended):
         for B in (B0, B1):
             C = np.linalg.lstsq(B, X.T, rcond=None)[0]
-            start = float(_dual_lower(X, B, q, shape, C).max())
-            val = _evaluate_exact(X, B, q, shape, C, start, best_val)
+            f0, L = _dual_lower(X, B, q, shape, C)
+            val = _evaluate_exact(X, B, q, shape, C, f0, float(L.max()), best_val)
             if val < best_val:
                 best_val, best_B = val, B
     return WidthEstimate(
@@ -577,9 +761,10 @@ ORACLE_CFG = OracleConfig(restarts=2, outer_iterations=10)
 @functools.lru_cache(maxsize=None)
 def _counted_width_upper(shape, n, q, extra, evaluate=None, fixed_order=False):
     """``width_upper`` on the case's points with its polishes, Powell starts,
-    120-iteration solves, the points entering them and its dual bounds
-    counted, run with the reference evaluation ``evaluate`` or, for None, the
-    current one, best-first or in the fixed order."""
+    120-iteration solves, the points entering them (the ``live`` ones where
+    a solve is given them) and its dual bounds counted, run with the
+    reference evaluation ``evaluate`` or, for None, the current one,
+    best-first or in the fixed order."""
     points = _unit_vectors_and_l1_points(shape, extra, seed=n)
     counts = {"polish": 0, "powell": 0, "solve": 0, "solved_points": 0, "dual": 0}
     real_polish, real_solve, real_dual = _polish_point, _inner_solve, _dual_lower
@@ -596,7 +781,8 @@ def _counted_width_upper(shape, n, q, extra, evaluate=None, fixed_order=False):
     def solve(*args, **kwargs):
         if kwargs.get("iters") == 120:
             counts["solve"] += 1
-            counts["solved_points"] += len(args[0])
+            live = kwargs.get("live")
+            counts["solved_points"] += len(args[0] if live is None else live)
         return real_solve(*args, **kwargs)
 
     def dual(*args):
@@ -656,6 +842,18 @@ def test_early_exits_cut_solved_points_and_powell_starts():
             counts = _counted_width_upper(*case, evaluate)[1]
             totals[evaluate] += (counts["solved_points"], counts["powell"])
     assert (totals[None] < totals[_reference_evaluate_exact]).all(), totals
+
+
+def test_one_column_evaluations_solve_fewer_points():
+    # n = 1 evaluations solve only the points that reach the start bound,
+    # as n >= 2 ones do; every point entered the solve before.
+    for case in PRUNING_CASES:
+        if case[1] == 1:
+            points = {
+                e: _counted_width_upper(*case, e)[1]["solved_points"]
+                for e in (_reference_evaluate_exact, None)
+            }
+            assert points[None] < points[_reference_evaluate_exact], (case, points)
 
 
 def test_best_first_order_keeps_the_result_with_fewer_solves_and_polishes():

@@ -147,7 +147,8 @@ def test_distance_flat_two_matches_projector():
         B = np.linalg.qr(rng.standard_normal((6, 2)))[0]
         X = rng.standard_normal((1, 6))
         C = np.linalg.lstsq(B, X.T, rcond=None)[0]
-        d = _evaluate_exact(X, B, q, (6,), C, 0.0, math.inf)
+        f0, L = width_oracle._dual_lower(X, B, q, (6,), C)
+        d = _evaluate_exact(X, B, q, (6,), C, f0, float(L.max()), math.inf)
         resid = X[0] - B @ (B.T @ X[0])
         assert d == pytest.approx(float(np.linalg.norm(resid)), rel=1e-12)
 
@@ -247,7 +248,10 @@ def _stubbed_width_upper(values, keys, pruned_to_cutoff):
     def index(B):
         return next(i for i, c in enumerate(cands) if c is B)
 
-    def evaluate(X, B, q, shape, C, start, cutoff):
+    def dual(X, B, *_):
+        return None, np.array([keys[index(B)]])
+
+    def evaluate(X, B, q, shape, C, f0, start, cutoff):
         i = index(B)
         order.append(i)
         if values[i] < cutoff:
@@ -257,7 +261,7 @@ def _stubbed_width_upper(values, keys, pruned_to_cutoff):
     cfg = OracleConfig(restarts=len(values) // 2 - 2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(width_oracle, "_descend", descend)
-        mp.setattr(width_oracle, "_dual_lower", lambda X, B, *_: np.array([keys[index(B)]]))
+        mp.setattr(width_oracle, "_dual_lower", dual)
         mp.setattr(width_oracle, "_evaluate_exact", evaluate)
         est = width_upper(random_points(4, 6, seed=3), 1, (4,), cfg)
     return est, cands, order
@@ -351,8 +355,10 @@ def test_dual_bound_below_every_upper_value(case):
     shape, B, X, q = case
     C0 = B.T @ X.T
     C, f = width_oracle._inner_solve(X, B, q, shape, C0, iters=30)
+    # Its norms at the solved coefficients are the solve's values.
+    assert np.array_equal(width_oracle._dual_lower(X, B, q, shape, C)[0], f)
     for start in (C0, C):
-        L = width_oracle._dual_lower(X, B, q, shape, start)
+        _, L = width_oracle._dual_lower(X, B, q, shape, start)
         assert np.isfinite(L).all() and (L >= 0).all()
         assert (L <= f).all()
         for i in range(X.shape[0]):
@@ -383,7 +389,7 @@ def test_dual_bound_is_the_euclidean_distance_for_flat_two(case):
     shape, B, X, q = case
     R = X.T - B @ (B.T @ X.T)
     dist = np.hypot.reduce(R, axis=0)  # no squares to underflow
-    L = width_oracle._dual_lower(X, B, q, shape, B.T @ X.T)
+    _, L = width_oracle._dual_lower(X, B, q, shape, B.T @ X.T)
     expected = (1 - width_oracle._DUAL_RTOL) * dist
     z_1 = np.abs(R).sum(axis=0) / np.where(dist > 0, dist, 1.0)
     allowance = X.shape[1] * 2.0**-52 * np.abs(X).sum(axis=1) * z_1
@@ -420,7 +426,7 @@ def test_dual_bound_is_zero_inside_the_span(case):
     # Points of span B, including 0, whose residuals round to noise or to 0.
     inside = (B @ coeffs).T
     for C in (B.T @ inside.T, np.zeros_like(coeffs)):
-        L = width_oracle._dual_lower(inside, B, q, shape, C)
+        _, L = width_oracle._dual_lower(inside, B, q, shape, C)
         assert np.array_equal(L, np.zeros(coeffs.shape[1]))
 
 
@@ -528,6 +534,21 @@ def test_ball_extras_enumerate_the_vertices():
     first = width_oracle._ball_extras(prob, 6, rng)
     assert len(first) == 6
     assert all(np.array_equal(a, b) for a, b in zip(first, vertices))
+
+
+@pytest.mark.parametrize(
+    "k, p", [((9, 2), (1.5, 3)), ((3, 4), (1.25, 1.75)), ((16,), (1.5,))]
+)
+def test_ball_samples_are_scaled_by_the_norm_of_a_tensor(k, p):
+    # _ball_extras takes mixed_norm's steps on the sample itself, laid out
+    # as Tensor.array is: each sample keeps the bits of that route.
+    prob = BallProblem(k=k, n=1, p=p, q=(2,) * len(k))
+    samples = width_oracle._ball_extras(prob, 20, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    assert len(samples) == 20
+    for x in samples:
+        arr = rng.standard_normal(k)
+        assert np.array_equal(x, arr / mixed_norm(Tensor.from_array(arr), prob.p))
 
 
 def test_sandwich_desk_scale_guard():
