@@ -178,6 +178,11 @@ def as_exponents(p) -> ExponentVector:
     return ExponentVector.from_p(p)
 
 
+def _is_flat_two(p: ExponentVector) -> bool:
+    """Whether every exponent is 2: the norm is then Euclidean."""
+    return all(kind == "two" for kind, _ in p.plan)
+
+
 class Tensor:
     """Immutable d-way array with a flat axis-1-fastest float64 layout."""
 

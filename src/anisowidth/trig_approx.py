@@ -33,6 +33,7 @@ from .mixed_norm import (
     ExponentVector,
     ValidationError,
     as_exponents,
+    _is_flat_two,
     _ldexp,
     _magnitude_norm,
     _prescaled,
@@ -510,15 +511,10 @@ def trig_lp_norm(t: TrigPoly, p, oversample: int = 8) -> float:
     if p.d != t.d:
         raise ValidationError("exponent vector dimension mismatch")
     oversample = _require_int("oversample", oversample, 4)
-    if _is_l2(p):
+    if _is_flat_two(p):
         return _l2_norm(t.coeff)
     t, e = _scaled(t)
     return _ldexp(_grid_norm(t.values(_norm_grid(t.degree, oversample)), p), e)
-
-
-def _is_l2(p: ExponentVector) -> bool:
-    """Whether every exponent is 2: the norm is then Parseval's."""
-    return all(kind == "two" for kind, _ in p.plan)
 
 
 def _l2_norm(coeff: np.ndarray) -> float:
@@ -592,8 +588,8 @@ def nikolskii_ratio(t: TrigPoly, p, q) -> float:
     if not (p.d == q.d == t.d):
         raise ValidationError("dimension mismatch among t, p, q")
     t = _scaled(t)[0]
-    vals = None if _is_l2(p) and _is_l2(q) else t.values(_norm_grid(t.degree))
-    np_val, nq_val = (_l2_norm(t.coeff) if _is_l2(s) else _grid_norm(vals, s) for s in (p, q))
+    vals = None if _is_flat_two(p) and _is_flat_two(q) else t.values(_norm_grid(t.degree))
+    np_val, nq_val = (_l2_norm(t.coeff) if _is_flat_two(s) else _grid_norm(vals, s) for s in (p, q))
     if np_val == 0:
         raise ValidationError("zero polynomial has no norm ratio")
     gaps = [max(float(rp) - float(rq), 0.0) for rp, rq in zip(p.recip, q.recip)]
@@ -736,7 +732,7 @@ def smoothness_margin(t: TrigPoly, r, p) -> float:
                 "is below the normal float range"
             )
     t, e = _scaled(t)
-    vals = None if _is_l2(p) else t.values(_norm_grid(t.degree))
+    vals = None if _is_flat_two(p) else t.values(_norm_grid(t.degree))
     worst = 0.0
     for j, rj in enumerate(rr):
         lj = int(math.floor(float(rj))) + 1

@@ -24,13 +24,10 @@ the result of the fixed order bit for bit.
 Each stage stops once its outcome is settled, and every output bit stays
 the same.  Tracked values never rise, so a descent's closing solve drops a
 basis as soon as it beats its best iterate (:func:`_descend`), and the exact
-evaluation, for every subspace dimension, solves only the points that can
-reach the maximum.  Those points keep their bits because BLAS gives a
-column of a product bits that depend on the column's own entries and its
-position, not on the other columns: the products with ``B^T`` are taken at
-full width over zero columns for the points left out, which matters where a
-one-column basis makes them matrix-vector (BLAS gemv), and a one-column
-``B C`` is an exact outer product (:func:`_inner_solve`).  A polish is
+evaluation solves only the points that can reach the maximum, at least two.
+One rule, for every subspace dimension, keeps their bits: every product is
+taken at full width over zero columns for the points left out, and every
+gather of the solved points is C-ordered (:func:`_inner_solve`).  A polish is
 skipped, or stops after its first Powell start, once the point's value is
 at most a value that another point reaches.  No kernel pass is taken twice:
 a descent step takes its norming functionals from its solve's last pass,
@@ -60,11 +57,11 @@ import numpy as np
 
 from .mixed_norm import (
     DeskScaleError,
-    ExponentVector,
     PropertyViolation,
     Tensor,
     ValidationError,
     as_exponents,
+    _is_flat_two,
     _ldexp,
     _mixed_norm_array,
     _norming_array,
@@ -182,17 +179,26 @@ def harmonic_frame(K: int, n: int) -> np.ndarray:
 # start (the eigenbasis of width_upper) keeps its own bits only as laid out.
 
 
-def _times(B, M, transpose: bool = False) -> np.ndarray:
-    """``B M``, or ``B^T M``, for each basis of ``B``."""
+def _times(B, M, transpose: bool = False, live=None, wide=None) -> np.ndarray:
+    """``B M``, or ``B^T M``, for each basis of ``B``.
+
+    With ``live``, sorted column positions, ``M`` holds only those columns:
+    they are written into ``wide``, a zero array of the full width, and the
+    live columns of the full-width product are gathered, C-ordered.
+    """
+    if live is not None:
+        wide[..., live] = M
+        return np.take(_times(B, wide, transpose), live, axis=-1)
     if isinstance(B, list):
         Ms = np.broadcast_to(M, (len(B),) + M.shape[-2:])
         return np.stack([(b.T if transpose else b) @ m for b, m in zip(B, Ms)])
     return (B.swapaxes(-1, -2) if transpose else B) @ M
 
 
-def _batch_residual(X: np.ndarray, B, C: np.ndarray, shape) -> np.ndarray:
-    """The residuals ``x_i - B c_i`` in the kernels' layout."""
-    R = X.T - _times(B, C)
+def _batch_residual(X: np.ndarray, B, C: np.ndarray, shape, live=None, wide=None):
+    """The residuals ``x_i - B c_i`` in the kernels' layout, ``B C`` taken as
+    :func:`_times` takes it."""
+    R = X.T - _times(B, C, False, live, wide)
     nb = R.ndim - 2
     R = R.transpose((nb, *range(nb), nb + 1))
     return R.reshape(shape + R.shape[1:], order="F")
@@ -208,62 +214,63 @@ def _inner_solve(X, B, q, shape, C0, iters, below=None, live=None, functional=Fa
     """Approximate per-point best-approximation coefficients, batched.
 
     Subgradient descent with best-value tracking; the Euclidean projection
-    is the starting point, so for flat q = 2 this is already exact.  Returns
-    the tracked coefficients and values and, with ``functional`` (not with
-    ``below``), the norming functionals of the tracked residuals in the
-    kernels' layout: each is kept from the kernel pass that took its value,
-    so a caller that needs them takes no pass of its own.  The evaluation
-    after the last step is folded into the loop as one more such pass, with
-    no step after it.  Each basis of a batch gives exactly what it gives
-    alone.
+    is the starting point, so for flat q = 2 this is already exact and no
+    step is taken.  Returns the tracked coefficients and values and, with
+    ``functional`` (not with ``below``), the norming functionals of the
+    tracked residuals in the kernels' layout: each is kept from the kernel
+    pass that took its value, so a caller that needs them takes no pass of
+    its own.  The evaluation after the last step is folded into the loop as
+    one more such pass, with no step after it.  Each basis of a batch gives
+    exactly what it gives alone.
 
-    ``live``, the sorted positions of some of the points of ``X`` (with
-    ``C0`` given), solves only those points.  Each keeps the bits it gets
-    in the full set as long as the products do.  BLAS gives a column of a
-    product bits that depend on its own entries and its position among the
-    columns, not on the other columns; a one-column ``B`` makes the products
-    matrix-vector (BLAS gemv), whose bits do depend on that position.  So
-    the products with ``B^T`` are taken at full width, over the functional
-    of the live points scattered into zero columns.  The residual's ``B C``
-    is taken on the live points alone: for one column of ``B`` it is an
-    exact outer product, and for more a product over at least two points
-    (gemm), whose columns keep the full product's bits except, under
-    OpenBLAS's SkylakeX kernel, on some sets of about 190 points or more.
-    :func:`_evaluate_exact` picks the live points to match.
+    ``live``, the sorted positions of at least two of the points of ``X``
+    (with ``C0`` given, not with ``below``), solves only those points, each
+    with the bits it gets in the full set.  One rule keeps them for every
+    ``n``, and each of its parts is needed:
+
+    - BLAS gives a column of a product bits that depend on its entries and
+      its position among the columns, not on the other columns' entries.
+      So both products, ``B C`` and ``B^T Y``, are taken at full width over
+      zero columns for the points left out (see :func:`_times`).
+    - numpy sums a contiguous axis of 8 or more entries pairwise, in another
+      order than a strided one.  So every gather of the live points is
+      C-ordered, as the full products are; fancy indexing would give an
+      F-ordered ``(n, L)`` array.
+    - A lone point's residual is contiguous along the axis the kernels
+      reduce, so one point alone would be summed pairwise too.
 
     ``below``, one value per basis of an ``(S, K, n)`` stack, is for a
     caller that asks only whether each basis's largest value ends below
-    its entry.  A basis leaves the batch at the first step where its
-    largest tracked value is below its entry, and its tracked coefficients
-    and values at that step are returned.  Tracked values never rise, so
-    the full solve would end below the entry too.  The bases that stay run
-    every iteration with their own bits.
+    its entry, and only the tracked values are returned.  A basis leaves the
+    batch at the first step where its largest tracked value is below its
+    entry, with its tracked values at that step.  Tracked values never rise,
+    so the full solve would end below the entry too.  The bases that stay
+    run every iteration with their own bits.
     """
     P, K = X.shape
     C = _times(B, X.T, True) if C0 is None else C0
+    wide_C = wide_Y = None
     if live is not None:
-        X, C = X[live], C[..., live]
+        X, C = np.take(X, live, axis=0), np.take(C, live, axis=-1)
+        wide_C, wide_Y = (np.zeros(C.shape[:-2] + (m, P)) for m in (C.shape[-2], K))
     if _is_flat_two(q):
-        f, Y = _norming_array(_batch_residual(X, B, C, shape), q)
-        return (C, f, Y) if functional else (C, f)
+        iters = 0
     best_C, best_Y = C, None
     best_f = np.full(C.shape[:-2] + (X.shape[0],), math.inf)
-    if live is not None:
-        full = np.zeros(C.shape[:-2] + (K, P))
     if below is not None:
         kept = np.arange(len(below))
-        out_C, out_f = np.empty(C.shape), np.empty(best_f.shape)
+        out_f = np.empty(best_f.shape)
     step = 1.0
     for it in range(iters + 1):
         if below is not None:
             keep = best_f.max(axis=1) >= below[kept]
             if not keep.all():
-                out_C[kept], out_f[kept] = best_C, best_f
+                out_f[kept] = best_f
                 kept, B, C = kept[keep], B[keep], C[keep]
                 best_C, best_f = best_C[keep], best_f[keep]
                 if not kept.size:
-                    return out_C, out_f
-        f, Y = _norming_array(_batch_residual(X, B, C, shape), q)
+                    return out_f
+        f, Y = _norming_array(_batch_residual(X, B, C, shape, live, wide_C), q)
         improved = f < best_f
         best_f = np.where(improved, f, best_f)
         best_C = np.where(improved[..., None, :], C, best_C)
@@ -271,24 +278,15 @@ def _inner_solve(X, B, q, shape, C0, iters, below=None, live=None, functional=Fa
             best_Y = Y if best_Y is None else np.where(improved, Y, best_Y)
         if it == iters:
             break
-        Y = _flat_functional(Y, K, C.ndim - 2)
-        if live is None:
-            H = _times(B, Y, True)
-        else:
-            full[..., live] = Y
-            H = _times(B, full, True)[..., live]
+        H = _times(B, _flat_functional(Y, K, C.ndim - 2), True, live, wide_Y)
         gn2 = (H * H).sum(axis=-2) + 1e-30
         eta = step * 0.5 * f / gn2
         C = C + eta[..., None, :] * H
         step *= 0.97
     if below is not None:
-        out_C[kept], out_f[kept] = best_C, best_f
-        return out_C, out_f
+        out_f[kept] = best_f
+        return out_f
     return (best_C, best_f, best_Y) if functional else (best_C, best_f)
-
-
-def _is_flat_two(q: ExponentVector) -> bool:
-    return all(r == _HALF for r in q.recip)
 
 
 def _polish_point(x_flat, B, q, shape, c0, floor=-math.inf):
@@ -393,7 +391,7 @@ def _descend(X, B0, q, shape, cfg):
         eta = (0.5 / (1.0 + it / 8.0)) * math.sqrt(n) / gn
         B, _ = np.linalg.qr(B + eta[:, None, None] * G)
         C = _times(B, X.T, True)
-    _, f = _inner_solve(X, B, q, shape, None, iters=60, below=best_val)
+    f = _inner_solve(X, B, q, shape, None, iters=60, below=best_val)
     improved = f.max(axis=1) < best_val
     return [b if up else old for b, up, old in zip(B, improved, best_B)]
 
@@ -466,19 +464,16 @@ def _evaluate_exact(X, B, q, shape, C, f0, start, cutoff) -> float:
     the result.  These exits follow, and none moves a returned value:
 
     - Points solved: only the points whose value ``f0`` reaches ``start``
-      enter the solve, and for ``n >= 2`` at least two.  A point left out
-      is below ``start`` at ``C`` and tracked values never rise, so it
-      would end below ``start``, polished or not, and cannot set the
+      enter the solve, and at least two whenever there are two.  A point
+      left out is below ``start`` at ``C`` and tracked values never rise, so
+      it would end below ``start``, polished or not, and cannot set the
       maximum.  Each solved point gets the bits it gets in the full batch
-      (see :func:`_inner_solve`): the products with ``B^T`` are taken at
-      full width, and the residual's ``B C`` is an exact outer product for
-      ``n = 1`` and a product with at least two columns (gemm) for ``n >=
-      2``.  So the polished top and the seventh value, where they can set
-      the maximum, are the same.  The ``L_j`` below are those of the solved
-      points.  For ``n = 1`` their last bits may differ from those of the
-      full set, since the products of :func:`_dual_lower` are gemv on the
-      solved points alone; the exits below hold for any certified bounds,
-      so the returned value does not depend on those bits.
+      (see :func:`_inner_solve`), so the polished top and the seventh value,
+      where they can set the maximum, are the same.  The ``L_j`` below are
+      those of the solved points, taken on them alone, so their last bits
+      may differ from those of the full set; the exits below hold for any
+      certified bounds, so the returned value does not depend on those
+      bits.
     - A top point ``i`` whose solved value is at most ``max(bound, max_(j !=
       i) L_j)`` is not polished, where ``bound`` is the running maximum of
       the values already settled and of the largest value outside the
@@ -504,10 +499,7 @@ def _evaluate_exact(X, B, q, shape, C, f0, start, cutoff) -> float:
         return float(np.sqrt((R * R).sum(axis=0)).max())
     if start >= cutoff:
         return start
-    reach = start
-    # For n >= 2 at least two points, so that B C over them stays a gemm.
-    if B.shape[1] > 1 and f0.size > 1:
-        reach = min(start, np.partition(f0, -2)[-2])
+    reach = min(start, np.partition(f0, -2)[-2]) if f0.size > 1 else start
     live = np.flatnonzero(f0 >= reach)
     C, f = _inner_solve(X, B, q, shape, C, iters=120, live=live)
     X = X[live]

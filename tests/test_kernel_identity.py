@@ -10,10 +10,10 @@ top point gives, with no more solves or polishes than the cutoff alone ran,
 and its best-first order exactly what the fixed order gives, with fewer.
 Its certified early exits are too: ``_evaluate_exact`` must give exactly
 what its version without them gives, below the cutoff, with fewer points
-solved and fewer Powell starts, for one-column bases as well.  The solve of
-a subset of the points rests on two facts about BLAS products, checked as a
-property under three OpenBLAS core types.  The lean kernels must give the
-bits of the kernels that divided by 1 on an all-zero fibre.
+solved and fewer Powell starts, for every subspace dimension.  The solve of
+a subset of the points, and the fact about BLAS products it rests on, are
+checked as properties under three OpenBLAS core types.  The lean kernels
+must give the bits of the kernels that divided by 1 on an all-zero fibre.
 """
 
 import functools
@@ -47,6 +47,7 @@ from anisowidth import (
 )
 from anisowidth.mixed_norm import (
     _in_range,
+    _is_flat_two,
     _ldexp,
     _mixed_norm_array,
     _norming_array,
@@ -60,7 +61,6 @@ from anisowidth.width_oracle import (
     _dual_lower,
     _evaluate_exact,
     _inner_solve,
-    _is_flat_two,
     _orbit_points,
     _polish_point,
     _stack_points,
@@ -462,17 +462,25 @@ def test_lockstep_starts_keep_their_lone_bits(data):
 @given(st.data())
 def test_inner_solve_keeps_each_points_bits_on_a_column_subset(data):
     # _evaluate_exact solves only the points whose start value reaches its
-    # start bound, passed as ``live``: any number at n = 1, at least two for
-    # n >= 2.  Each must keep the bits it gets in the full set, also where
-    # a product with B or B^T is matrix-vector (BLAS gemv: n = 1, or a
-    # single point), whose bits for one point depend on its position among
-    # the points.  The strided basis is laid out as width_upper's eigenbasis
+    # start bound, at least two, passed as ``live``.  Each must keep the
+    # bits it gets in the full set, for every n: at n = 1, where the
+    # products are matrix-vector (BLAS gemv); on sets of 190 or more points,
+    # where a gemm over the subset alone gives other bits; and at n = 8,
+    # where an axis of 8 gathered entries would be summed pairwise if it
+    # were contiguous.  A lone point is left out where an axis has 8 or more
+    # entries: its residual is contiguous along that axis and is summed
+    # pairwise, which is why _evaluate_exact never solves one point of
+    # several.  The strided basis is laid out as width_upper's eigenbasis
     # start.  The functional handed back is the one at the tracked best.
     q = as_exponents(data.draw(st.sampled_from([(Fraction(3, 2),), (4,), (4, 2)])))
-    shape = (5,) if q.d == 1 else (3, 2)
+    big = data.draw(st.booleans())
+    shape = ((16,) if big else (5,)) if q.d == 1 else ((8, 2) if big else (3, 2))
     K = math.prod(shape)
-    n = data.draw(st.one_of(st.just(1), st.integers(2, K - 1)))
-    P = data.draw(st.integers(8, 40))
+    if big:
+        n = data.draw(st.sampled_from([1, 2, 8]))
+    else:
+        n = data.draw(st.one_of(st.just(1), st.integers(2, K - 1)))
+    P = 256
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     X = rng.standard_normal((P, K))
     B = np.linalg.eigh(X.T @ X)[1][:, ::-1][:, :n]
@@ -482,7 +490,8 @@ def test_inner_solve_keeps_each_points_bits_on_a_column_subset(data):
     full_C, full_f, full_Y = _inner_solve(X, B, q, shape, C, iters=120, functional=True)
     _, Y = _norming_array(_lone_residual(X, B, full_C, shape), q)
     assert np.array_equal(full_Y, Y)
-    for size in (1, 2, 7, P) if n == 1 else (2, 7, P):
+    sizes = [2, 7, data.draw(st.integers(190, P - 1)), P] + ([] if big else [1])
+    for size in sizes:
         live = np.sort(rng.choice(P, size, replace=False))
         sub_C, sub_f = _inner_solve(X, B, q, shape, C, iters=120, live=live)
         assert np.array_equal(sub_C, full_C[:, live]), size
@@ -493,8 +502,9 @@ def test_inner_solve_keeps_each_points_bits_on_a_column_subset(data):
 def blas_products(draw):
     """A basis of 1 to 3 columns, laid out as width_upper's eigenbasis start
     (the last columns of a square matrix, reversed) or as a contiguous copy,
-    and P columns, 1 to 300, of which a sorted nonempty subset is live.
-    Signed zeros and subnormals are among the entries."""
+    and a functional and coefficients of P columns, 1 to 300, of which a
+    sorted nonempty subset is live.  Signed zeros and subnormals are among
+    the entries."""
     K = draw(st.integers(1, 16))
     n = draw(st.integers(1, min(3, K)))
     P = draw(st.integers(1, 300))
@@ -503,43 +513,41 @@ def blas_products(draw):
     if draw(st.booleans()):
         B = np.ascontiguousarray(B)
     Y = rng.standard_normal((K, P))
-    for entries in (B, Y):
+    C = rng.standard_normal((n, P))
+    for entries in (B, Y, C):
         spots = rng.random(entries.shape)
         entries[spots < 0.1] = 0.0
         entries[spots > 0.95] = -0.0
         entries[(spots > 0.9) & (spots < 0.92)] = 5e-324
     live = np.sort(rng.choice(P, draw(st.integers(1, P)), replace=False))
-    return B, Y, live, rng
+    return B, Y, C, live, rng
 
 
 @settings(max_examples=200, deadline=None)
 @given(blas_products())
 def test_blas_products_keep_each_columns_bits(case):
-    # What the pruned solve of _inner_solve rests on.  A column of B^T Y
-    # gets its bits from its own entries and its position: at full width,
-    # the live columns read the same whatever the dead ones hold.  With one
-    # column, B @ C is an exact outer product on any set of columns: every
-    # entry a single product, the sign of a zero included.
-    B, Y, live, rng = case
+    # What the pruned solve of _inner_solve rests on.  A column of B^T Y or
+    # of B C gets its bits from its own entries and its position: at full
+    # width, the live columns read the same whatever the dead ones hold.
+    B, Y, C, live, rng = case
     dead = np.ones(Y.shape[1], dtype=bool)
     dead[live] = False
-    others = Y.copy()
-    others[:, dead] = rng.standard_normal((Y.shape[0], int(dead.sum())))
-    zeros = Y.copy()
-    zeros[:, dead] = 0.0
-    products = [(B.T @ M)[:, live] for M in (Y, others, zeros)]
-    assert all(_same_bits(M, products[0]) for M in products)
-    if B.shape[1] == 1:
-        for C in (Y[:1], Y[:1, live]):
-            assert _same_bits(B @ C, B * C + 0.0)
+    for A, M in ((B.T, Y), (B, C)):
+        others = M.copy()
+        others[:, dead] = rng.standard_normal((M.shape[0], int(dead.sum())))
+        zeros = M.copy()
+        zeros[:, dead] = 0.0
+        products = [(A @ N)[:, live] for N in (M, others, zeros)]
+        assert all(_same_bits(N, products[0]) for N in products)
 
 
-def test_blas_products_keep_each_columns_bits_under_each_core_type():
-    # OpenBLAS picks its kernels by core type; the property must hold under
-    # each of these, with the variable set in the child processes only.
+def _run_under_each_core_type(test):
+    """Run the test ``test`` of this file in three child processes, one per
+    OpenBLAS core type, with the variable set in the children's environment
+    only: OpenBLAS picks its kernels by core type."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    target = f"{__file__}::test_blas_products_keep_each_columns_bits"
+    target = f"{__file__}::{test}"
     command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", target]
     children = {}
     try:
@@ -558,6 +566,14 @@ def test_blas_products_keep_each_columns_bits_under_each_core_type():
         for child in children.values():
             child.kill()
             child.wait()
+
+
+def test_blas_products_keep_each_columns_bits_under_each_core_type():
+    _run_under_each_core_type("test_blas_products_keep_each_columns_bits")
+
+
+def test_inner_solve_keeps_each_points_bits_under_each_core_type():
+    _run_under_each_core_type("test_inner_solve_keeps_each_points_bits_on_a_column_subset")
 
 
 def _reference_evaluate_exact(X, B, q, shape, C, f0, start, cutoff) -> float:
@@ -607,22 +623,29 @@ def _assert_evaluation_matches_reference(X, B, q, shape):
 @settings(max_examples=25, deadline=None)
 @given(
     st.sampled_from([(Fraction(3, 2),), (4,), (1,), (4, 2)]),
-    st.integers(1, 5),
+    st.sampled_from([(4,), (16,), (3, 2), (8, 2)]),
+    st.integers(1, 8),
     # Sets of at most 7 points leave no unpolished seventh value.
     st.one_of(st.integers(1, 7), st.just(30)),
     st.integers(0, 2**32 - 1),
 )
 # One point reaches the start bound: solved alone, its value would move.
-@example((4, 2), 4, 30, 0)
+@example((4, 2), (3, 2), 4, 30, 0)
 # n = 1: with B^T Y taken on the solved points alone, not at full width,
 # the values of the points that reach it would move; so too on two axes.
-@example((4,), 1, 30, 2)
-@example((4, 2), 1, 7, 7)
-def test_early_exits_keep_the_evaluation(q, n, P, seed):
+@example((4,), (4,), 1, 30, 2)
+@example((4, 2), (3, 2), 1, 7, 7)
+# n = 8: with the solved points' gradients gathered F-ordered, their
+# squared norms would be summed pairwise over n and move.
+@example((4,), (16,), 8, 30, 1)
+# An axis of 8 or more entries at n = 1: with one point solved alone, its
+# residual would be summed pairwise and move.
+@example((4,), (16,), 1, 30, 4)
+@example((4, 2), (8, 2), 1, 30, 33)
+def test_early_exits_keep_the_evaluation(q, shape, n, P, seed):
     q = as_exponents(q)
-    shape = (4,) if q.d == 1 else (3, 2)
     K = math.prod(shape)
-    assume(n < K)
+    assume(len(shape) == q.d and n < K)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((P, K))
     B = np.linalg.qr(rng.standard_normal((K, n)))[0]
@@ -646,6 +669,17 @@ def test_early_exits_keep_the_evaluation_on_a_tied_orbit(n):
     ]
     for B in bases:
         _assert_evaluation_matches_reference(X, B, prob.q, prob.k)
+
+
+def test_sandwich_upper_is_the_full_evaluations_value():
+    # At n = 8 the solved points' coefficients were gathered F-ordered, and
+    # this report's upper value moved in its last bits.  The reference is a
+    # run, not a literal, since the bits depend on the BLAS kernel.
+    prob = BallProblem(k=(4, 4), n=8, p=(1.5, 1.25), q=(4, 4))
+    upper = sandwich_report(prob).upper
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(width_oracle, "_evaluate_exact", _reference_evaluate_exact)
+        assert upper == sandwich_report(prob).upper
 
 
 def _full_polish_value(X, B, q, shape):
