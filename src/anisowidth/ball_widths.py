@@ -17,7 +17,6 @@ Euclidean width bound for that block.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -53,7 +52,6 @@ __all__ = [
 # A near-tie between exact products is settled on integers of at most this
 # many bits; a larger one is refused rather than left to run for minutes.
 _EXACT_BITS = 1 << 22
-_TRIAL_LIMIT = 1 << 16
 
 
 class PowerProduct:
@@ -191,38 +189,6 @@ class PowerProduct:
             return NotImplemented
         return self._cmp(other) == 0
 
-    def __hash__(self):
-        """Hash of the unique form ``r * prod prime^f``, ``r`` rational and
-        each ``f`` in (0, 1); a rational value hashes as the equal ``int`` or
-        ``Fraction``, with ``r`` reduced modulo the hash modulus.  Exact for
-        bases below ``_TRIAL_LIMIT**2``.  Products with a float exponent
-        compare in floating point, which is not transitive: one shared hash.
-        """
-        if not (
-            isinstance(self.coeff, Fraction)
-            and all(isinstance(e, (int, Fraction)) for _, e in self.factors)
-        ):
-            return 0
-        powers = {}
-        for b, e in self.factors:
-            for prime, k in _factorise(b).items():
-                powers[prime] = powers.get(prime, 0) + k * e
-        whole = {prime: math.floor(x) for prime, x in powers.items()}
-        frac = tuple(
-            (prime, x - whole[prime])
-            for prime, x in sorted(powers.items())
-            if x != whole[prime]
-        )
-        mod = sys.hash_info.modulus
-        c = self.coeff
-        try:
-            h = c.numerator * pow(c.denominator, -1, mod) % mod
-            for prime, w in whole.items():
-                h = h * pow(prime, w, mod) % mod
-        except ValueError:  # the hash modulus divides a denominator
-            h = hash(c * math.prod(Fraction(pr) ** w for pr, w in whole.items()))
-        return hash((h, frac)) if frac else h
-
     def ceil_int(self) -> int:
         """Smallest integer >= the product value (exact for exact products).
 
@@ -260,21 +226,6 @@ class PowerProduct:
     def __repr__(self):
         body = " * ".join(f"{b}^({e})" for b, e in self.factors)
         return f"PowerProduct({self.coeff}{' * ' + body if body else ''})"
-
-
-def _factorise(m: int) -> dict:
-    """Prime factorisation of ``m`` by trial division below ``_TRIAL_LIMIT``;
-    a cofactor without such a factor is taken as prime."""
-    out = {}
-    d = 2
-    while d < _TRIAL_LIMIT and d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
 
 
 def _as_power(v) -> PowerProduct:

@@ -137,10 +137,6 @@ def _enc(v):
         return [_enc(x) for x in v]
     if isinstance(v, dict):
         return {str(k): _enc(x) for k, x in v.items()}
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return _enc(float(v))
     return v
 
 
@@ -633,22 +629,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each refusal, first match wins; any other exception exits 5.
+_EXIT_CODES = (
+    ((ValidationError, FileNotFoundError), 2),
+    (PropertyViolation, 3),
+    (DeskScaleError, 4),
+)
+
+
 def main(argv=None) -> int:
     """Run one command and return its exit code (callable repeatedly)."""
     args = build_parser().parse_args(argv)
     cmd = {"verify": _cmd_verify, "report": _cmd_report}.get(args.command, _cmd_problem)
     try:
         return cmd(args)
-    except (ValidationError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PropertyViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DeskScaleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except Exception as exc:  # the CLI boundary: one line, no traceback
+        for kinds, code in _EXIT_CODES:
+            if isinstance(exc, kinds):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
         message = " ".join(str(exc).split())
         print(f"error: internal error ({type(exc).__name__}): {message}", file=sys.stderr)
         return 5

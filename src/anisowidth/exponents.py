@@ -40,7 +40,6 @@ __all__ = [
     "omega",
     "SortedProfile",
     "sorted_profile",
-    "theta_t",
     "Conditions",
     "WidthOrder",
     "width_exponent",
@@ -122,8 +121,13 @@ def omega(p, q) -> Union[Fraction, float]:
     return _omega(rp, rq)
 
 
-def _require_target(rq, q):
+def _require_target(rq, q=None):
+    """``q`` in ``[2, inf)``, tested on its reciprocal ``rq``.  The refusal
+    names ``q``, or without it ``1/rq``, which is then computed only for a
+    refused exponent."""
     if rq == 0 or rq > _HALF:
+        if q is None:
+            q = 1 / rq if rq else math.inf
         raise ValidationError(f"target exponent q={q} must lie in [2, inf)")
 
 
@@ -154,12 +158,6 @@ class SortedProfile:
     nu: int
     J: tuple
 
-    def window(self, t: int, s: int) -> tuple:
-        """Axis set I(t, s) = {sigma(t), ..., sigma(s)}, 1-based."""
-        if not (1 <= t and t <= s + 1 and s <= self.d):
-            raise ValidationError(f"bad window [{t}, {s}] for d={self.d}")
-        return self.sigma[t - 1 : s]
-
 
 def sorted_profile(p, q) -> SortedProfile:
     """Compute weights, the stable sort, and the split points mu, nu, J."""
@@ -167,8 +165,7 @@ def sorted_profile(p, q) -> SortedProfile:
     q = as_exponents(q)
     if p.d != q.d:
         raise ValidationError(f"dimension mismatch: p has {p.d} axes, q has {q.d}")
-    for rq, qv in zip(q.recip, q.p):
-        _require_target(rq, qv)
+    _require_q_range(q)
     return _profile(p, q)
 
 
@@ -187,9 +184,9 @@ def _profile(p: ExponentVector, q: ExponentVector) -> SortedProfile:
 
 
 def _require_q_range(q: ExponentVector):
-    for rqj in q.recip:
-        if rqj == 0 or rqj > _HALF:
-            raise ValidationError("every target exponent q_j must lie in [2, inf)")
+    """Every ``q_j`` in ``[2, inf)``; the first one outside is named."""
+    for rq in q.recip:
+        _require_target(rq)
 
 
 def _sorted_axes(p: ExponentVector, q: ExponentVector, column):
@@ -230,12 +227,14 @@ def _margin(ir, rq, rp, lo=0, hi=None):
 
 
 def _denominator(ir_s, rq_s, t):
-    """``sum_(j<t) 1/r_j + 2 sum_(j>=t) 1/(r_j q_j)``, shared by ``theta_t``
-    and the breakpoint ``s_t``."""
+    """``sum_(j<t) 1/r_j + 2 sum_(j>=t) 1/(r_j q_j)``, shared by the
+    candidate value of ``t`` (:func:`_theta_value`) and the breakpoint
+    ``s_t``."""
     return sum(ir_s[:t]) + 2 * _dot(ir_s, rq_s, t)
 
 
 def _theta_value(prof, ir_s, rq_s, rp_s, t):
+    """Candidate width exponent of the boundary index ``t`` in ``J``."""
     nu = prof.nu
     if t == prof.d and nu < prof.d:
         return (1 + sum(ir_s[nu:]) * _HALF - _dot(ir_s, rp_s, nu)) / sum(ir_s)
@@ -258,16 +257,6 @@ def _require_two_blocks(p: ExponentVector, q: ExponentVector, nu_split: int):
             raise ValidationError(f"axis {j + 1}: need q <= p in the second block")
 
 
-def theta_t(p, q, r, t: int, profile: Optional[SortedProfile] = None):
-    """Candidate width exponent for boundary index ``t`` (``t`` must be in J)."""
-    prof, rq_s, rp_s, _, ir_s = _tables(p, q, r)
-    if profile is not None and profile != prof:
-        raise ValidationError("supplied profile disagrees with (p, q)")
-    if _require_int("t", t) not in prof.J:
-        raise ValidationError(f"t={t} not in candidate set J={prof.J}")
-    return _theta_value(prof, ir_s, rq_s, rp_s, t)
-
-
 @dataclass(frozen=True)
 class Conditions:
     emb_cond_ok: bool
@@ -288,9 +277,10 @@ class WidthOrder:
 def width_exponent(p, q, r) -> WidthOrder:
     """Width order exponent for target exponents ``q_j in [2, inf)``.
 
-    Minimizes the candidate values ``theta_t`` over the boundary set ``J``
-    of the sorted profile.  Raises :class:`NotCompactError` when the
-    compact-embedding margin is not positive.  A non-strict minimum is
+    Minimizes the candidate value of each boundary index ``t`` in the set
+    ``J`` of the sorted profile; ``all_theta`` maps each ``t`` to its
+    value.  Raises :class:`NotCompactError` when the compact-embedding
+    margin is not positive.  A non-strict minimum is
     reported via ``conditions.strict_min_ok = False`` (the exponent is still
     the minimum value).
     """
@@ -369,11 +359,9 @@ class HFamily:
     breakpoints: dict
     lines: dict
 
-    def envelope(self, s):
-        return _envelope(self.lines, s)
-
 
 def _envelope(lines, s):
+    """The upper envelope ``max_t (a_t s + b_t)`` of the family's lines."""
     return max(a * s + b for a, b in lines.values())
 
 

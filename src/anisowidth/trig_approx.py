@@ -1,10 +1,11 @@
 """Trigonometric kernels, smoothing operators, and approximation rates.
 
-Periodic machinery on the d-torus: Fejer and de la Vallee Poussin kernels,
-the taper operator they induce on coefficients, dyadic blocks driven by the
-per-axis growth weights of a smoothness vector, fractional derivatives and
-integrals as coefficient multipliers, and empirical approximation-rate
-slopes for functions in anisotropic smoothness classes.
+Periodic machinery on the d-torus: the Fejer kernel, the de la Vallee
+Poussin taper operator on coefficients (weight 1 up to ``N``, linear to 0
+at ``2N``), dyadic blocks driven by the per-axis growth weights of a
+smoothness vector, fractional derivatives and integrals as coefficient
+multipliers, and empirical approximation-rate slopes for functions in
+anisotropic smoothness classes.
 
 Function norms here use normalized measure (grid means, or by Parseval
 the coefficients' l2 norm when every exponent is 2), in contrast with the
@@ -13,10 +14,9 @@ counting-measure norms of :mod:`anisowidth.mixed_norm`.
 Each coefficient-space decision (band slices, FFT positions, a multiplier
 along one axis, the Weyl multiplier, the difference multiplier, the
 quadrature grid, the norm's route and range scaling, degree powers, order
-checks) is made by one private helper.  Kernel, taper and difference
-orders must be finite and >= 1, Weyl orders finite and >= 0, phases
-finite; anything else is refused with :class:`ValidationError`, so no
-input yields NaN.
+checks) is made by one private helper.  Kernel and taper orders must be
+finite and >= 1, Weyl orders finite and >= 0, phases finite; anything else
+is refused with :class:`ValidationError`, so no input yields NaN.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "TrigPoly",
     "samples_to_trigpoly",
     "fejer",
-    "vallee_poussin",
     "vp_power_kernel",
     "vp_multiplier",
     "vp_operator",
@@ -58,7 +57,6 @@ __all__ = [
     "nikolskii_ratio",
     "bernstein_ratio",
     "fejer_shift_sum_check",
-    "finite_difference",
     "RateResult",
     "approximation_rate",
     "decaying_series_1d",
@@ -186,11 +184,6 @@ class TrigPoly:
         raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         return cls(degree, 0.5 * (raw + np.conj(np.flip(raw))))
 
-    def is_real(self) -> bool:
-        """Exactly conjugate-symmetric coefficients: the test by which
-        :meth:`values` returns a float array."""
-        return not (self.coeff - np.conj(np.flip(self.coeff))).any()
-
     def pad(self, degree) -> "TrigPoly":
         out = TrigPoly(degree)
         out.coeff[_band(self.degree, out.degree)] = self.coeff
@@ -245,9 +238,6 @@ class TrigPoly:
         return _complex(
             _real_values(even, positions, grid), _real_values(-0.5j * odd, positions, grid)
         )
-
-    def real_values(self, grid) -> np.ndarray:
-        return self.values(grid).real
 
 
 def _real_values(coeff: np.ndarray, positions: list, grid: tuple) -> np.ndarray:
@@ -317,12 +307,6 @@ def fejer(m: int, x) -> Union[float, np.ndarray]:
     return _like(x, vals)
 
 
-def vallee_poussin(m: int, x) -> Union[float, np.ndarray]:
-    """De la Vallee Poussin kernel: flat response up to ``m``, taper to ``2m``."""
-    m = _require_int("kernel order", m, 1)
-    return 2.0 * fejer(2 * m, x) - fejer(m, x)
-
-
 def vp_power_kernel(n: int, r, alpha, x) -> Union[float, np.ndarray]:
     """Tapered power kernel: coefficient ``|k|^r e^(i sgn(k) alpha pi/2)``
     up to ``n``, linearly tapered to zero at ``2n``."""
@@ -371,35 +355,17 @@ def vp_multiplier(m: int, k) -> Union[float, np.ndarray]:
     return _like(k, w)
 
 
-def _as_trigpoly(f, N) -> TrigPoly:
-    if isinstance(f, TrigPoly):
-        return f
-    values = np.asarray(f)
-    for G, Nj in zip(values.shape, N):
-        if G < 4 * Nj + 1:
-            raise ValidationError(
-                f"sampled input needs grid >= 4 N + 1 = {4 * Nj + 1}, got {G}"
-            )
-    degree = tuple(
-        min(2 * Nj - 1, (G - 1) // 2) for G, Nj in zip(values.shape, N)
-    )
-    return samples_to_trigpoly(values, degree)
-
-
-def vp_operator(f, N: Sequence[int]) -> TrigPoly:
+def vp_operator(f: TrigPoly, N: Sequence[int]) -> TrigPoly:
     """Taper operator: multiply coefficients by the per-axis taper weights.
 
     Reproduces any polynomial of degree ``<= N`` exactly; output degree is
-    at most ``2N - 1``.  Sampled input must come on a grid of at least
-    ``4 N + 1`` points per axis.
+    at most ``2N - 1``.
     """
     N = _degree(N, 1, "taper degree")
-    t = _as_trigpoly(f, N)
-    if t.d != len(N):
+    if f.d != len(N):
         raise ValidationError("degree vector dimension mismatch")
-    out_deg = tuple(min(Nf, 2 * Nj - 1) for Nf, Nj in zip(t.degree, N))
-    t = t.restrict(out_deg)
-    coeff = t.coeff
+    out_deg = tuple(min(Nf, 2 * Nj - 1) for Nf, Nj in zip(f.degree, N))
+    coeff = f.restrict(out_deg).coeff
     for axis, (Nj, Dj) in enumerate(zip(N, out_deg)):
         coeff = _along(coeff, axis, vp_multiplier(Nj, np.arange(-Dj, Dj + 1)))
     return TrigPoly(out_deg, coeff)
@@ -489,20 +455,20 @@ def weyl_integral(t: TrigPoly, axis: int, r, alpha) -> TrigPoly:
 # norms and inequality ratios
 
 
-def trig_lp_norm(t: TrigPoly, p, oversample: int = 8) -> float:
+def trig_lp_norm(t: TrigPoly, p) -> float:
     """Mixed norm with normalized measure.
 
     For ``p = (2, ..., 2)`` it is the l2 norm of the coefficients
     (Parseval, :func:`_l2_norm`), and no grid is built.  Other exponents
     are taken by quadrature on the grid of :func:`_norm_grid`: at least
-    ``oversample * max(N, 1) + 1`` points per axis, with the coefficients
-    first moved into range by :func:`_scaled` and the norm scaled back.
-    The quadrature is exact whenever the exponents are even integers
-    at most ``oversample``, each a multiple of the one before (equal ones,
-    say): each inner norm raised to the next exponent is then itself a
-    polynomial the grid resolves.  Approximate otherwise.  For a real
-    polynomial and ``p = inf`` the grid maximum is at least
-    ``prod_j cos(pi N_j / G_j) >= cos(pi / oversample)^d`` of the true
+    ``8 * max(N, 1) + 1`` points per axis, with the coefficients first
+    moved into range by :func:`_scaled` and the norm scaled back.  The
+    quadrature is exact whenever the exponents are even integers at most
+    8, each a multiple of the one before (equal ones, say): each inner norm
+    raised to the next exponent is then itself a polynomial the grid
+    resolves.  Approximate otherwise.  For a real polynomial and
+    ``p = inf`` the grid maximum is at least
+    ``prod_j cos(pi N_j / G_j) >= cos(pi / 8)^d`` of the true
     maximum: along each axis, ``arccos(t / max|t|)`` moves at rate at most
     ``N_j`` (Bernstein's inequality), and a grid point lies within
     ``pi / G_j``.
@@ -510,11 +476,10 @@ def trig_lp_norm(t: TrigPoly, p, oversample: int = 8) -> float:
     p = as_exponents(p)
     if p.d != t.d:
         raise ValidationError("exponent vector dimension mismatch")
-    oversample = _require_int("oversample", oversample, 4)
     if _is_flat_two(p):
         return _l2_norm(t.coeff)
     t, e = _scaled(t)
-    return _ldexp(_grid_norm(t.values(_norm_grid(t.degree, oversample)), p), e)
+    return _ldexp(_grid_norm(t.values(_norm_grid(t.degree)), p), e)
 
 
 def _l2_norm(coeff: np.ndarray) -> float:
@@ -542,13 +507,13 @@ def _prescaled_parts(coeff: np.ndarray) -> tuple:
     return parts.view(complex), e
 
 
-def _norm_grid(degree, oversample: int = 8) -> tuple:
+def _norm_grid(degree) -> tuple:
     """The quadrature grid of :func:`trig_lp_norm`: per axis, the least
-    5-smooth length ``2^a 3^b 5^c`` of at least ``oversample * max(N, 1) + 1``
+    5-smooth length ``2^a 3^b 5^c`` of at least ``8 * max(N, 1) + 1``
     points.  pocketfft runs such lengths without Bluestein's algorithm,
     which it needs for a length with a large prime factor (``8N + 1`` often
     has one: 97, 257, 1761 = 3 * 587)."""
-    return tuple(_smooth_length(oversample * max(N, 1) + 1) for N in degree)
+    return tuple(_smooth_length(8 * max(N, 1) + 1) for N in degree)
 
 
 def _smooth_length(n: int) -> int:
@@ -643,22 +608,6 @@ def fejer_shift_sum_check(m: int, h: float) -> float:
     return float(total.max()) / m
 
 
-def finite_difference(values: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
-    """Iterated forward difference ``Delta_h^order`` along a 1-based axis.
-
-    Acts on uniform grid samples through the spectrum (multiplier
-    ``(e^(i k h) - 1)^order``), so it is exact for samples of a polynomial
-    the grid resolves, for any finite real step ``h``.
-    """
-    values = np.asarray(values)
-    if _require_int("axis", axis, 1) > values.ndim:
-        raise ValidationError(f"axis {axis} outside 1..{values.ndim}")
-    _require_int("difference order", order, 1)
-    h = _finite("step h", h)
-    axis -= 1
-    return _difference(_half_spectra(values, axis), h, axis, order, values.shape[axis])
-
-
 def _half_spectra(values: np.ndarray, axis: int) -> list:
     """``rfft`` along the 0-based ``axis`` of the real samples, or of the
     real and the imaginary part of complex ones."""
@@ -667,10 +616,12 @@ def _half_spectra(values: np.ndarray, axis: int) -> list:
 
 
 def _difference(spectra: list, h: float, axis: int, order: int, G: int) -> np.ndarray:
-    """Samples of ``Delta_h^order`` on ``G`` points along the 0-based
-    ``axis``, from the :func:`_half_spectra` of the samples: the multiplier
-    ``(e^(i k h) - 1)^order`` on ``k = 0..G // 2``, then ``irfft``; real for
-    one spectrum, complex for two."""
+    """Samples of the iterated forward difference ``Delta_h^order`` on ``G``
+    points along the 0-based ``axis``, from the :func:`_half_spectra` of the
+    samples: the multiplier ``(e^(i k h) - 1)^order`` on ``k = 0..G // 2``,
+    then ``irfft``; real for one spectrum, complex for two.  Exact for
+    samples of a polynomial the grid resolves, for any finite real step
+    ``h``."""
     mult = _difference_multiplier(np.arange(G // 2 + 1), h, order)
     parts = [np.fft.irfft(_along(spec, axis, mult), G, axis=axis) for spec in spectra]
     return parts[0] if len(parts) == 1 else _complex(*parts)

@@ -126,16 +126,6 @@ class SubspaceCandidate:
                 raise ValidationError("basis is rank-deficient (tolerance 1e-8)")
         self.basis = basis
 
-    @property
-    def n(self) -> int:
-        return self.basis.shape[1]
-
-    def orthonormal(self) -> np.ndarray:
-        if self.basis.shape[1] == 0:
-            return self.basis
-        qmat, _ = np.linalg.qr(self.basis)
-        return qmat
-
 
 def harmonic_frame(K: int, n: int) -> np.ndarray:
     """Orthonormal K x n basis whose projector has a constant diagonal.

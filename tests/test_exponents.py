@@ -15,10 +15,10 @@ from anisowidth import (
     omega,
     smoothness_vector,
     sorted_profile,
-    theta_t,
     width_exponent,
     width_exponent_low_q,
 )
+from anisowidth.exponents import _envelope
 
 # Fraction pools so random instances stay exactly rational
 P_POOL = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(4), math.inf]
@@ -133,16 +133,9 @@ def test_not_compact_raises_with_margin():
     assert "not compactly embedded" in str(exc.value)
 
 
-def test_theta_t_outside_transition_set():
-    with pytest.raises(ValidationError):
-        theta_t((1,), (4,), (2,), 2)
-
-
-# Integer arguments given as booleans or non-integers.  Before the shared
-# integer check the first ran as the integer 1, the second raised a raw
-# TypeError.
+# Integer arguments given as non-integers.  Before the shared integer check
+# this raised a raw TypeError.
 INTEGER_MISUSES = {
-    "theta_t boolean t": lambda: theta_t((1,), (4,), (2,), True),
     "width_exponent_low_q nu_split": lambda: width_exponent_low_q((2, 3), (1, 1.5), (1, 3), 0.0),
 }
 
@@ -253,8 +246,8 @@ def test_h_family_two_axis_lines_and_identities():
     s1 = hf.breakpoints[1]
     assert s1 == Fraction(3, 2)
     # envelope hits each transition exponent at its breakpoint
-    assert hf.envelope(s1) == wo.all_theta[1]
-    assert hf.envelope(Fraction(1)) == wo.all_theta[2]
+    assert _envelope(hf.lines, s1) == wo.all_theta[1]
+    assert _envelope(hf.lines, Fraction(1)) == wo.all_theta[2]
 
 
 def test_h_family_domain_within_bounds():

@@ -1,8 +1,14 @@
-"""The package namespace: every public name is listed once, by its module."""
+"""The package namespace: every public name is listed once, by its module,
+and each one has a caller in the program."""
 
+import ast
 import importlib
+import importlib.util
+from pathlib import Path
 
 import anisowidth
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MODULES = ("mixed_norm", "exponents", "ball_widths", "width_oracle", "trig_approx")
 
@@ -16,3 +22,30 @@ def test_package_exports_the_concatenated_module_lists():
             assert getattr(anisowidth, name) is getattr(m, name)
     # the one exported name its module used not to list
     assert "smoothness_vector" in modules[1].__all__
+
+
+def _loaded_names(path: Path) -> set:
+    """The names a file's code loads: bare names and attribute names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_name_has_a_program_caller():
+    # A public name that only tests reach is surface to maintain for no
+    # program: each must be loaded by the package or the benchmark (not by
+    # their tests), or be a function the benchmark's tracer wraps.
+    loaded = set()
+    for folder in ("src", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            if not path.name.startswith("test_"):
+                loaded |= _loaded_names(path)
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    traced = {name.rsplit(".", 1)[1] for name in spans.target_names()}
+    assert [name for name in anisowidth.__all__ if name not in loaded | traced] == []

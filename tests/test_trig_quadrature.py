@@ -9,13 +9,16 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anisowidth import Tensor, TrigPoly, finite_difference, mixed_norm, trig_lp_norm
+from anisowidth import Tensor, TrigPoly, mixed_norm, trig_lp_norm
 from anisowidth.mixed_norm import as_exponents
 from anisowidth.trig_approx import (
     _MARGIN_STEPS,
     _degree_power,
+    _difference,
     _grid_norm,
+    _half_spectra,
     _norm_grid,
+    _smooth_length,
     smoothness_margin,
 )
 
@@ -25,11 +28,11 @@ from anisowidth.trig_approx import (
 ULPS = 8 * 2.0**-52
 
 
-def old_grid_norm(t, p, oversample):
-    """The norm on the former quadrature grid, ``oversample * max(N, 1) + 1``
-    points per axis, through the complex inverse transform of the whole
-    grid and the tensor norm."""
-    grid = tuple(oversample * max(N, 1) + 1 for N in t.degree)
+def old_grid_norm(t, p):
+    """The norm on the former quadrature grid, ``8 * max(N, 1) + 1`` points
+    per axis, through the complex inverse transform of the whole grid and
+    the tensor norm."""
+    grid = tuple(8 * max(N, 1) + 1 for N in t.degree)
     spec = np.zeros(grid, dtype=complex)
     spec[np.ix_(*((np.arange(-N, N + 1) % G) for N, G in zip(t.degree, grid)))] = t.coeff
     values = np.fft.ifftn(spec) * math.prod(grid)
@@ -43,7 +46,9 @@ def grid_margin(t, r):
     two = as_exponents((2,) * t.d)
     values = t.values(_norm_grid(t.degree))
     return max(
-        _grid_norm(finite_difference(values, h, j + 1, math.floor(rj) + 1), two) / h**rj
+        _grid_norm(
+            _difference(_half_spectra(values, j), h, j, math.floor(rj) + 1, values.shape[j]), two
+        ) / h**rj
         for j, rj in enumerate(r)
         for h in _MARGIN_STEPS
     )
@@ -60,13 +65,13 @@ def polynomials(draw, max_dim=3, max_degree=6):
 
 
 @st.composite
-def exact_exponents(draw, d, oversample):
-    """Even exponents at most ``oversample``, each a multiple of the one
-    before: then every inner norm raised to the next exponent is a
-    polynomial, and the grid resolves each one."""
-    p = [draw(st.sampled_from([e for e in (2, 4, 6, 8) if e <= oversample]))]
+def exact_exponents(draw, d):
+    """Even exponents at most 8, each a multiple of the one before: then
+    every inner norm raised to the next exponent is a polynomial, and the
+    grid resolves each one."""
+    p = [draw(st.sampled_from((2, 4, 6, 8)))]
     for _ in range(d - 1):
-        p.append(draw(st.sampled_from([e for e in (2, 4, 6, 8) if p[-1] <= e <= oversample
+        p.append(draw(st.sampled_from([e for e in (2, 4, 6, 8) if p[-1] <= e
                                        and e % p[-1] == 0])))
     return tuple(p)
 
@@ -74,38 +79,49 @@ def exact_exponents(draw, d, oversample):
 @st.composite
 def exact_cases(draw):
     t = draw(polynomials())
-    oversample = draw(st.integers(4, 8))
-    return t, draw(exact_exponents(t.d, oversample)), oversample
+    return t, draw(exact_exponents(t.d))
+
+
+def five_smooth(m):
+    for f in (2, 3, 5):
+        while m % f == 0:
+            m //= f
+    return m == 1
 
 
 def test_the_grid_is_the_least_five_smooth_length():
     assert [_norm_grid((N,))[0] for N in (0, 1, 8, 12, 32, 64, 220, 256)] == [
         9, 9, 72, 100, 270, 540, 1800, 2160]
-    assert _norm_grid((64, 12), 4) == (270, 50)
+    assert _norm_grid((64, 12)) == (540, 100)
+    # every n up to 8 * 512 + 1, the grid of a degree-512 axis; a power of
+    # two lies below 2n
+    lengths = [m for m in range(1, 16 * 512 + 4) if five_smooth(m)]
+    for n in range(1, 8 * 512 + 2):
+        assert _smooth_length(n) == min(m for m in lengths if m >= n), n
 
 
 @settings(max_examples=200, deadline=None)
 @given(exact_cases())
-@example((TrigPoly((8,), np.eye(17)[8]), (8,), 8))
-@example((TrigPoly.random_real((3, 2), np.random.default_rng(5)), (2, 4), 4))
+@example((TrigPoly((8,), np.eye(17)[8]), (8,)))
+@example((TrigPoly.random_real((3, 2), np.random.default_rng(5)), (2, 4)))
 def test_exact_quadrature_keeps_the_former_grids_norm(case):
-    t, p, oversample = case
-    got = trig_lp_norm(t, p, oversample)
-    want = old_grid_norm(t, p, oversample)
+    t, p = case
+    got = trig_lp_norm(t, p)
+    want = old_grid_norm(t, p)
     assert abs(got - want) <= 1e-13 * want
 
 
 @settings(max_examples=200, deadline=None)
-@given(polynomials(), st.integers(4, 8))
-def test_the_two_norm_is_parseval(t, oversample):
+@given(polynomials())
+def test_the_two_norm_is_parseval(t):
     want = math.sqrt(math.fsum(np.abs(t.coeff).ravel() ** 2))
-    got = trig_lp_norm(t, (2,) * t.d, oversample)
+    got = trig_lp_norm(t, (2,) * t.d)
     assert abs(got - want) <= 1e-13 * want
 
 
 @settings(max_examples=200, deadline=None)
-@given(polynomials(max_dim=1, max_degree=40), st.integers(4, 8))
-def test_the_grid_maximum_is_within_the_grid_bound(t, oversample):
+@given(polynomials(max_dim=1, max_degree=40))
+def test_the_grid_maximum_is_within_the_grid_bound(t):
     # For real t of degree N, arccos(t / max|t|) changes at rate at most N
     # (Bernstein's inequality), and every point is within pi / G of the grid:
     # so the grid maximum is at least cos(pi N / G) of the true maximum, which
@@ -113,8 +129,8 @@ def test_the_grid_maximum_is_within_the_grid_bound(t, oversample):
     # the quadrature grid, so it bounds the grid maximum from above, up to
     # the rounding of its own transform.
     t = TrigPoly(t.degree, 0.5 * (t.coeff + np.conj(t.coeff[::-1])))
-    (N,), (G,) = t.degree, _norm_grid(t.degree, oversample)
-    grid_max = trig_lp_norm(t, (math.inf,), oversample)
+    (N,), (G,) = t.degree, _norm_grid(t.degree)
+    grid_max = trig_lp_norm(t, (math.inf,))
     dense_max = float(np.abs(t.values((32 * G,))).max())
     assert dense_max * math.cos(math.pi * N / G) <= grid_max * (1 + 1e-13)
     assert grid_max <= dense_max * (1 + 1e-13)
@@ -125,7 +141,7 @@ def test_the_grid_maximum_is_within_the_grid_bound(t, oversample):
 @example(TrigPoly((0, 0), [[1.5 - 2j]]), None)
 def test_two_norms_from_coefficients_agree_with_the_quadrature(t, data):
     two = (2,) * t.d
-    want = old_grid_norm(t, two, 8)
+    want = old_grid_norm(t, two)
     assert abs(trig_lp_norm(t, two) - want) <= ULPS * want
     r = (1.5,) * t.d
     if data is not None:
