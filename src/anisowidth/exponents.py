@@ -123,12 +123,32 @@ def omega(p, q) -> Union[Fraction, float]:
 
 def _require_target(rq, q=None):
     """``q`` in ``[2, inf)``, tested on its reciprocal ``rq``.  The refusal
-    names ``q``, or without it ``1/rq``, which is then computed only for a
-    refused exponent."""
+    names ``q``, or without it :func:`_exponent_of` ``rq``, which is then
+    computed only for a refused exponent."""
     if rq == 0 or rq > _HALF:
         if q is None:
-            q = 1 / rq if rq else math.inf
+            q = _exponent_of(rq)
         raise ValidationError(f"target exponent q={q} must lie in [2, inf)")
+
+
+def _exponent_of(rq):
+    """The exponent whose stored reciprocal is ``rq``, as it was given.
+
+    Exact for a ``Fraction``, inf for 0.  A float exponent ``x`` is stored
+    as ``1.0 / x``, and ``1 / (1.0 / x)`` need not be ``x`` (1.452 comes
+    back as 1.4519999999999997), so a float ``rq`` names the shortest
+    decimal whose reciprocal is ``rq``.
+    """
+    if not rq:
+        return math.inf
+    q = 1 / rq
+    if isinstance(rq, Fraction):
+        return q
+    for digits in range(1, 18):
+        shortest = float(f"{q:.{digits}g}")
+        if 1.0 / shortest == rq:
+            return shortest
+    return q
 
 
 def _omega(rp, rq) -> Union[Fraction, float]:

@@ -252,11 +252,19 @@ def _reduce_axis0(a: np.ndarray, step: tuple) -> np.ndarray:
         return a.sum(axis=0)
     if kind == "two":
         return np.sqrt((a * a).sum(axis=0))
+    m, total = _power_sum(a, pf)
+    return m * total ** (1.0 / pf)
+
+
+def _power_sum(a: np.ndarray, pf: float) -> tuple:
+    """``(m, s)``: the maxima ``m`` of the axis-0 fibres of a nonnegative
+    array and the sums ``s`` of ``(a / m) ** pf`` over them, so that the
+    fibres' ``pf``-norms are ``m * s ** (1 / pf)``."""
     m = a.max(axis=0)
     # m == 0 only on an all-zero fibre, which divides to 0 by the least
     # subnormal as well; every other m is at least that subnormal.
     scaled = a / np.maximum(m, 5e-324)
-    return m * np.power(scaled, pf, out=scaled).sum(axis=0) ** (1.0 / pf)
+    return m, np.power(scaled, pf, out=scaled).sum(axis=0)
 
 
 # Range policy.  The entry points move data whose largest magnitude lies
@@ -330,6 +338,38 @@ def _magnitude_norm(mag: np.ndarray, p: ExponentVector) -> np.ndarray:
     for step in p.plan:
         r = _reduce_axis0(r, step)
     return r if _in_range(r) else _rescue(mag, p, r)
+
+
+def _each_norm(stack: np.ndarray, p: ExponentVector) -> list:
+    """:func:`mixed_norm` of each tensor of ``stack``, bit for bit, from one
+    set of batched reductions.
+
+    The tensors lie along the last axis of ``stack``, each laid out as
+    ``Tensor.array`` (axis 1 fastest), so that the kernels reduce each in
+    the order they reduce it alone; ``np.asfortranarray`` gives that layout.
+    Each tensor is rescaled under the range policy of :func:`mixed_norm` on
+    its own.  Only the last root is taken per tensor: a lone tensor's last
+    power sum is a numpy scalar, whose root numpy takes with libm ``pow``,
+    and the vector ``pow`` of an array gives other last bits.
+    """
+    mags = np.abs(stack)
+    m = mags.reshape(-1, stack.shape[-1], order="F").max(axis=0)
+    if not (m < math.inf).all():
+        raise ValidationError("non-finite entry (NaN or inf) in tensor data")
+    e = np.where((m < _SAFE_DATA_MIN) | (m > _SAFE_DATA_MAX), np.frexp(m)[1], 0)
+    if e.any():
+        mags = np.ldexp(mags, -e)
+    r = mags
+    for step in p.plan[:-1]:
+        r = _reduce_axis0(r, step)
+    kind, pf = p.plan[-1]
+    if kind == "pow":
+        r = np.array([top * total ** (1.0 / pf) for top, total in zip(*_power_sum(r, pf))])
+    else:
+        r = _reduce_axis0(r, (kind, pf))
+    if not _in_range(r):
+        r = _rescue(mags, p, r)
+    return [_ldexp(float(v), int(ei)) for v, ei in zip(r, e)]
 
 
 def _norming_array(arr: np.ndarray, p: ExponentVector) -> tuple:

@@ -16,10 +16,14 @@ the subspace, pairs with the point to at most the distance times its dual
 norm (Holder's inequality for mixed norms, Benedek & Panzone 1961; duality
 for best approximation, Singer 1970).  The exact evaluation uses these
 certified per-point bounds to skip solves, points and polishes whose result
-cannot change the reported value (:func:`_evaluate_exact`).  :func:`width_upper`
-evaluates its candidate bases best-first, by that bound at each basis's
+cannot change the reported value (:func:`_evaluate_exact`).  The candidate
+bases race (:func:`_race`): one batched solve serves every candidate that
+can still win, and a candidate leaves it as soon as its start bound, a
+certified lower bound on its result, is above another's largest tracked
+value, an upper bound on that one's result.  :func:`width_upper` then
+evaluates the candidates left best-first, by that bound at each basis's
 least-squares start, so the running cutoff falls early; its tie rule keeps
-the result of the fixed order bit for bit.
+the result of evaluating every candidate in the fixed order, bit for bit.
 
 Each stage stops once its outcome is settled, and every output bit stays
 the same.  Tracked values never rise, so a descent's closing solve drops a
@@ -27,7 +31,9 @@ basis as soon as it beats its best iterate (:func:`_descend`), and the exact
 evaluation solves only the points that can reach the maximum, at least two.
 One rule, for every subspace dimension, keeps their bits: every product is
 taken at full width over zero columns for the points left out, and every
-gather of the solved points is C-ordered (:func:`_inner_solve`).  A polish is
+gather of the solved points is C-ordered (:func:`_inner_solve`); so a
+point's bits do not depend on which other points or bases share its solve,
+and the race solves the union of its candidates' points.  A polish is
 skipped, or stops after its first Powell start, once the point's value is
 at most a value that another point reaches.  No kernel pass is taken twice:
 a descent step takes its norming functionals from its solve's last pass,
@@ -61,6 +67,7 @@ from .mixed_norm import (
     Tensor,
     ValidationError,
     as_exponents,
+    _each_norm,
     _is_flat_two,
     _ldexp,
     _mixed_norm_array,
@@ -167,6 +174,8 @@ def harmonic_frame(K: int, n: int) -> np.ndarray:
 # matrix-vector product (n = 1, or a single point) goes to BLAS gemv with the
 # vector's stride, and gemv's last bits depend on that stride, so a strided
 # start (the eigenbasis of width_upper) keeps its own bits only as laid out.
+# A C-ordered basis has its own layout in a stack, so the list's C-ordered
+# bases share one batched product and only the others are multiplied alone.
 
 
 def _times(B, M, transpose: bool = False, live=None, wide=None) -> np.ndarray:
@@ -180,8 +189,11 @@ def _times(B, M, transpose: bool = False, live=None, wide=None) -> np.ndarray:
         wide[..., live] = M
         return np.take(_times(B, wide, transpose), live, axis=-1)
     if isinstance(B, list):
-        Ms = np.broadcast_to(M, (len(B),) + M.shape[-2:])
-        return np.stack([(b.T if transpose else b) @ m for b, m in zip(B, Ms)])
+        out = _times(np.stack(B), M, transpose)
+        for i, b in enumerate(B):
+            if not b.flags.c_contiguous:
+                out[i] = (b.T if transpose else b) @ (M if M.ndim == 2 else M[i])
+        return out
     return (B.swapaxes(-1, -2) if transpose else B) @ M
 
 
@@ -200,13 +212,13 @@ def _flat_functional(Y: np.ndarray, K: int, nb: int) -> np.ndarray:
     return Y.transpose((*range(1, nb + 1), 0, nb + 1))
 
 
-def _inner_solve(X, B, q, shape, C0, iters, below=None, live=None, functional=False):
+def _inner_solve(X, B, q, shape, C0, iters, live=None, functional=False, leave=None):
     """Approximate per-point best-approximation coefficients, batched.
 
     Subgradient descent with best-value tracking; the Euclidean projection
     is the starting point, so for flat q = 2 this is already exact and no
     step is taken.  Returns the tracked coefficients and values and, with
-    ``functional`` (not with ``below``), the norming functionals of the
+    ``functional`` (not with ``leave``), the norming functionals of the
     tracked residuals in the kernels' layout: each is kept from the kernel
     pass that took its value, so a caller that needs them takes no pass of
     its own.  The evaluation after the last step is folded into the loop as
@@ -214,9 +226,9 @@ def _inner_solve(X, B, q, shape, C0, iters, below=None, live=None, functional=Fa
     exactly what it gives alone.
 
     ``live``, the sorted positions of at least two of the points of ``X``
-    (with ``C0`` given, not with ``below``), solves only those points, each
-    with the bits it gets in the full set.  One rule keeps them for every
-    ``n``, and each of its parts is needed:
+    (with ``C0`` given), solves only those points, each with the bits it
+    gets in the full set.  One rule keeps them for every ``n``, and each of
+    its parts is needed:
 
     - BLAS gives a column of a product bits that depend on its entries and
       its position among the columns, not on the other columns' entries.
@@ -229,13 +241,18 @@ def _inner_solve(X, B, q, shape, C0, iters, below=None, live=None, functional=Fa
     - A lone point's residual is contiguous along the axis the kernels
       reduce, so one point alone would be summed pairwise too.
 
-    ``below``, one value per basis of an ``(S, K, n)`` stack, is for a
-    caller that asks only whether each basis's largest value ends below
-    its entry, and only the tracked values are returned.  A basis leaves the
-    batch at the first step where its largest tracked value is below its
-    entry, with its tracked values at that step.  Tracked values never rise,
-    so the full solve would end below the entry too.  The bases that stay
-    run every iteration with their own bits.
+    So a point gets the same bits whichever other points are live, and a
+    stack of bases can be solved over the union of their live sets, as
+    :func:`_race` solves its candidates: each basis gets, on its own live
+    points, the bits of its lone solve on them.
+
+    ``leave`` is for a caller that needs the result only for some bases of
+    a stack: ``leave(kept, fmax)`` marks which of the bases ``kept``
+    (indices into the stack) leave the batch, given their largest tracked
+    values ``fmax``.  It is asked before each kernel pass and once after
+    the last, and ``(kept, C, f)`` of the bases that stay to the end is
+    returned.  A basis that leaves takes no further pass; the bases that
+    stay run every iteration with their own bits.
     """
     P, K = X.shape
     C = _times(B, X.T, True) if C0 is None else C0
@@ -247,19 +264,20 @@ def _inner_solve(X, B, q, shape, C0, iters, below=None, live=None, functional=Fa
         iters = 0
     best_C, best_Y = C, None
     best_f = np.full(C.shape[:-2] + (X.shape[0],), math.inf)
-    if below is not None:
-        kept = np.arange(len(below))
-        out_f = np.empty(best_f.shape)
+    kept = None if leave is None else np.arange(len(B))
     step = 1.0
-    for it in range(iters + 1):
-        if below is not None:
-            keep = best_f.max(axis=1) >= below[kept]
-            if not keep.all():
-                out_f[kept] = best_f
-                kept, B, C = kept[keep], B[keep], C[keep]
-                best_C, best_f = best_C[keep], best_f[keep]
-                if not kept.size:
-                    return out_f
+    for it in range(iters + 2):
+        if leave is not None:
+            stay = np.flatnonzero(~leave(kept, best_f.max(axis=-1)))
+            if stay.size < kept.size:
+                kept, C, best_C, best_f = kept[stay], C[stay], best_C[stay], best_f[stay]
+                B = [B[i] for i in stay] if isinstance(B, list) else B[stay]
+                if live is not None:
+                    wide_C, wide_Y = wide_C[stay], wide_Y[stay]
+            if not kept.size:
+                break
+        if it > iters:
+            break
         f, Y = _norming_array(_batch_residual(X, B, C, shape, live, wide_C), q)
         improved = f < best_f
         best_f = np.where(improved, f, best_f)
@@ -267,15 +285,14 @@ def _inner_solve(X, B, q, shape, C0, iters, below=None, live=None, functional=Fa
         if functional:
             best_Y = Y if best_Y is None else np.where(improved, Y, best_Y)
         if it == iters:
-            break
+            continue
         H = _times(B, _flat_functional(Y, K, C.ndim - 2), True, live, wide_Y)
         gn2 = (H * H).sum(axis=-2) + 1e-30
         eta = step * 0.5 * f / gn2
         C = C + eta[..., None, :] * H
         step *= 0.97
-    if below is not None:
-        out_f[kept] = best_f
-        return out_f
+    if leave is not None:
+        return kept, best_C, best_f
     return (best_C, best_f, best_Y) if functional else (best_C, best_f)
 
 
@@ -351,11 +368,11 @@ def _descend(X, B0, q, shape, cfg):
     5 passes, one per iteration and one at its end.
 
     The closing 60-iteration solve only decides whether the last basis beats
-    the best iterate, so it takes the best values as ``below`` (see
-    :func:`_inner_solve`): a basis stops once its largest tracked value is
-    under its best value.  Only the bases that never get there run all 60
-    iterations, and every decision, so every returned basis, is the one the
-    full solve gives.
+    the best iterate, so a basis leaves it (see :func:`_inner_solve`) once
+    its largest tracked value is under its best value: tracked values never
+    rise, so the full solve would end there too.  Only the bases that never
+    get there run all 60 iterations, and every decision, so every returned
+    basis, is the one the full solve gives.
     """
     starts = list(B0)
     B = np.stack(starts)
@@ -381,8 +398,11 @@ def _descend(X, B0, q, shape, cfg):
         eta = (0.5 / (1.0 + it / 8.0)) * math.sqrt(n) / gn
         B, _ = np.linalg.qr(B + eta[:, None, None] * G)
         C = _times(B, X.T, True)
-    f = _inner_solve(X, B, q, shape, None, iters=60, below=best_val)
-    improved = f.max(axis=1) < best_val
+    kept, _, _ = _inner_solve(
+        X, B, q, shape, None, iters=60, leave=lambda kept, fmax: fmax < best_val[kept]
+    )
+    improved = np.ones(len(B), dtype=bool)
+    improved[kept] = False
     return [b if up else old for b, up, old in zip(B, improved, best_B)]
 
 
@@ -434,16 +454,17 @@ _POLISH_TOP = 6
 _POLISH_TOL = 1e-8
 
 
-def _evaluate_exact(X, B, q, shape, C, f0, start, cutoff) -> float:
+def _evaluate_exact(X, B, q, shape, live, C, f, start, cutoff) -> float:
     """Certified max distance of the points from the span of ``B``.
 
     ``B`` must be orthonormal, as every starting and descended basis is, and
-    have at least one column.  ``C`` holds the points' least-squares
-    coefficients, and ``(f0, L)`` of :func:`_dual_lower` at them gives their
-    values ``f0`` and, as the largest ``L``, ``start``: :func:`width_upper`
-    computes all three once per candidate.  After the batched solve from
-    ``C`` the ``_POLISH_TOP`` farthest points are polished by Powell,
-    farthest first, and each keeps the smaller of its two values.
+    have at least one column, and ``q`` must not be flat 2.  ``start`` is
+    the largest certified bound :func:`_dual_lower` gives at the points'
+    least-squares coefficients, and ``(C, f)`` are the tracked coefficients
+    and values of the points ``live`` after the 120-iteration solve from
+    there: :func:`_race` solves every candidate's live points at once.  The
+    ``_POLISH_TOP`` farthest of them are polished by Powell, farthest first,
+    and each keeps the smaller of its two values.
 
     Every value this function computes for a point (its solved value, or the
     smaller of that and its polish) is at least the point's true distance,
@@ -453,17 +474,17 @@ def _evaluate_exact(X, B, q, shape, C, f0, start, cutoff) -> float:
     that set ``start`` keeps every value at or above ``start``, and so does
     the result.  These exits follow, and none moves a returned value:
 
-    - Points solved: only the points whose value ``f0`` reaches ``start``
-      enter the solve, and at least two whenever there are two.  A point
-      left out is below ``start`` at ``C`` and tracked values never rise, so
-      it would end below ``start``, polished or not, and cannot set the
-      maximum.  Each solved point gets the bits it gets in the full batch
-      (see :func:`_inner_solve`), so the polished top and the seventh value,
-      where they can set the maximum, are the same.  The ``L_j`` below are
-      those of the solved points, taken on them alone, so their last bits
-      may differ from those of the full set; the exits below hold for any
-      certified bounds, so the returned value does not depend on those
-      bits.
+    - Points solved: only the points whose least-squares value reaches
+      ``start`` are live, and at least two whenever there are two (see
+      :func:`_live`).  A point left out is below ``start`` there and
+      tracked values never rise, so it would end below ``start``, polished
+      or not, and cannot set the maximum.  Each solved point has the bits
+      it gets in the full batch (see :func:`_inner_solve`), so the polished
+      top and the seventh value, where they can set the maximum, are the
+      same.  The ``L_j`` below are those of the solved points, taken on
+      them alone, so their last bits may differ from those of the full
+      set; the exits below hold for any certified bounds, so the returned
+      value does not depend on those bits.
     - A top point ``i`` whose solved value is at most ``max(bound, max_(j !=
       i) L_j)`` is not polished, where ``bound`` is the running maximum of
       the values already settled and of the largest value outside the
@@ -477,21 +498,15 @@ def _evaluate_exact(X, B, q, shape, C, f0, start, cutoff) -> float:
       polish can only lower a point's value, so the maximum of the ``L_j``,
       of the values already settled and of the largest value outside the
       polished top is a lower bound on it.  When ``start`` reaches
-      ``cutoff`` it is returned without the batched solve; after the solve
-      the bounds are retaken and, as soon as the running lower bound reaches
+      ``cutoff`` it is returned at once; otherwise the bounds are retaken
+      at the solved points and, as soon as the running lower bound reaches
       ``cutoff``, the remaining polishes are skipped and it is returned.
       Either way the result is ``>= cutoff``, so the test reads false
       exactly as it would on the full result.  Below the cutoff, and with
       ``cutoff = inf``, the result is the full maximum.
     """
-    if _is_flat_two(q):
-        R = X.T - B @ C
-        return float(np.sqrt((R * R).sum(axis=0)).max())
     if start >= cutoff:
         return start
-    reach = min(start, np.partition(f0, -2)[-2]) if f0.size > 1 else start
-    live = np.flatnonzero(f0 >= reach)
-    C, f = _inner_solve(X, B, q, shape, C, iters=120, live=live)
     X = X[live]
     _, L = _dual_lower(X, B, q, shape, C)
     # max_(j != i) L_j is the largest bound, or the second largest at its owner.
@@ -511,6 +526,69 @@ def _evaluate_exact(X, B, q, shape, C, f0, start, cutoff) -> float:
     return bound
 
 
+def _live(f0, start) -> np.ndarray:
+    """The points an exact evaluation solves: those whose least-squares
+    value ``f0`` reaches the start bound, and at least the two largest."""
+    reach = min(start, np.partition(f0, -2)[-2]) if f0.size > 1 else start
+    return np.flatnonzero(f0 >= reach)
+
+
+def _race(X, cands, q, shape, lsq, norms, keys) -> dict:
+    """``{i: (live, C, f)}``: the solved live points of every candidate
+    ``i`` that can still win, from one batched 120-iteration solve.
+
+    ``lsq``, ``norms`` and ``keys`` are each candidate's least-squares
+    coefficients, the points' values there and its start bound.  A
+    candidate's result (:func:`_evaluate_exact`) is at least its start
+    bound, and at most its largest tracked value at any iteration of the
+    solve: tracked values never rise, and a polish only lowers a value.
+    So a candidate whose start bound is strictly above another's largest
+    tracked value has a strictly larger result and cannot win.  (A
+    candidate's points outside its own live set stay below its start bound,
+    so its largest tracked value over the union is that over its own live
+    points.)  Candidates leave the race by that rule:
+
+    - Before the solve, a candidate whose start bound is strictly above the
+      least of the candidates' largest least-squares values never enters.
+    - During the solve, a candidate leaves at the first iteration where its
+      start bound is strictly above another racing candidate's largest
+      tracked value (see :func:`_inner_solve`).
+
+    Below its cutoff an evaluation gives the full maximum, so the winner,
+    its value's bits and the witness do not depend on which losers are
+    evaluated.  The solve runs over the union of the entrants' live sets
+    (:func:`_live`), each basis used as laid out (see :func:`_times`), so
+    each candidate gets, on its own live points, the bits of its lone solve
+    on them (see :func:`_inner_solve`).
+    """
+    top = min(float(f0.max()) for f0 in norms)
+    enter = [i for i, key in enumerate(keys) if key <= top]
+    lives = [_live(norms[i], keys[i]) for i in enter]
+    union = reduce(np.union1d, lives)
+    starts = np.array([keys[i] for i in enter])
+
+    def beaten(kept, fmax):
+        # A start bound is at most its own largest tracked value, so only
+        # another candidate's can be below it: the least of all will do.
+        return starts[kept] > fmax.min()
+
+    kept, C, f = _inner_solve(
+        X,
+        [cands[i] for i in enter],
+        q,
+        shape,
+        np.stack([lsq[i] for i in enter]),
+        iters=120,
+        live=union,
+        leave=beaten,
+    )
+    out = {}
+    for j, C_j, f_j in zip(kept, C, f):
+        at = np.searchsorted(union, lives[j])
+        out[enter[j]] = (lives[j], np.take(C_j, at, axis=-1), np.take(f_j, at))
+    return out
+
+
 def width_upper(
     points: Sequence[Tensor],
     n: int,
@@ -527,12 +605,17 @@ def width_upper(
     bound :func:`_dual_lower` gives at their least-squares starts, so a good
     basis sets a low cutoff early and the losing ones are pruned.  Each
     candidate's least-squares start, the points' values there and its start
-    bound are computed once, here, and passed to :func:`_evaluate_exact`.
-    The result is still the least value and, among equal values, the first
-    candidate in the fixed order, bit for bit: every pruned evaluation
-    returns a value at or above its cutoff, and the cutoff lies just above
-    the running best for a candidate that would win a tie.  For ``n = 0``
-    the value is the largest norm of a point, and for ``n = dim`` it is 0.
+    bound are computed once, here.  Only the candidates that can still win
+    are evaluated, each from its share of one batched solve (see
+    :func:`_race`).  The result is still the least value and, among equal
+    values, the first candidate in the fixed order, bit for bit: every
+    candidate left out has a larger value than another, every pruned
+    evaluation returns a value at or above its cutoff, and the cutoff lies
+    just above the running best for a candidate that would win a tie.  For
+    flat q = 2 the least-squares start is the best approximation, and each
+    candidate's value is its largest Euclidean residual there.  For ``n =
+    0`` the value is the largest norm of a point, and for ``n = dim`` it is
+    0.
     Deterministic for fixed (cfg.seed, restarts).  The points are rescaled
     under the range policy of :func:`mixed_norm` and the value is scaled
     back, so no stage overflows, and on points whose largest magnitude lies
@@ -571,23 +654,34 @@ def _width_upper(X, shape, n, e, q, cfg) -> WidthEstimate:
         inits.append(np.linalg.qr(G)[0])
 
     # Canonical order: each start, then its descended basis.  The descents
-    # never read best_val, so all of them run first, in lockstep.  An
-    # evaluation that reaches its cutoff returns a value >= cutoff (see
-    # _evaluate_exact), so an earlier index, which wins a tie, is evaluated
-    # with its cutoff just above best_val and a later one with best_val.
+    # never read best_val, so all of them run first, in lockstep.
     cands = [B for pair in zip(inits, _descend(X, inits, q, shape, cfg)) for B in pair]
     lsq = [np.linalg.lstsq(B, X.T, rcond=None)[0] for B in cands]
-    norms, keys = [], []
-    for B, C in zip(cands, lsq):
-        f0, L = _dual_lower(X, B, q, shape, C)
-        norms.append(f0)
-        keys.append(float(L.max()))
-    best_val, best_i = math.inf, len(cands)
-    for i in sorted(range(len(cands)), key=lambda i: (keys[i], i)):
-        cutoff = math.nextafter(best_val, math.inf) if i < best_i else best_val
-        val = _evaluate_exact(X, cands[i], q, shape, lsq[i], norms[i], keys[i], cutoff)
-        if val < best_val or (val == best_val and i < best_i):
-            best_val, best_i = val, i
+    if _is_flat_two(q):
+        # The least-squares start is the best approximation itself.
+        vals = []
+        for B, C in zip(cands, lsq):
+            R = X.T - B @ C
+            vals.append(float(np.sqrt((R * R).sum(axis=0)).max()))
+        best_val = min(vals)
+        best_i = vals.index(best_val)
+    else:
+        norms, keys = [], []
+        for B, C in zip(cands, lsq):
+            f0, L = _dual_lower(X, B, q, shape, C)
+            norms.append(f0)
+            keys.append(float(L.max()))
+        solved = _race(X, cands, q, shape, lsq, norms, keys)
+        # An evaluation that reaches its cutoff returns a value >= cutoff (see
+        # _evaluate_exact), so an earlier index, which wins a tie, is
+        # evaluated with its cutoff just above best_val and a later one with
+        # best_val.
+        best_val, best_i = math.inf, len(cands)
+        for i in sorted(solved, key=lambda i: (keys[i], i)):
+            cutoff = math.nextafter(best_val, math.inf) if i < best_i else best_val
+            val = _evaluate_exact(X, cands[i], q, shape, *solved[i], keys[i], cutoff)
+            if val < best_val or (val == best_val and i < best_i):
+                best_val, best_i = val, i
     return WidthEstimate(
         value=_ldexp(best_val, e),
         witness=SubspaceCandidate(cands[best_i]),
@@ -663,15 +757,11 @@ def _ball_extras(prob: BallProblem, cap: int, rng) -> list:
         vertices = _orbit_points(prob.k, s, cap)
         if vertices is not None:
             return vertices[:cap]
-    out = []
-    for _ in range(cap):
-        arr = rng.standard_normal(prob.k)
-        # mixed_norm's steps, on the axis-1-fastest layout of Tensor.array.
-        scaled, e = _prescaled(np.asfortranarray(arr))
-        nrm = _ldexp(float(_mixed_norm_array(scaled, prob.p)), e)
-        if nrm > 0:
-            out.append(arr / nrm)
-    return out
+    # One draw is the stream of cap draws of one sample each.  The samples
+    # are normed side by side, each laid out as Tensor.array lays it out.
+    samples = rng.standard_normal((cap,) + prob.k)
+    norms = _each_norm(np.asfortranarray(np.moveaxis(samples, 0, -1)), prob.p)
+    return [arr / nrm for arr, nrm in zip(samples, norms) if nrm > 0]
 
 
 @dataclass

@@ -252,6 +252,20 @@ def test_target_range_refusal_names_the_exponent():
             call(bp)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1001, 1999))
+@example(1452)
+def test_refused_float_target_is_named_as_given(thousandths):
+    # A float exponent is stored through its reciprocal, and 1/(1/1.452) is
+    # 1.4519999999999997: the refusal must name 1.452, as it was given.
+    # (An integral float is stored as a Fraction and named as an integer.)
+    q = thousandths / 1000
+    bp = BallProblem(k=(4, 4), n=1, p=(2, 2), q=(4, q))
+    for call in (phi, lower_bound_plan):
+        with pytest.raises(ValidationError, match=rf"^target exponent q={q!r} must lie"):
+            call(bp)
+
+
 # ---------------------------------------------------------------------------
 # closed-form order
 

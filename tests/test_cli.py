@@ -69,6 +69,14 @@ def test_exponent_not_compact_exit_code(tmp_path, capsys):
     assert "not compactly embedded" in err
 
 
+def test_phi_names_a_refused_float_target_as_given(tmp_path, capsys):
+    prob = {"kind": "ball", "k": [4, 4], "n": 1, "p": [2, 2], "q": [4, 1.452]}
+    assert main(["phi", "--input", write(tmp_path, "lowq.json", prob)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: target exponent q=1.452 must lie in [2, inf)\n"
+
+
 def test_phi_report_keys(ball_file, capsys):
     assert main(["phi", "--input", ball_file]) == 0
     out = json.loads(capsys.readouterr().out)

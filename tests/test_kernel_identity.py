@@ -10,10 +10,14 @@ top point gives, with no more solves or polishes than the cutoff alone ran,
 and its best-first order exactly what the fixed order gives, with fewer.
 Its certified early exits are too: ``_evaluate_exact`` must give exactly
 what its version without them gives, below the cutoff, with fewer points
-solved and fewer Powell starts, for every subspace dimension.  The solve of
-a subset of the points, and the fact about BLAS products it rests on, are
-checked as properties under three OpenBLAS core types.  The lean kernels
-must give the bits of the kernels that divided by 1 on an all-zero fibre.
+solved and fewer Powell starts, for every subspace dimension.  The race of
+the candidates through one batched solve must give exactly what the loop
+that solved each candidate on its own gives, with fewer kernel passes.  The
+solve of a subset of the points, and the fact about BLAS products it rests
+on, are checked as properties under three OpenBLAS core types.  The lean
+kernels must give the bits of the kernels that divided by 1 on an all-zero
+fibre, and the batched norms of the ball samples the bits of the per-sample
+loop.
 """
 
 import functools
@@ -46,11 +50,13 @@ from anisowidth import (
     width_upper,
 )
 from anisowidth.mixed_norm import (
+    _each_norm,
     _in_range,
     _is_flat_two,
     _ldexp,
     _mixed_norm_array,
     _norming_array,
+    _prescaled,
     _reduce_axis0,
 )
 from anisowidth.width_oracle import (
@@ -61,9 +67,11 @@ from anisowidth.width_oracle import (
     _dual_lower,
     _evaluate_exact,
     _inner_solve,
+    _live,
     _orbit_points,
     _polish_point,
     _stack_points,
+    _width_upper,
     harmonic_frame,
 )
 
@@ -359,6 +367,67 @@ def test_sandwich_golden_values_at_the_default_config():
         )
 
 
+def _per_sample_ball_extras(prob, cap, rng):
+    """The boundary samples of ``_ball_extras`` as it drew and normed them
+    one at a time: a verbatim copy of that loop, kept as the reference for
+    the batched samples' bits."""
+    out = []
+    for _ in range(cap):
+        arr = rng.standard_normal(prob.k)
+        # mixed_norm's steps, on the axis-1-fastest layout of Tensor.array.
+        scaled, e = _prescaled(np.asfortranarray(arr))
+        nrm = _ldexp(float(_mixed_norm_array(scaled, prob.p)), e)
+        if nrm > 0:
+            out.append(arr / nrm)
+    return out
+
+
+def _sample_cases():
+    """Shapes from 3 to 64 entries, with the varying exponent on the first
+    and on the last axis; the last axis's kind decides how the last root is
+    taken.  A 1-d ball with p in {1, inf} has its vertices enumerated."""
+    for k in [(3,), (16,), (64,), (4, 4), (8, 8), (9, 2), (2, 8), (4, 2, 2)]:
+        for p in [1, 1.2, 1.5, Fraction(7, 4), 1.9, 2, math.inf]:
+            rest = (1.5,) * (len(k) - 1)
+            if rest:
+                yield k, (p,) + rest
+                yield k, rest + (p,)
+            elif p not in (1, math.inf):
+                yield k, (p,)
+
+
+@pytest.mark.parametrize("k, p", list(_sample_cases()))
+def test_batched_ball_samples_keep_the_per_sample_bits(k, p):
+    # One draw of all samples is the stream of the per-sample draws, and
+    # each sample's norm must keep its bits: a lone sample's last root is
+    # taken on a numpy scalar, with other bits than numpy's vector pow.
+    prob = BallProblem(k=k, n=0, p=p, q=(4,) * len(k))
+    for seed in (0, 1):
+        batched = width_oracle._ball_extras(prob, 256, np.random.default_rng(seed))
+        reference = _per_sample_ball_extras(prob, 256, np.random.default_rng(seed))
+        assert len(batched) == len(reference) == 256
+        assert all(_same_bits(a, b) for a, b in zip(batched, reference))
+
+
+@pytest.mark.parametrize(
+    "shape, q", [((5,), (Fraction(3, 2),)), ((3, 4), (4, 2)), ((2, 3, 2), (2, math.inf, 1.5))]
+)
+def test_each_norm_keeps_each_tensors_range_policy(shape, q):
+    # Each tensor of the stack is rescaled on its own, as mixed_norm
+    # rescales it; a zero tensor has norm 0.
+    q = as_exponents(q)
+    rng = np.random.default_rng(11)
+    scales = (1.0, 2.0**-700, 2.0**700, 1e-200, 0.0, 2.0**1020)
+    tensors = [scale * rng.standard_normal(shape) for scale in scales]
+    stack = np.asfortranarray(np.stack(tensors, axis=-1))
+    norms = _each_norm(stack, q)
+    assert norms == [mixed_norm(Tensor.from_array(x), q) for x in tensors]
+    assert norms[-2] == 0.0
+    stack[(0,) * len(shape) + (1,)] = math.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        _each_norm(stack, q)
+
+
 def _lone_residual(X, B, C, shape):
     return (X.T - B @ C).reshape(shape + (X.shape[0],), order="F")
 
@@ -604,6 +673,73 @@ def _reference_evaluate_exact(X, B, q, shape, C, f0, start, cutoff) -> float:
     return bound
 
 
+def _sequential_evaluate_exact(X, B, q, shape, C, f0, start, cutoff) -> float:
+    """``_evaluate_exact`` as it read before the candidates raced, with its
+    own 120-iteration solve of its live points: a verbatim copy, kept as the
+    reference for the race's bits and counts."""
+    if _is_flat_two(q):
+        R = X.T - B @ C
+        return float(np.sqrt((R * R).sum(axis=0)).max())
+    if start >= cutoff:
+        return start
+    reach = min(start, np.partition(f0, -2)[-2]) if f0.size > 1 else start
+    live = np.flatnonzero(f0 >= reach)
+    C, f = _inner_solve(X, B, q, shape, C, iters=120, live=live)
+    X = X[live]
+    _, L = _dual_lower(X, B, q, shape, C)
+    # max_(j != i) L_j is the largest bound, or the second largest at its owner.
+    lead = int(np.argmax(L))
+    lower = float(L[lead])
+    second = float(np.delete(L, lead).max()) if L.size > 1 else -math.inf
+    order = np.argsort(f)[::-1]
+    bound = float(f[order[_POLISH_TOP]]) if f.size > _POLISH_TOP else -math.inf
+    for i in order[:_POLISH_TOP]:
+        if max(bound, lower) >= cutoff:
+            return max(bound, lower)
+        val = float(f[i])
+        floor = max(bound, second if i == lead else lower)
+        if val > floor:
+            val = min(val, _polish_point(X[i], B, q, shape, C[:, i], floor)[0])
+        bound = max(bound, val)
+    return bound
+
+
+def _sequential_width_upper(X, shape, n, e, q, cfg, evaluate=_sequential_evaluate_exact):
+    """``_width_upper`` as it read before the candidates raced, for 0 < n <
+    dim: every candidate evaluated best-first by ``evaluate``, each with its
+    own solve.  A verbatim copy of that version's loop, kept as the
+    reference for the race's value, witness and counts."""
+    cfg = cfg or OracleConfig()
+    q = as_exponents(q)
+    K = X.shape[1]
+    inits = [harmonic_frame(K, n)]
+    M = X.T @ X
+    _, vecs = np.linalg.eigh(M)
+    inits.append(vecs[:, ::-1][:, :n])
+    for ridx in range(cfg.restarts):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, ridx)))
+        G = rng.standard_normal((K, n))
+        inits.append(np.linalg.qr(G)[0])
+    cands = [B for pair in zip(inits, _descend(X, inits, q, shape, cfg)) for B in pair]
+    lsq = [np.linalg.lstsq(B, X.T, rcond=None)[0] for B in cands]
+    norms, keys = [], []
+    for B, C in zip(cands, lsq):
+        f0, L = _dual_lower(X, B, q, shape, C)
+        norms.append(f0)
+        keys.append(float(L.max()))
+    best_val, best_i = math.inf, len(cands)
+    for i in sorted(range(len(cands)), key=lambda i: (keys[i], i)):
+        cutoff = math.nextafter(best_val, math.inf) if i < best_i else best_val
+        val = evaluate(X, cands[i], q, shape, lsq[i], norms[i], keys[i], cutoff)
+        if val < best_val or (val == best_val and i < best_i):
+            best_val, best_i = val, i
+    return WidthEstimate(
+        value=_ldexp(best_val, e),
+        witness=SubspaceCandidate(cands[best_i]),
+        iterations=cfg.outer_iterations * len(inits),
+    )
+
+
 def _assert_evaluation_matches_reference(X, B, q, shape):
     """At cutoffs around the reference value: the same float wherever the
     reference value is below the cutoff, a value at or above it elsewhere."""
@@ -611,9 +747,11 @@ def _assert_evaluation_matches_reference(X, B, q, shape):
     f0, L = _dual_lower(X, B, q, shape, C)
     start = float(L.max())
     full = _reference_evaluate_exact(X, B, q, shape, C, f0, start, math.inf)
+    live = _live(f0, start)
+    solved = _inner_solve(X, B, q, shape, C, iters=120, live=live)
     cutoffs = [math.inf, math.nextafter(full, math.inf), full, (start + full) / 2, start]
     for cutoff in cutoffs:
-        val = _evaluate_exact(X, B, q, shape, C, f0, start, cutoff)
+        val = _evaluate_exact(X, B, q, shape, live, *solved, start, cutoff)
         if full < cutoff:
             assert val == full, (cutoff, val, full)
         else:
@@ -671,14 +809,95 @@ def test_early_exits_keep_the_evaluation_on_a_tied_orbit(n):
         _assert_evaluation_matches_reference(X, B, prob.q, prob.k)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_raced_stack_keeps_each_bases_lone_solve(data):
+    # width_upper races its candidates in one solve over the union of their
+    # live sets.  Each basis must get, on its own live points, the bits of
+    # its lone solve on them, whichever bases leave the race and when: at
+    # n = 1 (matrix-vector products), n = 2 and n = 8, on axes of 8 or more
+    # entries, with the strided eigenbasis among the bases.
+    q = as_exponents(data.draw(st.sampled_from([(Fraction(3, 2),), (4,), (4, 2)])))
+    big = data.draw(st.booleans())
+    shape = ((16,) if big else (5,)) if q.d == 1 else ((8, 2) if big else (3, 2))
+    K = math.prod(shape)
+    n = data.draw(st.sampled_from([1, 2, 8] if big else [1, 2, K - 1]))
+    P = data.draw(st.sampled_from([1, 2, 7, 30, 256]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((P, K))
+    bases = [np.linalg.qr(rng.standard_normal((K, n)))[0] for _ in range(data.draw(st.integers(0, 5)))]
+    bases.insert(data.draw(st.integers(0, len(bases))), np.linalg.eigh(X.T @ X)[1][:, ::-1][:, :n])
+    lsq = [np.linalg.lstsq(B, X.T, rcond=None)[0] for B in bases]
+    # Live sets of at least two points, as _live gives them.
+    lives = [np.sort(rng.choice(P, int(rng.integers(min(2, P), P + 1)), replace=False)) for _ in bases]
+    union = functools.reduce(np.union1d, lives)
+    # Each basis leaves at a drawn iteration, or stays to the end.
+    exits = np.array([data.draw(st.sampled_from([0, 1, 7, 121, 500])) for _ in bases])
+    passes = [0]
+
+    def leave(kept, fmax):
+        passes[0] += 1
+        return exits[kept] < passes[0]
+
+    kept, C, f = _inner_solve(X, bases, q, shape, np.stack(lsq), iters=120, live=union, leave=leave)
+    assert list(kept) == [j for j in range(len(bases)) if exits[j] >= 122]
+    for j, C_j, f_j in zip(kept, C, f):
+        lone_C, lone_f = _inner_solve(X, bases[j], q, shape, lsq[j], iters=120, live=lives[j])
+        at = np.searchsorted(union, lives[j])
+        assert _same_bits(np.take(C_j, at, axis=-1), lone_C)
+        assert _same_bits(np.take(f_j, at), lone_f)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([(Fraction(3, 2),), (4,), (1,), (2,), (4, 2), (2, 2), (math.inf, 4)]),
+    st.sampled_from([(4,), (16,), (3, 2), (8, 2)]),
+    st.integers(1, 8),
+    st.sampled_from([1, 2, 7, 30]),
+    st.integers(0, 2**32 - 1),
+)
+def test_race_keeps_the_sequential_width_upper(q, shape, n, P, seed):
+    # The race evaluates only the candidates that can still win, each from
+    # its share of one batched solve; value bits and witness must be those
+    # of the loop that evaluated every candidate best-first on its own.
+    q = as_exponents(q)
+    K = math.prod(shape)
+    assume(len(shape) == q.d and n < K)
+    rng = np.random.default_rng(seed)
+    points = [Tensor(shape, x) for x in rng.standard_normal((P, K))]
+    cfg = OracleConfig(restarts=2, outer_iterations=3, seed=seed % 7)
+    stacked = _stack_points(points, n)
+    est = _width_upper(*stacked, q, cfg)
+    reference = _sequential_width_upper(*stacked, q, cfg)
+    assert _same_bits(est.value, reference.value)
+    assert _same_bits(est.witness.basis, reference.witness.basis)
+    assert est.iterations == reference.iterations
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_race_keeps_the_sequential_width_upper_on_a_tied_orbit(n):
+    # On the 64 corner-block points of ((4, 4), n, (4, 4)) whole orbits of
+    # points, and of candidates, share one value: a candidate may leave the
+    # race only on a start bound strictly above another's tracked value, or
+    # a tie that the first index wins would go to a later one.
+    prob = BallProblem(k=(4, 4), n=n, p=(1.25, 1.75), q=(4, 4))
+    points = [Tensor.from_array(x) for x in _orbit_points(prob.k, lower_bound_plan(prob).s, 256)]
+    stacked = _stack_points(points, n)
+    est = _width_upper(*stacked, prob.q, ORACLE_CFG)
+    reference = _sequential_width_upper(*stacked, prob.q, ORACLE_CFG)
+    assert _same_bits(est.value, reference.value)
+    assert _same_bits(est.witness.basis, reference.witness.basis)
+
+
 def test_sandwich_upper_is_the_full_evaluations_value():
     # At n = 8 the solved points' coefficients were gathered F-ordered, and
     # this report's upper value moved in its last bits.  The reference is a
     # run, not a literal, since the bits depend on the BLAS kernel.
     prob = BallProblem(k=(4, 4), n=8, p=(1.5, 1.25), q=(4, 4))
     upper = sandwich_report(prob).upper
+    reference = functools.partial(_sequential_width_upper, evaluate=_reference_evaluate_exact)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(width_oracle, "_evaluate_exact", _reference_evaluate_exact)
+        mp.setattr(width_oracle, "_width_upper", reference)
         assert upper == sandwich_report(prob).upper
 
 
@@ -772,7 +991,7 @@ def _fixed_order_width_upper(points, n, q, cfg):
         for B in (B0, B1):
             C = np.linalg.lstsq(B, X.T, rcond=None)[0]
             f0, L = _dual_lower(X, B, q, shape, C)
-            val = _evaluate_exact(X, B, q, shape, C, f0, float(L.max()), best_val)
+            val = _sequential_evaluate_exact(X, B, q, shape, C, f0, float(L.max()), best_val)
             if val < best_val:
                 best_val, best_B = val, B
     return WidthEstimate(
@@ -794,14 +1013,18 @@ ORACLE_CFG = OracleConfig(restarts=2, outer_iterations=10)
 
 @functools.lru_cache(maxsize=None)
 def _counted_width_upper(shape, n, q, extra, evaluate=None, fixed_order=False):
-    """``width_upper`` on the case's points with its polishes, Powell starts,
-    120-iteration solves, the points entering them (the ``live`` ones where
-    a solve is given them) and its dual bounds counted, run with the
-    reference evaluation ``evaluate`` or, for None, the current one,
-    best-first or in the fixed order."""
+    """``width_upper`` on the case's points, with counts: its polishes,
+    Powell starts, 120-iteration solves, the columns their kernel passes
+    take (one per basis and solved point), dual bounds, kernel passes, and
+    the evaluations that get past their start bound.  Run as the library
+    runs it, with the candidates racing (``evaluate`` None), or as the
+    sequential best-first loop with the evaluation ``evaluate``, or in the
+    fixed order."""
     points = _unit_vectors_and_l1_points(shape, extra, seed=n)
-    counts = {"polish": 0, "powell": 0, "solve": 0, "solved_points": 0, "dual": 0}
+    keys = ("polish", "powell", "solve", "columns", "dual", "passes", "evaluated")
+    counts = dict.fromkeys(keys, 0)
     real_polish, real_solve, real_dual = _polish_point, _inner_solve, _dual_lower
+    real_norming, real_evaluate = width_oracle._norming_array, width_oracle._evaluate_exact
     real_minimize = scipy.optimize.minimize
 
     def polish(*args):
@@ -812,16 +1035,32 @@ def _counted_width_upper(shape, n, q, extra, evaluate=None, fixed_order=False):
         counts["powell"] += 1
         return real_minimize(*args, **kwargs)
 
+    solving = [0]  # the point dimension K while a 120-iteration solve runs
+
     def solve(*args, **kwargs):
-        if kwargs.get("iters") == 120:
-            counts["solve"] += 1
-            live = kwargs.get("live")
-            counts["solved_points"] += len(args[0] if live is None else live)
-        return real_solve(*args, **kwargs)
+        if kwargs.get("iters") != 120:
+            return real_solve(*args, **kwargs)
+        counts["solve"] += 1
+        solving[0] = args[0].shape[1]
+        try:
+            return real_solve(*args, **kwargs)
+        finally:
+            solving[0] = 0
+
+    def norming(*args):
+        counts["passes"] += 1
+        if solving[0]:
+            counts["columns"] += args[0].size // solving[0]
+        return real_norming(*args)
 
     def dual(*args):
         counts["dual"] += 1
         return real_dual(*args)
+
+    def evaluate_past_start(*args):
+        start, cutoff = args[-2:]
+        counts["evaluated"] += start < cutoff
+        return real_evaluate(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         # The copies above resolve their helpers in this module, the library
@@ -830,11 +1069,15 @@ def _counted_width_upper(shape, n, q, extra, evaluate=None, fixed_order=False):
             mp.setattr(module, "_polish_point", polish)
             mp.setattr(module, "_inner_solve", solve)
             mp.setattr(module, "_dual_lower", dual)
+        mp.setattr(width_oracle, "_norming_array", norming)
+        mp.setattr(width_oracle, "_evaluate_exact", evaluate_past_start)
         mp.setattr(scipy.optimize, "minimize", minimize)
-        if evaluate is not None:
-            mp.setattr(width_oracle, "_evaluate_exact", evaluate)
-        run = _fixed_order_width_upper if fixed_order else width_upper
-        est = run(points, n, q, ORACLE_CFG)
+        if fixed_order:
+            est = _fixed_order_width_upper(points, n, q, ORACLE_CFG)
+        elif evaluate is None:
+            est = width_upper(points, n, q, ORACLE_CFG)
+        else:
+            est = _sequential_width_upper(*_stack_points(points, n), q, ORACLE_CFG, evaluate)
     return est, counts
 
 
@@ -844,20 +1087,32 @@ def test_polish_cutoff_keeps_width_upper_exact(shape, n, q, extra):
     value, basis, iterations, full_polishes = _full_polish_width_upper(
         points, n, q, ORACLE_CFG
     )
-    evaluations = (_cutoff_only_evaluate_exact, _reference_evaluate_exact, None)
+    evaluations = (
+        _cutoff_only_evaluate_exact,
+        _reference_evaluate_exact,
+        _sequential_evaluate_exact,
+        None,
+    )
     runs = {e: _counted_width_upper(shape, n, q, extra, e) for e in evaluations}
     for est, counts in runs.values():
         assert est.value == value
         assert est.iterations == iterations
         assert np.array_equal(est.witness.basis, basis)
         assert counts["polish"] < full_polishes
-    reference, counts = runs[_cutoff_only_evaluate_exact][1], runs[None][1]
+    counts = runs[None][1]
+    reference = runs[_cutoff_only_evaluate_exact][1]
     assert counts["polish"] <= reference["polish"]
     assert counts["solve"] <= reference["solve"]
+    # Against every point solved and both Powell starts run: fewer of each.
     reference = runs[_reference_evaluate_exact][1]
-    assert counts["solve"] == reference["solve"]
-    assert counts["solved_points"] <= reference["solved_points"]
+    assert counts["solve"] <= reference["solve"]
+    assert counts["columns"] <= reference["columns"]
     assert counts["powell"] <= reference["powell"]
+    # Against each candidate solved on its own: one solve, no more passes.
+    reference = runs[_sequential_evaluate_exact][1]
+    assert counts["solve"] == 1
+    assert counts["passes"] <= reference["passes"]
+    assert counts["polish"] <= reference["polish"]
 
 
 def test_dual_bounds_prune_solves_and_polishes():
@@ -870,11 +1125,12 @@ def test_dual_bounds_prune_solves_and_polishes():
 
 
 def test_early_exits_cut_solved_points_and_powell_starts():
+    # The solved points are counted once per kernel pass of each basis.
     totals = {e: np.zeros(2, dtype=int) for e in (_reference_evaluate_exact, None)}
     for case in PRUNING_CASES:
         for evaluate in totals:
             counts = _counted_width_upper(*case, evaluate)[1]
-            totals[evaluate] += (counts["solved_points"], counts["powell"])
+            totals[evaluate] += (counts["columns"], counts["powell"])
     assert (totals[None] < totals[_reference_evaluate_exact]).all(), totals
 
 
@@ -883,15 +1139,15 @@ def test_one_column_evaluations_solve_fewer_points():
     # as n >= 2 ones do; every point entered the solve before.
     for case in PRUNING_CASES:
         if case[1] == 1:
-            points = {
-                e: _counted_width_upper(*case, e)[1]["solved_points"]
+            columns = {
+                e: _counted_width_upper(*case, e)[1]["columns"]
                 for e in (_reference_evaluate_exact, None)
             }
-            assert points[None] < points[_reference_evaluate_exact], (case, points)
+            assert columns[None] < columns[_reference_evaluate_exact], (case, columns)
 
 
 def test_best_first_order_keeps_the_result_with_fewer_solves_and_polishes():
-    totals = {True: np.zeros(2, dtype=int), False: np.zeros(2, dtype=int)}
+    totals = {True: np.zeros(3, dtype=int), False: np.zeros(3, dtype=int)}
     for case in PRUNING_CASES:
         runs = {f: _counted_width_upper(*case, None, f) for f in (True, False)}
         reference, est = runs[True][0], runs[False][0]
@@ -899,14 +1155,15 @@ def test_best_first_order_keeps_the_result_with_fewer_solves_and_polishes():
         assert est.iterations == reference.iterations
         assert np.array_equal(est.witness.basis, reference.witness.basis)
         for fixed_order, (_, counts) in runs.items():
-            totals[fixed_order] += (counts["polish"], counts["solve"])
+            totals[fixed_order] += (counts["polish"], counts["solve"], counts["passes"])
     assert (totals[False] < totals[True]).all(), totals
 
 
 def test_each_candidate_takes_its_start_bound_once():
     # width_upper bounds each candidate at its least-squares start once, for
-    # its key; every other bound is taken after a 120-iteration solve.
+    # its key; every other bound is taken by an evaluation past its start
+    # bound, at its solved points.
     candidates = 2 * (2 + ORACLE_CFG.restarts)
     for case in PRUNING_CASES:
         counts = _counted_width_upper(*case, None)[1]
-        assert counts["dual"] == candidates + counts["solve"], (case, counts)
+        assert counts["dual"] == candidates + counts["evaluated"], (case, counts)

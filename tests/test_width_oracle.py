@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from anisowidth import width_oracle
-from anisowidth.width_oracle import _evaluate_exact, _polish_point
+from anisowidth.width_oracle import _polish_point
 from anisowidth import (
     BallProblem,
     OracleConfig,
@@ -140,16 +140,15 @@ def test_distance_empty_basis_is_norm():
 
 
 def test_distance_flat_two_matches_projector():
+    # For flat q = 2 the value is the largest residual of the witness's
+    # orthogonal projector.
     rng = np.random.default_rng(3)
-    q = as_exponents((2,))
     for _ in range(10):
-        B = np.linalg.qr(rng.standard_normal((6, 2)))[0]
-        X = rng.standard_normal((1, 6))
-        C = np.linalg.lstsq(B, X.T, rcond=None)[0]
-        f0, L = width_oracle._dual_lower(X, B, q, (6,), C)
-        d = _evaluate_exact(X, B, q, (6,), C, f0, float(L.max()), math.inf)
-        resid = X[0] - B @ (B.T @ X[0])
-        assert d == pytest.approx(float(np.linalg.norm(resid)), rel=1e-12)
+        X = rng.standard_normal((3, 6))
+        est = width_upper([Tensor.from_array(x) for x in X], 2, (2,))
+        B = est.witness.basis
+        resid = X - (X @ B) @ B.T
+        assert est.value == pytest.approx(float(np.linalg.norm(resid, axis=1).max()), rel=1e-12)
 
 
 def test_distance_never_exceeds_norm():
@@ -233,8 +232,8 @@ def test_rank_must_be_an_integer(n):
 def _stubbed_width_upper(values, keys, pruned_to_cutoff):
     """``width_upper`` on stubbed candidates, in canonical order (start 0, its
     descended basis, start 1, ...): candidate ``i`` has start bound ``keys[i]``
-    and full value ``values[i]``.  Its evaluation honours the cutoff contract
-    and no more: a full value that reaches the cutoff comes back as the cutoff
+    and full value ``values[i]``, and every candidate survives the race.  Its
+    evaluation honours the cutoff contract and no more: a full value that reaches the cutoff comes back as the cutoff
     itself, or as inf.  Returns the estimate, the candidates and the order in
     which they were evaluated."""
     cands, order = [], []
@@ -250,7 +249,10 @@ def _stubbed_width_upper(values, keys, pruned_to_cutoff):
     def dual(X, B, *_):
         return None, np.array([keys[index(B)]])
 
-    def evaluate(X, B, q, shape, C, f0, start, cutoff):
+    def race(X, cands, *_):
+        return {i: (None, None, None) for i in range(len(cands))}
+
+    def evaluate(X, B, q, shape, live, C, f, start, cutoff):
         i = index(B)
         order.append(i)
         if values[i] < cutoff:
@@ -261,6 +263,7 @@ def _stubbed_width_upper(values, keys, pruned_to_cutoff):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(width_oracle, "_descend", descend)
         mp.setattr(width_oracle, "_dual_lower", dual)
+        mp.setattr(width_oracle, "_race", race)
         mp.setattr(width_oracle, "_evaluate_exact", evaluate)
         est = width_upper(random_points(4, 6, seed=3), 1, (4,), cfg)
     return est, cands, order
