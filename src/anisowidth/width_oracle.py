@@ -61,6 +61,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._powell import powell as _powell
 from .mixed_norm import (
     DeskScaleError,
     PropertyViolation,
@@ -297,17 +298,15 @@ def _inner_solve(X, B, q, shape, C0, iters, live=None, functional=False, leave=N
 
 
 def _polish_point(x_flat, B, q, shape, c0, floor=-math.inf):
-    """Powell's method from ``c0`` and then from 0: ``(value, c)``, the
-    least value found, which is never above ``c0``'s, and its coefficients.
+    """Powell's method (:mod:`._powell`) from ``c0`` and then from 0:
+    ``(value, c)``, the least value found, which is never above ``c0``'s,
+    and its coefficients.
 
     The second start is skipped once the value is at most ``floor``, a
     value that the caller knows some other point's value reaches (see
     :func:`_evaluate_exact`).  From then on this point cannot set the
     maximum, so a lower value would not change it.
     """
-    # Imported here: scipy.optimize is most of the package's import time and
-    # only this polish needs it.
-    from scipy.optimize import minimize
 
     def fun(c):
         return float(_mixed_norm_array((x_flat - B @ c).reshape(shape, order="F"), q))
@@ -315,15 +314,10 @@ def _polish_point(x_flat, B, q, shape, c0, floor=-math.inf):
     best_c = np.asarray(c0, dtype=float)
     best = fun(best_c)
     for start in (best_c, np.zeros(B.shape[1])):
-        res = minimize(
-            fun,
-            start,
-            method="Powell",
-            options={"xtol": _POLISH_TOL, "ftol": _POLISH_TOL, "maxiter": 500},
-        )
-        if res.fun < best:
-            best = float(res.fun)
-            best_c = res.x
+        val, c = _powell(fun, start, _POLISH_TOL, _POLISH_TOL, 500)
+        if val < best:
+            best = float(val)
+            best_c = c
         if best <= floor:
             break
     return best, best_c

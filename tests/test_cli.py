@@ -348,17 +348,24 @@ def test_phi_value_beyond_float_range_exit_two(tmp_path, capsys):
     assert captured.err.endswith("exceeds the float range\n")
 
 
-def test_phi_call_leaves_scipy_unimported(ball_file):
-    # scipy.optimize is imported only by the oracle's polish, which phi never runs.
+@pytest.mark.parametrize("command", ["verify", "phi"])
+def test_runs_with_scipy_blocked(command, ball_file):
+    # The oracle's polish, which verify sandwich runs, needs no scipy.
+    if command == "verify":
+        args = ["verify", "sandwich", "--seed", "515"]
+    else:
+        args = ["phi", "--input", ball_file]
     code = (
-        "import sys, anisowidth\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "from anisowidth.cli import main\n"
-        f"code = main(['phi', '--input', {ball_file!r}])\n"
-        "print(code, 'scipy' in sys.modules, file=sys.stderr)\n"
+        f"code = main({args!r})\n"
+        "loaded = [m for m, v in sys.modules.items() if m.split('.')[0] == 'scipy' and v]\n"
+        "print(code, loaded, file=sys.stderr)\n"
     )
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stderr == b"0 False\n"
+    assert res.stderr == b"0 []\n"
 
 
 def test_unexpected_error_exit_five(sobolev_file, capsys, monkeypatch):

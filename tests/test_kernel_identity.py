@@ -17,7 +17,7 @@ solve of a subset of the points, and the fact about BLAS products it rests
 on, are checked as properties under three OpenBLAS core types.  The lean
 kernels must give the bits of the kernels that divided by 1 on an all-zero
 fibre, and the batched norms of the ball samples the bits of the per-sample
-loop.
+loop.  The polish's Powell port must give the bits of SciPy's Powell.
 """
 
 import functools
@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -59,6 +58,7 @@ from anisowidth.mixed_norm import (
     _prescaled,
     _reduce_axis0,
 )
+from anisowidth._powell import powell
 from anisowidth.width_oracle import (
     _POLISH_TOP,
     SubspaceCandidate,
@@ -319,6 +319,47 @@ def test_objective_helper_matches_tensor_route(data):
     c = data.draw(hnp.arrays(np.float64, n, elements=floats))
     fast = _mixed_norm_array((x_flat - B @ c).reshape(shape, order="F"), q)
     assert fast == mixed_norm(Tensor(shape, x_flat - B @ c), q)
+
+
+@st.composite
+def polishes(draw):
+    """A polish objective ``c -> ||x - B c||_q`` and its start: K <= 16
+    entries, n from 1 to 8 orthonormal columns (fewer than K), a drawn
+    exponent per axis, x drawn or inside span B, and the start the
+    least-squares one, 0 or drawn."""
+    shapes = [(2,), (4,), (5,), (8,), (16,), (3, 2), (2, 3), (4, 4), (2, 2, 2)]
+    shape = draw(st.sampled_from(shapes))
+    K = math.prod(shape)
+    n = draw(st.integers(1, min(8, K - 1)))
+    q = as_exponents([draw(st.sampled_from([1, 1.5, 2, 3, 4, math.inf])) for _ in shape])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B = np.linalg.qr(rng.standard_normal((K, n)))[0]
+    x = B @ rng.standard_normal(n) if draw(st.booleans()) else rng.standard_normal(K)
+    start = draw(st.sampled_from(["least-squares", "zero", "drawn"]))
+    if start == "least-squares":
+        c0 = np.linalg.lstsq(B, x, rcond=None)[0]
+    else:
+        c0 = np.zeros(n) if start == "zero" else 3 * rng.standard_normal(n)
+    return shape, q, B, x, c0
+
+
+@settings(max_examples=60, deadline=None)
+@given(polishes())
+# A point inside span B from 0 under the max norm: along the first column
+# the value is 2 at the steps 0, 1 and 2.618, so no bracket is found and the
+# line search takes the least of the three.
+@example(((4,), as_exponents([math.inf]), np.eye(4)[:, :2], np.array([1.0, 2, 0, 0]), np.zeros(2)))
+def test_powell_port_keeps_scipys_bits(case):
+    optimize = pytest.importorskip("scipy.optimize")
+    shape, q, B, x, c0 = case
+
+    def fun(c):
+        return float(_mixed_norm_array((x - B @ c).reshape(shape, order="F"), q))
+
+    value, c = powell(fun, c0, 1e-8, 1e-8, 500)
+    options = {"xtol": 1e-8, "ftol": 1e-8, "maxiter": 500}
+    res = optimize.minimize(fun, c0, method="Powell", options=options)
+    assert _same_bits(value, res.fun) and _same_bits(c, res.x)
 
 
 def test_sandwich_golden_values():
@@ -1025,15 +1066,15 @@ def _counted_width_upper(shape, n, q, extra, evaluate=None, fixed_order=False):
     counts = dict.fromkeys(keys, 0)
     real_polish, real_solve, real_dual = _polish_point, _inner_solve, _dual_lower
     real_norming, real_evaluate = width_oracle._norming_array, width_oracle._evaluate_exact
-    real_minimize = scipy.optimize.minimize
+    real_powell = width_oracle._powell
 
     def polish(*args):
         counts["polish"] += 1
         return real_polish(*args)
 
-    def minimize(*args, **kwargs):
+    def powell_start(*args):
         counts["powell"] += 1
-        return real_minimize(*args, **kwargs)
+        return real_powell(*args)
 
     solving = [0]  # the point dimension K while a 120-iteration solve runs
 
@@ -1064,14 +1105,14 @@ def _counted_width_upper(shape, n, q, extra, evaluate=None, fixed_order=False):
 
     with pytest.MonkeyPatch.context() as mp:
         # The copies above resolve their helpers in this module, the library
-        # in its own; the polish imports minimize from scipy.optimize per call.
+        # in its own, where the polish also finds its Powell port.
         for module in (width_oracle, sys.modules[__name__]):
             mp.setattr(module, "_polish_point", polish)
             mp.setattr(module, "_inner_solve", solve)
             mp.setattr(module, "_dual_lower", dual)
         mp.setattr(width_oracle, "_norming_array", norming)
         mp.setattr(width_oracle, "_evaluate_exact", evaluate_past_start)
-        mp.setattr(scipy.optimize, "minimize", minimize)
+        mp.setattr(width_oracle, "_powell", powell_start)
         if fixed_order:
             est = _fixed_order_width_upper(points, n, q, ORACLE_CFG)
         elif evaluate is None:
