@@ -69,6 +69,7 @@ def powell(fun, x0, xtol, ftol, maxiter):
     x = np.asarray(x0, dtype=float).flatten()
     N = len(x)
     direc = np.eye(N, dtype=float)
+    tol = xtol * 100  # the line searches' tolerance
     fval = fun(x)
     x1 = x
     it = 0
@@ -78,15 +79,13 @@ def powell(fun, x0, xtol, ftol, maxiter):
         delta = 0.0
         for i in range(N):
             fx2 = fval
-            fval, x, _ = _line_search(fun, x, direc[i], xtol * 100, fval)
+            fval, x, _ = _line_search(fun, x, direc[i], tol, fval)
             if (fx2 - fval) > delta:
                 delta = fx2 - fval
                 bigind = i
         it += 1
         bnd = ftol * (np.abs(fx) + np.abs(fval)) + 1e-20
-        if 2.0 * (fx - fval) <= bnd or it >= maxiter:
-            break
-        if np.isnan(fx) and np.isnan(fval):
+        if 2.0 * (fx - fval) <= bnd or it >= maxiter or (np.isnan(fx) and np.isnan(fval)):
             break
         # The extrapolated point; SciPy's unbounded step factor min(1, 1)
         # multiplies by 1, which keeps every bit.
@@ -100,7 +99,7 @@ def powell(fun, x0, xtol, ftol, maxiter):
             temp = fx - fx2
             t -= delta * temp * temp
             if t < 0.0:
-                fval, x, direc1 = _line_search(fun, x, direc1, xtol * 100, fval)
+                fval, x, direc1 = _line_search(fun, x, direc1, tol, fval)
                 if np.any(direc1):
                     direc[bigind] = direc[-1]
                     direc[-1] = direc1
