@@ -351,6 +351,7 @@ def _suite_sandwich(seed: int, budget: str, out_dir=None):
     count = 5 if budget == "small" else 20
     ledger = None
     if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
         ledger = os.path.join(out_dir, "sandwich_ledger.csv")
         if os.path.exists(ledger):
             os.unlink(ledger)
@@ -544,8 +545,6 @@ def _cmd_problem(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
     rows, violations = _run_suite(args.suite, args.seed, args.budget, out_dir=args.out)
     report = {
         "suite": args.suite,
@@ -560,7 +559,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     summary = {"seed": args.seed, "budget": args.budget, "suites": {}}
     if args.input:
         prob = load_problem(args.input)
@@ -579,6 +577,7 @@ def _cmd_report(args) -> int:
         for r in rows:
             all_rows.append({"suite": name, **r})
         any_violation = any_violation or bool(violations)
+    os.makedirs(args.out, exist_ok=True)
     rows_path = os.path.join(args.out, "verify_rows.csv")
     with open(rows_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(
@@ -593,11 +592,11 @@ def _cmd_report(args) -> int:
     return 3 if any_violation else 0
 
 
-def _add_common(sp, out_required=False):
+def _add_options(sp, seeded=False):
     sp.add_argument("--format", choices=("json", "table", "csv"), default="json")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", choices=BUDGETS, default="small")
-    sp.add_argument("--out", required=out_required, help="directory for artifacts")
+    if seeded:
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--budget", choices=BUDGETS, default="small")
 
 
 @functools.cache  # one parser per process, built by the first ``main`` call
@@ -615,16 +614,19 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=text)
         sp.add_argument("--input", required=True)
-        _add_common(sp)
+        _add_options(sp)
 
     sp = sub.add_parser("verify", help="run one self-check suite")
+    sp.set_defaults(out=None)  # only the sandwich suite writes artifacts
     vsub = sp.add_subparsers(dest="suite", required=True)
     for name in sorted(_SUITES):
-        _add_common(vsub.add_parser(name))
+        _add_options(vsub.add_parser(name), seeded=True)
+    vsub.choices["sandwich"].add_argument("--out", help="directory for artifacts")
 
     sp = sub.add_parser("report", help="run all suites and write artifacts")
     sp.add_argument("--input", default=None)
-    _add_common(sp, out_required=True)
+    _add_options(sp, seeded=True)
+    sp.add_argument("--out", required=True, help="directory for artifacts")
 
     return parser
 

@@ -147,12 +147,6 @@ class ExponentVector:
     def plan(self) -> tuple:
         return tuple(_axis_step(r) for r in self.recip)
 
-    @classmethod
-    def from_p(cls, values) -> "ExponentVector":
-        if isinstance(values, ExponentVector):
-            return values
-        return cls(tuple(_recip_of(v) for v in values))
-
     @property
     def d(self) -> int:
         return len(self.recip)
@@ -175,7 +169,9 @@ class ExponentVector:
 
 def as_exponents(p) -> ExponentVector:
     """Coerce an ExponentVector or a sequence of exponent values."""
-    return ExponentVector.from_p(p)
+    if isinstance(p, ExponentVector):
+        return p
+    return ExponentVector(tuple(_recip_of(v) for v in p))
 
 
 def _is_flat_two(p: ExponentVector) -> bool:

@@ -21,9 +21,8 @@ bases race (:func:`_race`): one batched solve serves every candidate that
 can still win, and a candidate leaves it as soon as its start bound, a
 certified lower bound on its result, is above another's largest tracked
 value, an upper bound on that one's result.  :func:`width_upper` then
-evaluates the candidates left best-first, by that bound at each basis's
-least-squares start, so the running cutoff falls early; its tie rule keeps
-the result of evaluating every candidate in the fixed order, bit for bit.
+evaluates the candidates left in their fixed order, each with the running
+best as its cutoff, and keeps the first least value, bit for bit.
 
 Each stage stops once its outcome is settled, and every output bit stays
 the same.  Tracked values never rise, so a descent's closing solve drops a
@@ -594,18 +593,17 @@ def width_upper(
     Runs the smoothed Stiefel descent from a harmonic frame, a Euclidean
     dual eigenbasis, and ``cfg.restarts`` seeded random orthonormal bases,
     all in lockstep (see :func:`_descend`); reports the best subspace found
-    and its certified max distance.  The candidates, each start and then its
-    descended basis, are evaluated best-first: in the order of the certified
-    bound :func:`_dual_lower` gives at their least-squares starts, so a good
-    basis sets a low cutoff early and the losing ones are pruned.  Each
-    candidate's least-squares start, the points' values there and its start
-    bound are computed once, here.  Only the candidates that can still win
-    are evaluated, each from its share of one batched solve (see
-    :func:`_race`).  The result is still the least value and, among equal
-    values, the first candidate in the fixed order, bit for bit: every
-    candidate left out has a larger value than another, every pruned
-    evaluation returns a value at or above its cutoff, and the cutoff lies
-    just above the running best for a candidate that would win a tie.  For
+    and its certified max distance.  Each candidate's least-squares start,
+    the points' values there and its start bound (the certified bound
+    :func:`_dual_lower` gives there) are computed once, here.  Only the
+    candidates that can still win are evaluated, each from its share of one
+    batched solve (see :func:`_race`), in the fixed order: each start and
+    then its descended basis, each with the running best as its cutoff.
+    The result is the least value and, among equal values, the first
+    candidate, bit for bit: every candidate left out has a larger value
+    than another, an evaluation returns its full value when that is below
+    the cutoff and a value at or above the cutoff otherwise, and a later
+    candidate that ties the running best is not kept.  For
     flat q = 2 the least-squares start is the best approximation, and each
     candidate's value is its largest Euclidean residual there.  For ``n =
     0`` the value is the largest norm of a point, and for ``n = dim`` it is
@@ -666,15 +664,10 @@ def _width_upper(X, shape, n, e, q, cfg) -> WidthEstimate:
             norms.append(f0)
             keys.append(float(L.max()))
         solved = _race(X, cands, q, shape, lsq, norms, keys)
-        # An evaluation that reaches its cutoff returns a value >= cutoff (see
-        # _evaluate_exact), so an earlier index, which wins a tie, is
-        # evaluated with its cutoff just above best_val and a later one with
-        # best_val.
-        best_val, best_i = math.inf, len(cands)
-        for i in sorted(solved, key=lambda i: (keys[i], i)):
-            cutoff = math.nextafter(best_val, math.inf) if i < best_i else best_val
-            val = _evaluate_exact(X, cands[i], q, shape, *solved[i], keys[i], cutoff)
-            if val < best_val or (val == best_val and i < best_i):
+        best_val, best_i = math.inf, None
+        for i in sorted(solved):
+            val = _evaluate_exact(X, cands[i], q, shape, *solved[i], keys[i], best_val)
+            if val < best_val:
                 best_val, best_i = val, i
     return WidthEstimate(
         value=_ldexp(best_val, e),

@@ -429,6 +429,41 @@ def test_negative_seed_exit_two(capsys, suite):
     assert captured.err == "error: --seed must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "sandwich", "--seed", "-1"],
+        ["report", "--seed", "-1"],
+        ["report", "--input", "/nonexistent/prob.json"],
+    ],
+)
+def test_refused_run_leaves_no_out_directory(tmp_path, capsys, argv):
+    # The directory was made before the seed was checked or the input read.
+    out_dir = tmp_path / "d"
+    assert main([*argv, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [command, "--input", "problem.json", flag, value]
+        for command in ("exponent", "phi")
+        for flag, value in (("--seed", "5"), ("--budget", "full"), ("--out", "x"))
+    ]
+    + [["verify", suite, "--out", "x"] for suite in ("norms", "interp", "kernels", "rates")],
+    ids=lambda argv: " ".join(a for a in argv[:-1] if a not in ("--input", "problem.json")),
+)
+def test_flags_a_command_ignores_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # exact cross-check and smoothness entries at the float range
 

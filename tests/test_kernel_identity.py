@@ -7,7 +7,8 @@ from its ``Fraction`` on every call, and against frozen sandwich values.
 The oracle's polish cutoff and its dual-bound prunes are held to the same
 standard: ``width_upper`` must give exactly what the loop that polishes every
 top point gives, with no more solves or polishes than the cutoff alone ran,
-and its best-first order exactly what the fixed order gives, with fewer.
+and its race exactly what solving every candidate alone in the fixed order
+gives, with fewer.
 Its certified early exits are too: ``_evaluate_exact`` must give exactly
 what its version without them gives, below the cutoff, with fewer points
 solved and fewer Powell starts, for every subspace dimension.  The race of
@@ -1187,7 +1188,7 @@ def test_one_column_evaluations_solve_fewer_points():
             assert columns[None] < columns[_reference_evaluate_exact], (case, columns)
 
 
-def test_best_first_order_keeps_the_result_with_fewer_solves_and_polishes():
+def test_race_keeps_the_fixed_order_result_with_fewer_solves_and_polishes():
     totals = {True: np.zeros(3, dtype=int), False: np.zeros(3, dtype=int)}
     for case in PRUNING_CASES:
         runs = {f: _counted_width_upper(*case, None, f) for f in (True, False)}

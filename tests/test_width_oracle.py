@@ -281,14 +281,14 @@ def _candidate_values_and_keys():
 
 @settings(max_examples=100, deadline=None)
 @given(_candidate_values_and_keys(), st.booleans())
-# Ties between canonical indices, keys in the reverse order: 4 is evaluated
-# before 3 and 1, which tie it, so each needs the cutoff just above best_val.
+# Ties between canonical indices, keys in the reverse order: 1 wins, and 3
+# and 4 tie it at their cutoff, so they come back at or above it and lose.
 @example(([3.0, 2.0, 5.0, 2.0, 2.0, 4.0], [5.0, 4.0, 3.0, 2.0, 1.0, 0.0]), False)
 @example(([3.0, 2.0, 5.0, 2.0, 2.0, 4.0], [5.0, 4.0, 3.0, 2.0, 1.0, 0.0]), True)
-def test_best_first_keeps_the_first_minimal_candidate(case, pruned_to_cutoff):
+def test_fixed_order_keeps_the_first_minimal_candidate(case, pruned_to_cutoff):
     values, keys = case
     est, cands, order = _stubbed_width_upper(values, keys, pruned_to_cutoff)
-    assert order == sorted(range(len(values)), key=lambda i: (keys[i], i))
+    assert order == list(range(len(values)))
     winner = values.index(min(values))
     assert est.value == values[winner]
     assert np.array_equal(est.witness.basis, cands[winner])
