@@ -527,11 +527,23 @@ def _run_suite(name: str, seed: int, budget: str, out_dir=None):
     # Every suite seeds a numpy generator, which refuses a negative seed.
     if seed < 0:
         raise ValidationError(f"--seed must be nonnegative, got {seed}")
+    if out_dir is not None:
+        _require_out_dir(out_dir)
     if name == "sandwich":
         rows = _suite_sandwich(seed, budget, out_dir=out_dir)
     else:
         rows = _SUITES[name](seed, budget)
     return rows, [r for r in rows if r["status"] == "violation"]
+
+
+def _require_out_dir(path: str) -> None:
+    """Refuse an ``--out`` that could not become a directory: the path, or
+    the nearest of its parents that exists, is something else."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ValidationError(f"--out {path}: {probe} exists and is not a directory")
 
 
 # ---------------------------------------------------------------------------

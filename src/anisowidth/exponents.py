@@ -362,11 +362,38 @@ def width_exponent_low_q(p, q, r, nu_split: int) -> WidthOrder:
 
 
 def dyadic_beta(r) -> tuple:
-    """Growth weights beta_j = (1/r_j) / sum_i (1/r_i); sums to 1."""
+    """Growth weights beta_j = (1/r_j) / sum_i (1/r_i); sums to 1.
+
+    Fractions for an exact ``r`` (from :func:`_beta_ratios`), floats as soon
+    as one entry is a float.
+    """
     rr = smoothness_vector(r)
+    ratios = _beta_ratios(rr)
+    if ratios is not None:
+        return tuple(Fraction(a, b) for a, b in ratios)
     ir = [1 / v for v in rr]
     total = sum(ir)
     return tuple(v / total for v in ir)
+
+
+def _beta_ratios(rr: tuple, m: int = 1) -> Optional[list]:
+    """``beta_j m`` as reduced pairs ``(a, b)`` of ints, for a validated
+    smoothness vector whose entries are all exact; None when one is a float.
+
+    With ``r_j = n_j / d_j`` and ``L`` the least common multiple of the
+    numerators, ``1/r_j = w_j / L`` with ``w_j = d_j L / n_j``, so
+    ``beta_j m = m w_j / sum_i w_i`` in integers alone.
+    """
+    if any(isinstance(v, float) for v in rr):
+        return None
+    lcm = math.lcm(*(v.numerator for v in rr))
+    w = [v.denominator * (lcm // v.numerator) for v in rr]
+    total = sum(w)
+    out = []
+    for wj in w:
+        g = math.gcd(m * wj, total)
+        out.append((m * wj // g, total // g))
+    return out
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,12 @@ the coefficients' l2 norm when every exponent is 2), in contrast with the
 counting-measure norms of :mod:`anisowidth.mixed_norm`.
 
 Each coefficient-space decision (band slices, FFT positions, a multiplier
-along one axis, the Weyl multiplier, the difference multiplier, the
-quadrature grid, the norm's route and range scaling, degree powers, order
-checks) is made by one private helper.  Kernel and taper orders must be
-finite and >= 1, Weyl orders finite and >= 0, phases finite; anything else
-is refused with :class:`ValidationError`, so no input yields NaN.
+along one axis, the exact dyadic degrees, the Weyl multiplier, the
+difference multiplier, the quadrature grid, the norm's route and range
+scaling, degree powers, order checks) is made by one private helper.
+Kernel and taper orders must be finite and >= 1, Weyl orders finite and
+>= 0, phases finite; anything else is refused with
+:class:`ValidationError`, so no input yields NaN.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
@@ -39,7 +39,7 @@ from .mixed_norm import (
     _prescaled,
     _require_int,
 )
-from .exponents import dyadic_beta, smoothness_vector
+from .exponents import _beta_ratios, dyadic_beta, smoothness_vector
 
 __all__ = [
     "TrigPoly",
@@ -151,6 +151,16 @@ class TrigPoly:
             coeff = coeff.copy()
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeff", coeff)
+
+    @classmethod
+    def _of(cls, degree: tuple, coeff: np.ndarray) -> "TrigPoly":
+        """The polynomial that owns ``coeff`` as it is, unchecked: a degree
+        tuple of ints and a complex array of its shape, which no one else
+        holds."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "degree", degree)
+        object.__setattr__(out, "coeff", coeff)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("TrigPoly is immutable; build a new one")
@@ -348,57 +358,125 @@ def bernoulli_kernel(r, alpha, x, truncation: int) -> Union[float, np.ndarray]:
 
 
 def vp_multiplier(m: int, k) -> Union[float, np.ndarray]:
-    """Taper weight: 1 on ``|k| <= m``, linear to 0 at ``|k| = 2m``."""
+    """Taper weight: 1 on ``|k| <= m``, linear to 0 at ``|k| = 2m``.
+
+    The weight is ``(2m - |k|) / m`` clipped to ``[0, 1]``, which is exactly
+    1.0 wherever ``|k| <= m``.  When every ``|k|`` is at most ``m``, compared
+    as Python numbers, the weights are ones without that arithmetic, so
+    ``m`` is never made a float and no order is too large.
+    """
     _require_order(m, "taper order")
     ka = np.abs(np.asarray(k, dtype=float))
-    w = np.clip((2 * m - ka) / m, 0.0, 1.0)
-    return _like(k, w)
+    if ka.size and not float(ka.max()) <= m:
+        return _like(k, np.clip((2 * m - ka) / m, 0.0, 1.0))
+    return _like(k, np.ones(ka.shape))
 
 
 def vp_operator(f: TrigPoly, N: Sequence[int]) -> TrigPoly:
     """Taper operator: multiply coefficients by the per-axis taper weights.
 
     Reproduces any polynomial of degree ``<= N`` exactly; output degree is
-    at most ``2N - 1``.
+    ``min(deg f, 2N - 1)`` per axis.  The band of ``f.coeff`` is multiplied
+    axis by axis by the weights of :func:`vp_multiplier`, and the product,
+    a fresh array, becomes the result's coefficients without another copy.
+    At the degrees ``N_j = max(1, floor(2^(beta_j m)))`` of
+    :func:`scale_degrees`, exact in integers for an exact ``r`` and by the
+    float route for a float one, this is :func:`vp_at_scale`.
     """
-    N = _degree(N, 1, "taper degree")
+    return _taper(f, _degree(N, 1, "taper degree"))
+
+
+def _taper(f: TrigPoly, N: tuple) -> TrigPoly:
+    """:func:`vp_operator` at a validated degree tuple ``N``."""
     if f.d != len(N):
         raise ValidationError("degree vector dimension mismatch")
     out_deg = tuple(min(Nf, 2 * Nj - 1) for Nf, Nj in zip(f.degree, N))
-    coeff = f.restrict(out_deg).coeff
+    coeff = f.coeff[_band(out_deg, f.degree)]
     for axis, (Nj, Dj) in enumerate(zip(N, out_deg)):
-        coeff = _along(coeff, axis, vp_multiplier(Nj, np.arange(-Dj, Dj + 1)))
-    return TrigPoly(out_deg, coeff)
+        coeff = _along(coeff, axis, vp_multiplier(Nj, np.arange(-Dj, Dj + 1, dtype=float)))
+    return TrigPoly._of(out_deg, coeff)
 
 
-def _floor_pow2(exponent) -> int:
-    """Exact floor of 2**exponent for Fraction input, float fallback."""
-    if isinstance(exponent, Fraction):
-        if exponent < 0:
-            raise ValidationError("negative dyadic exponent")
-        a, b = exponent.numerator, exponent.denominator
-        if b == 1:
-            return 2**a
-        val = 2**a
-        root = int(round(val ** (1.0 / b)))
-        while (root + 1) ** b <= val:
-            root += 1
-        while root > 1 and root**b > val:
-            root -= 1
-        return root
-    return int(math.floor(2.0 ** float(exponent) + 1e-12))
+# A degree floor(2^(a/b)) is computed on integers 2^a of at most this many
+# bits; a larger one is refused rather than left to run for minutes.  One
+# root at the limit takes about 0.1 s, and the cost grows with the square
+# of the bits.
+_POW2_BITS = 1 << 18
+
+
+def _floor_pow2(a: int, b: int) -> int:
+    """Exact ``floor(2^(a/b))`` for ints ``a >= 0`` and ``b >= 1``, the
+    integer ``b``-th root of ``2^a``: the degree
+    ``N_j = max(1, floor(2^(beta_j m)))`` of :func:`scale_degrees` for an
+    exact ``r``, with ``beta_j m = a/b``, at every scale within the limit
+    below (a float ``r`` takes :func:`_float_floor_pow2`).
+
+    Newton's iteration in integers, from a start above the root, falls
+    strictly until it reaches the root and then stops falling.  The start is
+    the float estimate with a relative margin of ``2^-40`` while the root
+    has fewer than 900 bits, and otherwise one more than the root at half
+    the bits, shifted back; either way a few steps reach the root.  A power
+    ``2^a`` of more than ``2^18`` bits is refused with ``ValidationError``.
+    """
+    if a > _POW2_BITS:
+        raise ValidationError(
+            f"exact degree floor(2^({a}/{b})) needs a power of {a} bits, "
+            f"over the limit of {_POW2_BITS}"
+        )
+    q, rem = divmod(a, b)
+    if rem == 0:
+        return 1 << q
+    if q == 0:
+        return 1
+    if q < 900:
+        # The float power is within 2^-43 of 2^(a/b), relatively, so the
+        # root lies in [low, x - 1]; equal ends leave no step to take.
+        t = 2.0 ** (a / b)
+        x, low = int(t * (1 + 2.0**-40)) + 1, int(t * (1 - 2.0**-40))
+        if low == x - 1:
+            return low
+    else:
+        s = q // 2
+        x = (_floor_pow2(a - s * b, b) + 1) << s
+    n = 1 << a
+    while True:
+        y = ((b - 1) * x + n // x ** (b - 1)) // b
+        if y >= x:
+            return x
+        x = y
+
+
+def _float_floor_pow2(exponent: float) -> int:
+    """``floor(2.0 ** exponent + 1e-12)``, the degree of a float ``beta_j m``;
+    where the power overflows, the exact :func:`_floor_pow2` of the
+    exponent's ``Fraction`` value."""
+    try:
+        return int(math.floor(2.0**exponent + 1e-12))
+    except OverflowError:
+        return _floor_pow2(*exponent.as_integer_ratio())
 
 
 def scale_degrees(r, m: int) -> tuple:
-    """Per-axis taper degrees ``N_j = floor(2^(beta_j m))`` at scale ``m``."""
+    """Per-axis taper degrees ``N_j = max(1, floor(2^(beta_j m)))`` at scale
+    ``m``, with ``beta`` the growth weights of :func:`dyadic_beta`.
+
+    For an exact ``r`` each ``beta_j m`` is a reduced ratio of ints and the
+    floor is exact in integers (:func:`_floor_pow2`) at every scale whose
+    power ``2^a`` has at most ``2^18`` bits; finer scales are refused with
+    ``ValidationError``.  With a float entry ``beta`` is float and the floor
+    is that of :func:`_float_floor_pow2`.
+    """
     m = _require_int("scale index", m)
-    beta = dyadic_beta(r)
-    return tuple(max(1, _floor_pow2(bj * m)) for bj in beta)
+    rr = smoothness_vector(r)
+    ratios = _beta_ratios(rr, m)
+    if ratios is not None:
+        return tuple(max(1, _floor_pow2(a, b)) for a, b in ratios)
+    return tuple(max(1, _float_floor_pow2(bj * m)) for bj in dyadic_beta(rr))
 
 
 def vp_at_scale(f, r, m: int) -> TrigPoly:
     """Taper operator at dyadic scale ``m`` of the smoothness vector ``r``."""
-    return vp_operator(f, scale_degrees(r, m))
+    return _taper(f, scale_degrees(r, m))
 
 
 def dyadic_block(f, r, m: int) -> TrigPoly:
@@ -546,15 +624,20 @@ def nikolskii_ratio(t: TrigPoly, p, q) -> float:
     as ``N = 1``.  The norms are those of :func:`trig_lp_norm`, taken of
     ``t`` moved into range by :func:`_scaled` (the ratio does not change
     with scale): a ``(2, ..., 2)`` norm from the coefficients, any other
-    from one grid evaluation, made only when one of them needs it.
+    from one grid evaluation and its :func:`_magnitudes`, made once and only
+    when one of them needs it.
     """
     p = as_exponents(p)
     q = as_exponents(q)
     if not (p.d == q.d == t.d):
         raise ValidationError("dimension mismatch among t, p, q")
     t = _scaled(t)[0]
-    vals = None if _is_flat_two(p) and _is_flat_two(q) else t.values(_norm_grid(t.degree))
-    np_val, nq_val = (_l2_norm(t.coeff) if _is_flat_two(s) else _grid_norm(vals, s) for s in (p, q))
+    mags = None
+    if not (_is_flat_two(p) and _is_flat_two(q)):
+        mags = _magnitudes(t.values(_norm_grid(t.degree)))
+    np_val, nq_val = (
+        _l2_norm(t.coeff) if _is_flat_two(s) else _magnitude_grid_norm(mags, s) for s in (p, q)
+    )
     if np_val == 0:
         raise ValidationError("zero polynomial has no norm ratio")
     gaps = [max(float(rp) - float(rq), 0.0) for rp, rq in zip(p.recip, q.recip)]
@@ -634,18 +717,31 @@ def _difference_multiplier(k: np.ndarray, h: float, order: int) -> np.ndarray:
 
 
 def _grid_norm(values: np.ndarray, p: ExponentVector) -> float:
-    """Normalized-measure mixed norm of grid samples.
+    """Normalized-measure mixed norm of grid samples: the
+    :func:`_magnitude_grid_norm` of their :func:`_magnitudes`."""
+    return _magnitude_grid_norm(_magnitudes(values), p)
 
-    ``np.abs(values, order="F")`` is laid out as ``Tensor.array`` is, so
-    the reductions, and with them the bits, are those of
-    ``mixed_norm(Tensor.from_array(np.abs(values)), p)`` without its two
-    grid-sized copies; the magnitudes are taken once, and the range check
-    and the reductions read them as they are.  Non-finite samples are
-    refused as there.
+
+def _magnitudes(values: np.ndarray) -> tuple:
+    """``(arr, e)``: the magnitudes of grid samples, ``np.abs(values,
+    order="F")``, moved into range by :func:`_prescaled`.  Non-finite
+    samples are refused as in :func:`anisowidth.mixed_norm.mixed_norm`."""
+    return _prescaled(np.abs(values, order="F"))
+
+
+def _magnitude_grid_norm(mags: tuple, p: ExponentVector) -> float:
+    """The normalized-measure mixed norm of the grid samples whose
+    :func:`_magnitudes` are ``mags``.
+
+    Those are laid out as ``Tensor.array`` is, so the reductions, and with
+    them the bits, are those of ``mixed_norm(Tensor.from_array(np.abs(values)),
+    p)`` without its two grid-sized copies.  The reductions read the
+    magnitudes without writing to them, so one grid's magnitudes serve
+    every norm taken of it.
     """
-    arr, e = _prescaled(np.abs(values, order="F"))
+    arr, e = mags
     raw = _ldexp(float(_magnitude_norm(arr, p)), e)
-    return raw * _degree_power(values.shape, [-float(recip) for recip in p.recip])
+    return raw * _degree_power(arr.shape, [-float(recip) for recip in p.recip])
 
 
 def _class_args(t: TrigPoly, r, p) -> tuple:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from anisowidth import DeskScaleError, PropertyViolation
+from anisowidth import DeskScaleError, PropertyViolation, cli
 from anisowidth.cli import main
 
 
@@ -582,3 +582,30 @@ def test_warm_call_prints_what_a_fresh_process_prints(request, capsys, command, 
     warm = capsys.readouterr()
     cold = run_cli(argv)
     assert (code, warm.out.encode(), warm.err.encode()) == (cold.returncode, cold.stdout, cold.stderr)
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "sandwich", "--seed", "3"], ["report", "--budget", "small"]]
+)
+@pytest.mark.parametrize("below", [False, True], ids=["file", "under_file"])
+def test_out_that_is_not_a_directory_is_refused_before_any_suite(
+    tmp_path, capsys, monkeypatch, argv, below
+):
+    # os.makedirs met the file with FileExistsError, an internal error (exit
+    # 5); report reached it only after running four suites.
+    ran = []
+
+    def suite(name):
+        return lambda *args, **kwargs: ran.append(name) or []
+
+    monkeypatch.setattr(cli, "_SUITES", {name: suite(name) for name in cli._SUITES})
+    monkeypatch.setattr(cli, "_suite_sandwich", suite("sandwich"))
+    f = tmp_path / "f"
+    f.write_bytes(b"keep")
+    out = f / "sub" if below else f
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out {out}: {f} exists and is not a directory\n"
+    assert ran == []
+    assert f.read_bytes() == b"keep"
