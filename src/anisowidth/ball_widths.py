@@ -58,7 +58,7 @@ class PowerProduct:
     """Positive quantity ``coeff * prod base_i ** exp_i`` with exact order.
 
     Bases are integers ``>= 2`` after normalization, ``coeff`` is a positive
-    ``Fraction``.  Exponents are ``Fraction`` (exact path), or ``int`` or
+    ``Fraction``.  Exponents are ``int`` or ``Fraction`` (exact path), or
     float (the comparison then falls back to logarithms).
     """
 
@@ -90,7 +90,7 @@ class PowerProduct:
     @property
     def is_exact(self) -> bool:
         return isinstance(self.coeff, Fraction) and all(
-            isinstance(e, Fraction) for _, e in self.factors
+            isinstance(e, (int, Fraction)) for _, e in self.factors
         )
 
     def _log(self) -> tuple:

@@ -284,7 +284,7 @@ def _suite_norms(seed: int, budget: str):
                 f"draw={i}",
             )
         )
-        att = norm_duality_lower(x, p, trials=8, seed=seed + i)
+        att = norm_duality_lower(x, p)
         rows.append(
             _row(
                 "duality_attainment",

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
@@ -325,8 +326,7 @@ def vp_power_kernel(n: int, r, alpha, x) -> Union[float, np.ndarray]:
     xa = np.asarray(x, dtype=float)
     phase = _finite("phase alpha", alpha) * math.pi / 2.0
     out = np.ones_like(xa)
-    for k in range(1, 2 * n):
-        w = 1.0 if k <= n else (2 * n - k) / n
+    for k, w in zip(range(1, 2 * n), vp_multiplier(n, np.arange(1, 2 * n))):
         out = out + 2.0 * w * k ** r * np.cos(k * xa + phase)
     return _like(x, out)
 
@@ -446,10 +446,15 @@ def _floor_pow2(a: int, b: int) -> int:
         x = y
 
 
-def _float_floor_pow2(exponent: float) -> int:
-    """``floor(2.0 ** exponent + 1e-12)``, the degree of a float ``beta_j m``;
-    where the power overflows, the exact :func:`_floor_pow2` of the
-    exponent's ``Fraction`` value."""
+def _float_floor_pow2(beta: float, m: int) -> int:
+    """``floor(2.0 ** (beta * m) + 1e-12)``, the degree of a float ``beta_j``
+    at scale ``m``.  Where the power overflows it is the exact
+    :func:`_floor_pow2` of the exponent, and for an ``m`` past the float
+    range that exponent is the exact product ``Fraction(beta) * m``."""
+    try:
+        exponent = beta * m
+    except OverflowError:
+        exponent = Fraction(beta) * m
     try:
         return int(math.floor(2.0**exponent + 1e-12))
     except OverflowError:
@@ -471,7 +476,7 @@ def scale_degrees(r, m: int) -> tuple:
     ratios = _beta_ratios(rr, m)
     if ratios is not None:
         return tuple(max(1, _floor_pow2(a, b)) for a, b in ratios)
-    return tuple(max(1, _float_floor_pow2(bj * m)) for bj in dyadic_beta(rr))
+    return tuple(max(1, _float_floor_pow2(bj, m)) for bj in dyadic_beta(rr))
 
 
 def vp_at_scale(f, r, m: int) -> TrigPoly:

@@ -139,8 +139,11 @@ def harmonic_frame(K: int, n: int) -> np.ndarray:
 
     Built from constant / cosine / sine columns on the cyclic group of order
     K; every row of the basis has squared norm n/K, which makes the frame
-    optimal for symmetric cross-polytope points.  Falls back to a seeded
-    orthonormal completion if K is too small for distinct frequencies.
+    optimal for symmetric cross-polytope points.  The columns are the cosine
+    and sine of frequencies ``1, ..., n // 2`` (no sine at ``K/2``, where it
+    vanishes), led by the constant column when ``n`` is odd; for ``n = K``
+    even the constant takes the last slot, so every ``n <= K`` gets a subset
+    of the real Fourier basis.
     """
     K = _require_int("K", K, 1)
     n = _require_dim(n, K)
@@ -148,22 +151,15 @@ def harmonic_frame(K: int, n: int) -> np.ndarray:
         return np.zeros((K, 0))
     i = np.arange(K)
     cols = []
-    if n % 2 == 1:
-        cols.append(np.full(K, 1.0 / math.sqrt(K)))
-    f = 1
-    while len(cols) < n and f <= K // 2:
+    for f in range(1, n // 2 + 1):
         c = np.cos(2 * math.pi * f * i / K)
         cols.append(c / np.linalg.norm(c))
-        if len(cols) < n and 2 * f < K:
+        if 2 * f < K:
             s = np.sin(2 * math.pi * f * i / K)
             cols.append(s / np.linalg.norm(s))
-        f += 1
-    B = np.column_stack(cols) if cols else np.zeros((K, 0))
-    if B.shape[1] < n:
-        rng = np.random.default_rng(0)
-        extra = rng.standard_normal((K, n - B.shape[1]))
-        B, _ = np.linalg.qr(np.column_stack([B, extra]))
-    return B[:, :n]
+    if len(cols) < n:
+        cols.insert(0 if n % 2 else n - 1, np.full(K, 1.0 / math.sqrt(K)))
+    return np.column_stack(cols)
 
 
 # Bases and coefficients may carry leading batch axes: ``B`` is ``batch +

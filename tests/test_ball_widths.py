@@ -446,6 +446,26 @@ def test_plan_tail_matches_order():
     assert plan.predicted == pytest.approx(0.5 * 16 ** 0.125, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "k, n, p, q, regime, t",
+    [
+        ((4, 8), 16, (Fraction(7, 3), 1.5), (2, 3), "corner", None),
+        ((8, 16), 32, (3, 1), (4, 4), "window", 1),
+    ],
+)
+def test_plan_tie_at_a_threshold_is_decided_exactly(k, n, p, q, regime, t):
+    # n equals a threshold T_t whose factors carry the int exponent 1; the
+    # float comparison used to settle the tie and report "tail".
+    plan = lower_bound_plan(BallProblem(k=k, n=n, p=p, q=q))
+    assert (plan.regime, plan.t) == (regime, t)
+
+
+def test_int_exponents_are_exact():
+    assert PowerProduct.power(3, 2).is_exact
+    assert PowerProduct(Fraction(1, 9), [(3, 2)]) == 1
+    assert not PowerProduct.power(3, 2.0).is_exact
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_plan_shape_always_admissible(state):

@@ -16,7 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anisowidth import TrigPoly, ValidationError, vp_at_scale, vp_multiplier, vp_operator
+from anisowidth import (
+    TrigPoly,
+    ValidationError,
+    dyadic_block,
+    vp_at_scale,
+    vp_multiplier,
+    vp_operator,
+)
 from anisowidth.exponents import smoothness_vector
 from anisowidth.trig_approx import scale_degrees
 
@@ -114,6 +121,19 @@ def test_huge_scales_neither_overflow_nor_run_away():
     assert vp_multiplier(2**1100, np.arange(-4, 5)).tolist() == [1.0] * 9
     with pytest.raises(ValidationError, match="bits"):
         scale_degrees((1,), 2**18 + 1)
+
+
+@pytest.mark.parametrize("r", [(1.5,), (1.5, 2.5)])
+def test_a_float_entry_at_a_scale_past_the_float_range_is_refused(r):
+    # beta_j * m used to end in a raw OverflowError for such an m.
+    t = TrigPoly.random_real((2,) * len(r), np.random.default_rng(5))
+    for call in (
+        lambda: scale_degrees(r, 2**1024),
+        lambda: vp_at_scale(t, r, 2**1024),
+        lambda: dyadic_block(t, r, 2**1024),
+    ):
+        with pytest.raises(ValidationError, match="bits"):
+            call()
 
 
 @st.composite

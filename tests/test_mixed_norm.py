@@ -117,13 +117,6 @@ def test_tensor_sides_must_be_integers(shape):
         Tensor(shape, [1.0, 2.0])
 
 
-@pytest.mark.parametrize("trials, seed", [(2.5, 0), (True, 0), (4, 1.5)])
-def test_duality_lower_counts_must_be_integers(trials, seed):
-    # trials = 2.5 and seed = 1.5 used to raise a raw TypeError, True to run once.
-    with pytest.raises(ValidationError, match="must be an integer"):
-        norm_duality_lower(Tensor((2,), [1.0, 2.0]), (2,), trials=trials, seed=seed)
-
-
 def test_tensor_sides_accept_numpy_integers():
     t = Tensor((np.int64(2), np.int32(1)), [1.0, 2.0])
     assert t.shape == (2, 1) and all(type(s) is int for s in t.shape)
@@ -199,10 +192,22 @@ def test_duality_lower_bounds_norm(arr, pidx):
     x = Tensor.from_array(arr)
     p = _pvec(pidx, x.d)
     n = mixed_norm(x, p)
-    att = norm_duality_lower(x, p, trials=8, seed=3)
+    att = norm_duality_lower(x, p)
     assert att <= n * (1 + 1e-9) + 1e-12
     if n > 1e-9:
-        assert att >= 0.2 * n
+        assert att >= n * (1 - 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1, Fraction(3, 2), 2, 3, 1.01, 7.5, math.inf]),
+)
+def test_duality_lower_of_one_entry_is_the_norm(a, p):
+    # With 64 Gaussian pairings besides the norming functional, their
+    # rounding lifted the bound above |a| for most draws.
+    x = Tensor((1,), [a])
+    assert norm_duality_lower(x, (p,)) == mixed_norm(x, (p,)) == abs(a)
 
 
 @settings(max_examples=80, deadline=None)

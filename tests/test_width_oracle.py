@@ -52,13 +52,26 @@ def random_points(K, count, seed):
 
 
 def test_harmonic_frame_orthonormal_and_balanced():
-    for K, n in ((4, 1), (8, 3), (9, 4), (6, 6)):
-        B = harmonic_frame(K, n)
-        assert B.shape == (K, n)
-        gram = B.T @ B
-        assert np.abs(gram - np.eye(n)).max() < 1e-10
-        rows = np.linalg.norm(B, axis=1) ** 2
-        assert np.abs(rows - n / K).max() < 1e-10
+    # Each column is the constant or the cosine or sine of one frequency.
+    # For n = K even, a seeded Gaussian column and a QR used to complete it.
+    for K in range(1, 13):
+        i = np.arange(K)
+        waves = {("const", 0): np.ones(K)}
+        for f in range(1, K // 2 + 1):
+            waves["cos", f] = np.cos(2 * np.pi * f * i / K)
+            waves["sin", f] = np.sin(2 * np.pi * f * i / K)
+        units = [w / np.linalg.norm(w) for w in waves.values() if np.linalg.norm(w) > 1e-9]
+        for n in range(1, K + 1):
+            B = harmonic_frame(K, n)
+            assert B.shape == (K, n)
+            assert np.abs(B.T @ B - np.eye(n)).max() < 1e-12
+            assert np.abs((B**2).sum(axis=1) - n / K).max() < 1e-12
+            matches = [
+                [j for j, u in enumerate(units) if np.abs(col - u).max() < 1e-12]
+                for col in B.T
+            ]
+            assert all(len(m) == 1 for m in matches), (K, n)
+            assert len({m[0] for m in matches}) == n, (K, n)
 
 
 def test_harmonic_frame_guards():
