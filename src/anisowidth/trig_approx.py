@@ -22,7 +22,9 @@ Kernel and taper orders must be finite and >= 1, Weyl orders finite and
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,9 +76,9 @@ _FLAT_2 = as_exponents((2,))  # _l2_norm's exponent, one axis
 
 def _band(inner, outer) -> tuple:
     """Slices of the degree-``inner`` band centred in a degree-``outer`` array."""
-    if len(inner) != len(outer) or any(a > b for a, b in zip(inner, outer)):
+    if len(inner) != len(outer) or any(map(operator.gt, inner, outer)):
         raise ValidationError(f"degree {inner} does not fit in degree {outer}")
-    return tuple(slice(No - Ni, No + Ni + 1) for Ni, No in zip(inner, outer))
+    return tuple([slice(No - Ni, No + Ni + 1) for Ni, No in zip(inner, outer)])
 
 
 def _spectrum_positions(degree, grid) -> list:
@@ -205,12 +207,19 @@ class TrigPoly:
         return TrigPoly(degree, self.coeff[_band(degree, self.degree)])
 
     def _binary(self, other, sign):
+        """``self + sign * other`` at the joined degree: ``self.coeff``
+        written into a fresh zero array, then ``sign * other.coeff`` added
+        into ``other``'s band.  Both operands are valid polynomials, so the
+        result skips :meth:`pad`'s and the constructor's checks."""
         if not isinstance(other, TrigPoly) or other.d != self.d:
             raise ValidationError("operands must be TrigPoly of equal dimension")
         degree = tuple(max(a, b) for a, b in zip(self.degree, other.degree))
-        out = self.pad(degree)
-        out.coeff[_band(other.degree, degree)] += sign * other.coeff
-        return out
+        coeff = np.zeros(tuple(2 * N + 1 for N in degree), dtype=complex)
+        coeff[_band(self.degree, degree)] = self.coeff
+        # times the int sign, a complex multiply: a plain -= would give
+        # some signed zeros the other sign
+        coeff[_band(other.degree, degree)] += sign * other.coeff
+        return TrigPoly._of(degree, coeff)
 
     def __add__(self, other):
         return self._binary(other, 1)
@@ -377,8 +386,10 @@ def vp_operator(f: TrigPoly, N: Sequence[int]) -> TrigPoly:
 
     Reproduces any polynomial of degree ``<= N`` exactly; output degree is
     ``min(deg f, 2N - 1)`` per axis.  The band of ``f.coeff`` is multiplied
-    axis by axis by the weights of :func:`vp_multiplier`, and the product,
-    a fresh array, becomes the result's coefficients without another copy.
+    axis by axis by the weights of :func:`vp_multiplier`, computed once
+    per pair ``(N_j, D_j)`` of taper degree and output degree (at most 256
+    pairs are kept), and the product, a fresh array, becomes the result's
+    coefficients without another copy.
     At the degrees ``N_j = max(1, floor(2^(beta_j m)))`` of
     :func:`scale_degrees`, exact in integers for an exact ``r`` and by the
     float route for a float one, this is :func:`vp_at_scale`.
@@ -387,14 +398,26 @@ def vp_operator(f: TrigPoly, N: Sequence[int]) -> TrigPoly:
 
 
 def _taper(f: TrigPoly, N: tuple) -> TrigPoly:
-    """:func:`vp_operator` at a validated degree tuple ``N``."""
+    """:func:`vp_operator` at a validated degree tuple ``N`` of ints.  The
+    weights of each axis come from :func:`_taper_weights`; :func:`_along`
+    multiplies into a fresh array, so no result shares memory with them."""
     if f.d != len(N):
         raise ValidationError("degree vector dimension mismatch")
     out_deg = tuple(min(Nf, 2 * Nj - 1) for Nf, Nj in zip(f.degree, N))
     coeff = f.coeff[_band(out_deg, f.degree)]
     for axis, (Nj, Dj) in enumerate(zip(N, out_deg)):
-        coeff = _along(coeff, axis, vp_multiplier(Nj, np.arange(-Dj, Dj + 1, dtype=float)))
+        coeff = _along(coeff, axis, _taper_weights(Nj, Dj))
     return TrigPoly._of(out_deg, coeff)
+
+
+@functools.lru_cache(maxsize=256)
+def _taper_weights(Nj: int, Dj: int) -> np.ndarray:
+    """The :func:`vp_multiplier` weights of taper degree ``Nj`` at the
+    frequencies ``-Dj..Dj``, computed once per pair of ints and kept
+    read-only."""
+    weights = vp_multiplier(Nj, np.arange(-Dj, Dj + 1, dtype=float))
+    weights.setflags(write=False)
+    return weights
 
 
 # A degree floor(2^(a/b)) is computed on integers 2^a of at most this many
@@ -419,8 +442,9 @@ def _floor_pow2(a: int, b: int) -> int:
     ``2^a`` of more than ``2^18`` bits is refused with ``ValidationError``.
     """
     if a > _POW2_BITS:
+        a_text, b_text = _bounded_int(a), _bounded_int(b)
         raise ValidationError(
-            f"exact degree floor(2^({a}/{b})) needs a power of {a} bits, "
+            f"exact degree floor(2^({a_text}/{b_text})) needs a power of {a_text} bits, "
             f"over the limit of {_POW2_BITS}"
         )
     q, rem = divmod(a, b)
@@ -444,6 +468,19 @@ def _floor_pow2(a: int, b: int) -> int:
         if y >= x:
             return x
         x = y
+
+
+def _bounded_int(n: int) -> str:
+    """The int ``n >= 0`` for a message: in full up to 20 digits, otherwise
+    by its number of digits, which ``str`` would refuse past 4300."""
+    if n < 10**20:
+        return str(n)
+    digits = int(n.bit_length() * math.log10(2)) + 1
+    while 10 ** (digits - 1) > n:
+        digits -= 1
+    while 10**digits <= n:
+        digits += 1
+    return f"<a {digits}-digit integer>"
 
 
 def _float_floor_pow2(beta: float, m: int) -> int:

@@ -191,6 +191,19 @@ def test_verify_norms_passes(capsys):
     assert all("property" in row for row in out["rows"])
 
 
+def test_duality_attainment_fails_a_bound_short_of_the_norm(capsys, monkeypatch):
+    # The bound is the pairing with the norming functional, within about
+    # 1e-15 of the norm; a floor of 0.2 * norm let this one pass.
+    monkeypatch.setattr(
+        cli, "norm_duality_lower", lambda x, p: cli.mixed_norm(x, p) * (1 - 1e-9)
+    )
+    assert main(["verify", "norms", "--seed", "2"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    failed = {row["property"] for row in out["rows"] if row["status"] != "ok"}
+    assert failed == {"duality_attainment"}
+    assert out["violations"] == sum(row["property"] == "duality_attainment" for row in out["rows"])
+
+
 def test_verify_interp_passes(capsys):
     assert main(["verify", "interp", "--seed", "2"]) == 0
     out = json.loads(capsys.readouterr().out)

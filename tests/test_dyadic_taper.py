@@ -3,7 +3,9 @@
 The degree of axis j at scale m is ``N_j = max(1, floor(2^(beta_j m)))``
 with ``beta_j = (1/r_j) / sum_i 1/r_i``: exact in integers for an exact
 ``r``, by the float formula for a float one.  The taper multiplies the
-band of the coefficients by the weights of ``vp_multiplier`` axis by axis.
+band of the coefficients by the weights of ``vp_multiplier`` axis by axis,
+kept read-only once per pair of degrees.  A sum or difference of
+polynomials writes both operands into a zero array of the joined degree.
 """
 
 import math
@@ -25,7 +27,7 @@ from anisowidth import (
     vp_operator,
 )
 from anisowidth.exponents import smoothness_vector
-from anisowidth.trig_approx import scale_degrees
+from anisowidth.trig_approx import _taper_weights, scale_degrees
 
 # Exact entries with small numerators and denominators, ints, and floats
 # that are integers (which the smoothness vector makes exact).
@@ -136,25 +138,60 @@ def test_a_float_entry_at_a_scale_past_the_float_range_is_refused(r):
             call()
 
 
-@st.composite
-def polynomials(draw):
-    degree = tuple(draw(st.lists(st.integers(0, 6), min_size=1, max_size=3)))
+@pytest.mark.parametrize(
+    "r, m, digits",
+    [((1.5,), 2**1024, 309), ((1, 2), 2**4096, 1234), ((1, 2), 10**5000, 5001)],
+    ids=["float-2^1024", "exact-2^4096", "exact-10^5000"],
+)
+def test_a_refused_scale_has_a_short_message(r, m, digits):
+    # The exponent of the power used to be printed in full, twice, and past
+    # 4300 digits str() refused it with a ValueError.
+    with pytest.raises(ValidationError, match="over the limit of 262144") as err:
+        scale_degrees(r, m)
+    assert len(str(err.value)) < 200
+    assert str(err.value).count(f"<a {digits}-digit integer>") == 2
+
+
+def test_a_refused_scale_prints_short_numbers_in_full():
+    with pytest.raises(ValidationError) as err:
+        scale_degrees((1, 2), 10**6)
+    assert str(err.value) == (
+        "exact degree floor(2^(2000000/3)) needs a power of 2000000 bits, "
+        "over the limit of 262144"
+    )
+
+
+def coefficients(draw, degree):
+    """Real, complex or zero-mean coefficients of ``degree``, with signed
+    zeros in some real and imaginary parts: the taper's products and the
+    sums must give them the signs of the operations that define them."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["real", "complex", "zero_mean"]))
     if kind == "real":
-        t = TrigPoly.random_real(degree, rng)
-        coeff = t.coeff
+        coeff = TrigPoly.random_real(degree, rng).coeff
     else:
         shape = tuple(2 * N + 1 for N in degree)
         coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         if kind == "zero_mean":
             coeff[degree] = 0.0
-    # signed zeros in some real and imaginary parts: the taper's products
-    # must give them the signs of the multiplications below
     parts = coeff.view(np.float64)
     zeros = rng.random(parts.shape) < 0.2
     parts[zeros] = np.where(rng.random(parts.shape) < 0.5, 0.0, -0.0)[zeros]
-    N = tuple(draw(st.lists(st.integers(1, 8), min_size=len(degree), max_size=len(degree))))
+    return coeff
+
+
+# degrees up to 40 on at most 20,000 coefficients: bands wider than the
+# taper degree (D_j > N_j) occur, and the arrays stay small
+DEGREES = st.lists(st.integers(0, 40), min_size=1, max_size=3).filter(
+    lambda degree: math.prod(2 * N + 1 for N in degree) <= 20_000
+)
+
+
+@st.composite
+def polynomials(draw):
+    degree = tuple(draw(DEGREES))
+    coeff = coefficients(draw, degree)
+    N = tuple(draw(st.lists(st.integers(1, 40), min_size=len(degree), max_size=len(degree))))
     return TrigPoly(degree, coeff), N
 
 
@@ -169,10 +206,63 @@ def test_vp_operator_is_the_band_times_the_multipliers_byte_for_byte(case):
         shape = [1] * want.ndim
         shape[axis] = 2 * Dj + 1
         want = want * vp_multiplier(Nj, np.arange(-Dj, Dj + 1)).reshape(shape)
-    got = vp_operator(t, N)
-    assert got.degree == out_deg
-    assert got.coeff.shape == want.shape
-    assert got.coeff.tobytes() == want.tobytes()
-    assert not np.shares_memory(got.coeff, t.coeff)
-    got.coeff[...] = 7.0
-    assert t.coeff.tobytes() == before.tobytes()
+    # The first call may compute a pair's weights and the second finds
+    # them kept; both must give the definition's bytes.
+    for _ in range(2):
+        got = vp_operator(t, N)
+        assert got.degree == out_deg
+        assert got.coeff.shape == want.shape
+        assert got.coeff.tobytes() == want.tobytes()
+        assert not np.shares_memory(got.coeff, t.coeff)
+        got.coeff[...] = 7.0
+        assert t.coeff.tobytes() == before.tobytes()
+
+
+def test_kept_taper_weights_are_read_only_and_shared_with_no_result():
+    for Nj, Dj in [(1, 0), (1, 1), (3, 5), (4, 7), (2**1100, 4)]:
+        weights = _taper_weights(Nj, Dj)
+        assert weights is _taper_weights(Nj, Dj)
+        assert weights.tobytes() == vp_multiplier(Nj, np.arange(-Dj, Dj + 1.0)).tobytes()
+        with pytest.raises(ValueError):
+            weights[0] = 2.0
+    t = TrigPoly.random_real((7, 3), np.random.default_rng(11))
+    for N, call in (
+        ((4, 2), lambda: vp_operator(t, (4, 2))),
+        (scale_degrees((1, 2), 3), lambda: vp_at_scale(t, (1, 2), 3)),
+    ):
+        first = call()
+        want = first.coeff.copy()
+        kept = [_taper_weights(Nj, Dj) for Nj, Dj in zip(N, first.degree)]
+        assert not any(np.shares_memory(first.coeff, w) for w in kept)
+        first.coeff[...] = -3.0
+        assert call().coeff.tobytes() == want.tobytes()
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two polynomials of one dimension d <= 3 and different degrees."""
+    d = draw(st.integers(1, 3))
+    degrees = st.tuples(*[st.integers(0, 6)] * d)
+    da = draw(degrees)
+    db = draw(degrees.filter(lambda degree: degree != da))
+    return TrigPoly(da, coefficients(draw, da)), TrigPoly(db, coefficients(draw, db))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=operand_pairs())
+def test_sums_and_differences_are_their_definition_byte_for_byte(pair):
+    a, b = pair
+    degree = tuple(max(x, y) for x, y in zip(a.degree, b.degree))
+
+    def band(inner):
+        return tuple(slice(D - N, D + N + 1) for N, D in zip(inner, degree))
+
+    for sign, got in ((1, a + b), (-1, a - b)):
+        want = np.zeros(tuple(2 * D + 1 for D in degree), dtype=complex)
+        want[band(a.degree)] = a.coeff
+        want[band(b.degree)] += sign * b.coeff
+        assert got.degree == degree
+        assert got.coeff.dtype == want.dtype and got.coeff.shape == want.shape
+        assert got.coeff.tobytes() == want.tobytes()
+        assert not np.shares_memory(got.coeff, a.coeff)
+        assert not np.shares_memory(got.coeff, b.coeff)
