@@ -11,7 +11,9 @@ exponents degrade a product to float comparisons but keep the same interface.
 The V-set machinery (convex hulls of permuted, sign-flipped corner blocks)
 provides matching lower bounds: :func:`lower_bound_plan` picks the block
 shape ``s`` for a given ``n``, and :func:`vset_l2_lower` is the exact
-Euclidean width bound for that block.
+Euclidean width bound for that block.  The orbit points themselves are
+built, enumerated or sampled, by :func:`anisowidth.width_oracle.sandwich_report`,
+so this module is exact arithmetic alone and imports no numpy.
 """
 
 from __future__ import annotations
@@ -19,15 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Optional
-
-import numpy as np
 
 from .mixed_norm import (
     ExponentVector,
     PropertyViolation,
-    Tensor,
     ValidationError,
     as_exponents,
     _require_dim,
@@ -44,8 +43,6 @@ __all__ = [
     "PlanResult",
     "lower_bound_plan",
     "VSet",
-    "sample_group_element",
-    "vset_extreme_point",
     "vset_l2_lower",
 ]
 
@@ -441,45 +438,6 @@ class VSet:
     @property
     def d(self) -> int:
         return len(self.k)
-
-
-def sample_group_element(k, rng):
-    """Random per-axis permutations and sign flips."""
-    perms = tuple(tuple(int(v) for v in rng.permutation(kj)) for kj in k)
-    signs = tuple(
-        tuple(int(v) for v in rng.choice((-1, 1), size=kj)) for kj in k
-    )
-    return perms, signs
-
-
-def vset_extreme_point(v: VSet, g=None) -> Tensor:
-    """Image of the corner block under a group element, as a Tensor.
-
-    ``g`` is a pair ``(perms, signs)`` of per-axis permutations (0-based)
-    and sign vectors (see :func:`sample_group_element`); ``g=None`` returns
-    the corner block itself.  The result factors along axes, so its mixed
-    norm is exactly ``prod s_j^(1/p_j)`` for every ``p``.
-    """
-    if g is None:
-        perms = tuple(tuple(range(kj)) for kj in v.k)
-        signs = tuple((1,) * kj for kj in v.k)
-    else:
-        perms, signs = g
-    if len(perms) != v.d or len(signs) != v.d:
-        raise ValidationError("group element axis count mismatch")
-    axes = []
-    for kj, sj, perm, sgn in zip(v.k, v.s, perms, signs):
-        if sorted(perm) != list(range(kj)):
-            raise ValidationError("bad permutation in group element")
-        if len(sgn) != kj or any(e not in (-1, 1) for e in sgn):
-            raise ValidationError("bad sign vector in group element")
-        axes.append(
-            np.array([sgn[i] * (1.0 if perm[i] < sj else 0.0) for i in range(kj)])
-        )
-    arr = reduce(np.multiply.outer, axes)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    return Tensor.from_array(arr)
 
 
 def vset_l2_lower(v: VSet, n: int) -> float:

@@ -537,8 +537,11 @@ def _run_suite(name: str, seed: int, budget: str, out_dir=None):
 
 
 def _require_out_dir(path: str) -> None:
-    """Refuse an ``--out`` that could not become a directory: the path, or
-    the nearest of its parents that exists, is something else."""
+    """Refuse an ``--out`` that could not become a directory: the path is
+    empty (``abspath`` would read it as the working directory), or the
+    path, or the nearest of its parents that exists, is something else."""
+    if not path:
+        raise ValidationError("--out must name a directory, got an empty path")
     probe = os.path.abspath(path)
     while not os.path.exists(probe):
         probe = os.path.dirname(probe)

@@ -75,9 +75,8 @@ _FLAT_2 = as_exponents((2,))  # _l2_norm's exponent, one axis
 
 
 def _band(inner, outer) -> tuple:
-    """Slices of the degree-``inner`` band centred in a degree-``outer`` array."""
-    if len(inner) != len(outer) or any(map(operator.gt, inner, outer)):
-        raise ValidationError(f"degree {inner} does not fit in degree {outer}")
+    """Slices of the degree-``inner`` band centred in a degree-``outer``
+    array; the caller sees to it that ``inner`` fits in ``outer``."""
     return tuple([slice(No - Ni, No + Ni + 1) for Ni, No in zip(inner, outer)])
 
 
@@ -199,12 +198,10 @@ class TrigPoly:
 
     def pad(self, degree) -> "TrigPoly":
         out = TrigPoly(degree)
+        if out.d != self.d or any(map(operator.gt, self.degree, out.degree)):
+            raise ValidationError(f"degree {self.degree} does not fit in degree {out.degree}")
         out.coeff[_band(self.degree, out.degree)] = self.coeff
         return out
-
-    def restrict(self, degree) -> "TrigPoly":
-        degree = _degree(degree)
-        return TrigPoly(degree, self.coeff[_band(degree, self.degree)])
 
     def _binary(self, other, sign):
         """``self + sign * other`` at the joined degree: ``self.coeff``

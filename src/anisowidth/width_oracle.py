@@ -83,8 +83,6 @@ from .ball_widths import (
     VSet,
     lower_bound_plan,
     phi,
-    sample_group_element,
-    vset_extreme_point,
     vset_l2_lower,
 )
 
@@ -208,18 +206,18 @@ def _flat_functional(Y: np.ndarray, K: int, nb: int) -> np.ndarray:
     return Y.transpose((*range(1, nb + 1), 0, nb + 1))
 
 
-def _inner_solve(X, B, q, shape, C0, iters, live=None, functional=False, leave=None):
+def _inner_solve(X, B, q, shape, C0, iters, live=None, leave=None):
     """Approximate per-point best-approximation coefficients, batched.
 
     Subgradient descent with best-value tracking; the Euclidean projection
     is the starting point, so for flat q = 2 this is already exact and no
-    step is taken.  Returns the tracked coefficients and values and, with
-    ``functional`` (not with ``leave``), the norming functionals of the
-    tracked residuals in the kernels' layout: each is kept from the kernel
-    pass that took its value, so a caller that needs them takes no pass of
-    its own.  The evaluation after the last step is folded into the loop as
-    one more such pass, with no step after it.  Each basis of a batch gives
-    exactly what it gives alone.
+    step is taken.  Returns ``(C, f, Y)``: the tracked coefficients and
+    values, and the norming functionals of the tracked residuals in the
+    kernels' layout: each is kept from the kernel pass that took its value,
+    so a caller that needs them takes no pass of its own.  The evaluation
+    after the last step is folded into the loop as one more such pass, with
+    no step after it.  Each basis of a batch gives exactly what it gives
+    alone.
 
     ``live``, the sorted positions of at least two of the points of ``X``
     (with ``C0`` given), solves only those points, each with the bits it
@@ -247,8 +245,8 @@ def _inner_solve(X, B, q, shape, C0, iters, live=None, functional=False, leave=N
     (indices into the stack) leave the batch, given their largest tracked
     values ``fmax``.  It is asked before each kernel pass and once after
     the last, and ``(kept, C, f)`` of the bases that stay to the end is
-    returned.  A basis that leaves takes no further pass; the bases that
-    stay run every iteration with their own bits.
+    returned instead.  A basis that leaves takes no further pass; the bases
+    that stay run every iteration with their own bits.
     """
     P, K = X.shape
     C = _times(B, X.T, True) if C0 is None else C0
@@ -278,7 +276,7 @@ def _inner_solve(X, B, q, shape, C0, iters, live=None, functional=False, leave=N
         improved = f < best_f
         best_f = np.where(improved, f, best_f)
         best_C = np.where(improved[..., None, :], C, best_C)
-        if functional:
+        if leave is None:
             best_Y = Y if best_Y is None else np.where(improved, Y, best_Y)
         if it == iters:
             continue
@@ -289,7 +287,7 @@ def _inner_solve(X, B, q, shape, C0, iters, live=None, functional=False, leave=N
         step *= 0.97
     if leave is not None:
         return kept, best_C, best_f
-    return (best_C, best_f, best_Y) if functional else (best_C, best_f)
+    return best_C, best_f, best_Y
 
 
 def _polish_point(x_flat, B, q, shape, c0, floor=-math.inf):
@@ -372,7 +370,7 @@ def _descend(X, B0, q, shape, cfg):
     for it in range(cfg.outer_iterations):
         Bi = B if it else starts
         iters = 4 if it else 30
-        C, f, Y = _inner_solve(X, Bi, q, shape, C, iters=iters, functional=True)
+        C, f, Y = _inner_solve(X, Bi, q, shape, C, iters=iters)
         fmax = f.max(axis=1)
         improved = fmax < best_val
         best_val = np.where(improved, fmax, best_val)
@@ -716,16 +714,37 @@ def _orbit_points(k, s, cap: int):
                 u[list(subset)] = signs
                 opts.append(u)
         per_axis.append(opts)
+    return _distinct(reduce(np.multiply.outer, combo) for combo in itertools.product(*per_axis))
+
+
+def _orbit_sample(k, s, count: int, rng) -> list:
+    """The distinct ones of ``count`` random corner-block points: per draw,
+    a permutation of each axis and then a sign vector of each axis, and the
+    signs at the positions the permutation sends below ``s_j``."""
     points = []
+    for _ in range(count):
+        perms = [rng.permutation(kj) for kj in k]
+        signs = [rng.choice((-1.0, 1.0), size=kj) for kj in k]
+        axes = [np.where(perm < sj, sgn, 0.0) for perm, sgn, sj in zip(perms, signs, s)]
+        # The outer product gives -0.0 wherever a -1 meets a zero, so two
+        # draws of one point could differ in their bytes; + 0.0 makes every
+        # zero +0.0, and _distinct's byte keys then see equal points.
+        points.append(reduce(np.multiply.outer, axes) + 0.0)
+    return _distinct(points)
+
+
+def _distinct(arrays) -> list:
+    """``arrays`` in order, without any array that, or whose negative,
+    equals a kept one byte for byte."""
+    kept = []
     seen = set()
-    for combo in itertools.product(*per_axis):
-        arr = reduce(np.multiply.outer, combo)
+    for arr in arrays:
         key = arr.tobytes()
         if key in seen or (-arr).tobytes() in seen:
             continue
         seen.add(key)
-        points.append(arr)
-    return points
+        kept.append(arr)
+    return kept
 
 
 def _ball_extras(prob: BallProblem, cap: int, rng) -> list:
@@ -801,10 +820,13 @@ def sandwich_report(
     for the hull of those sampled points, not a certified upper bound on
     the ball's width: the hull is the whole ball only when every ``p_j`` is
     1 or inf and all of the ball's vertices fit in the point budget;
-    otherwise the ball points are random boundary samples.  When the orbit
-    is fully enumerated the bracket must hold and is asserted; a violated
-    bracket raises :class:`PropertyViolation`.  Appends one CSV row per
-    call when ``ledger_path`` is given.
+    otherwise the ball points are random boundary samples.  The orbit is
+    enumerated by :func:`_orbit_points` when it fits the point budget, and
+    the report is then ``certified``: the bracket must hold and is
+    asserted, and a violated bracket raises :class:`PropertyViolation`.
+    A larger orbit is sampled by :func:`_orbit_sample` for half the budget,
+    without repeated points, and the report is uncertified.  Appends one
+    CSV row per call when ``ledger_path`` is given.
     """
     cfg = cfg or OracleConfig()
     if prob.K > 64 or prob.n > 8:
@@ -819,15 +841,7 @@ def sandwich_report(
     orbit = _orbit_points(v.k, v.s, cfg.point_budget)
     certified = orbit is not None and len(orbit) <= cfg.point_budget
     if not certified:
-        orbit = []
-        seen = set()
-        for _ in range(cfg.point_budget // 2):
-            g = sample_group_element(v.k, rng)
-            arr = vset_extreme_point(v, g=g).array
-            if arr.tobytes() in seen:
-                continue
-            seen.add(arr.tobytes())
-            orbit.append(arr)
+        orbit = _orbit_sample(v.k, v.s, cfg.point_budget // 2, rng)
     extras = _ball_extras(prob, cfg.point_budget - len(orbit), rng)
     points = [scale * arr for arr in orbit] + extras
     X, e = _prescaled(np.stack([np.ravel(x, order="F") for x in points]))

@@ -18,11 +18,8 @@ from anisowidth import (
     VSet,
     ball_order_low_q,
     lower_bound_plan,
-    mixed_norm,
     phi,
-    sample_group_element,
     sorted_profile,
-    vset_extreme_point,
     vset_l2_lower,
 )
 
@@ -516,42 +513,6 @@ def test_vset_l2_lower_refuses_non_integer_rank(n):
     # Both used to be accepted: True as n = 1, 1.5 in the formula.
     with pytest.raises(ValidationError, match="n must be an integer"):
         vset_l2_lower(VSet(k=(4, 3), s=(2, 1)), n)
-
-
-def test_extreme_point_corner_block():
-    v = VSet(k=(3, 2), s=(2, 1))
-    x = vset_extreme_point(v)
-    arr = x.array
-    assert arr.shape == (3, 2)
-    assert np.count_nonzero(arr) == 2
-    assert mixed_norm(x, (1, 1)) == 2.0
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6))
-def test_extreme_point_norm_is_exact(state):
-    rng = np.random.default_rng(state)
-    d = int(rng.integers(1, 4))
-    k = tuple(int(rng.integers(1, 6)) for _ in range(d))
-    s = tuple(int(rng.integers(1, kj + 1)) for kj in k)
-    v = VSet(k=k, s=s)
-    g = sample_group_element(k, rng)
-    x = vset_extreme_point(v, g=g)
-    p = tuple(rng.choice([1, Fraction(3, 2), 2, 4, math.inf]) for _ in range(d))
-    expected = 1.0
-    from anisowidth import as_exponents
-
-    for sj, recip in zip(s, as_exponents(p).recip):
-        expected *= float(sj) ** float(recip)
-    assert mixed_norm(x, p) == pytest.approx(expected, rel=1e-12)
-
-
-def test_group_element_rejects_bad_permutation():
-    v = VSet(k=(3,), s=(1,))
-    with pytest.raises(ValidationError):
-        vset_extreme_point(v, g=(((0, 0, 1),), ((1, 1, 1),)))
-    with pytest.raises(ValidationError):
-        vset_extreme_point(v, g=(((0, 1, 2),), ((1, 2, 1),)))
 
 
 def test_l2_lower_frozen_values():

@@ -600,12 +600,13 @@ def test_warm_call_prints_what_a_fresh_process_prints(request, capsys, command, 
 @pytest.mark.parametrize(
     "argv", [["verify", "sandwich", "--seed", "3"], ["report", "--budget", "small"]]
 )
-@pytest.mark.parametrize("below", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("where", ["file", "under_file", "empty"])
 def test_out_that_is_not_a_directory_is_refused_before_any_suite(
-    tmp_path, capsys, monkeypatch, argv, below
+    tmp_path, capsys, monkeypatch, argv, where
 ):
     # os.makedirs met the file with FileExistsError, an internal error (exit
-    # 5); report reached it only after running four suites.
+    # 5); report reached it only after running four suites.  An empty path
+    # passed as the working directory, and os.makedirs('') failed after them.
     ran = []
 
     def suite(name):
@@ -615,10 +616,13 @@ def test_out_that_is_not_a_directory_is_refused_before_any_suite(
     monkeypatch.setattr(cli, "_suite_sandwich", suite("sandwich"))
     f = tmp_path / "f"
     f.write_bytes(b"keep")
-    out = f / "sub" if below else f
-    assert main([*argv, "--out", str(out)]) == 2
+    out = {"file": str(f), "under_file": str(f / "sub"), "empty": ""}[where]
+    assert main([*argv, "--out", out]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --out {out}: {f} exists and is not a directory\n"
+    if where == "empty":
+        assert captured.err == "error: --out must name a directory, got an empty path\n"
+    else:
+        assert captured.err == f"error: --out {out}: {f} exists and is not a directory\n"
     assert ran == []
     assert f.read_bytes() == b"keep"

@@ -563,7 +563,7 @@ def test_lockstep_starts_keep_their_lone_bits(data):
     for B, B_lone in zip(descended, lone):
         assert np.array_equal(B, B_lone)
     for stack in (starts, np.stack(contiguous)):
-        C, f = _inner_solve(X, stack, q, shape, None, iters=5)
+        C, f, _ = _inner_solve(X, stack, q, shape, None, iters=5)
         for B0, C_s, f_s in zip(stack, C, f):
             C_lone, f_lone = _lone_inner_solve(X, B0, q, shape, None, iters=5)
             assert np.array_equal(C_s, C_lone) and np.array_equal(f_s, f_lone)
@@ -598,13 +598,13 @@ def test_inner_solve_keeps_each_points_bits_on_a_column_subset(data):
     if data.draw(st.booleans()):
         B = np.linalg.qr(rng.standard_normal((K, n)))[0]
     C = np.linalg.lstsq(B, X.T, rcond=None)[0]
-    full_C, full_f, full_Y = _inner_solve(X, B, q, shape, C, iters=120, functional=True)
+    full_C, full_f, full_Y = _inner_solve(X, B, q, shape, C, iters=120)
     _, Y = _norming_array(_lone_residual(X, B, full_C, shape), q)
     assert np.array_equal(full_Y, Y)
     sizes = [2, 7, data.draw(st.integers(190, P - 1)), P] + ([] if big else [1])
     for size in sizes:
         live = np.sort(rng.choice(P, size, replace=False))
-        sub_C, sub_f = _inner_solve(X, B, q, shape, C, iters=120, live=live)
+        sub_C, sub_f, _ = _inner_solve(X, B, q, shape, C, iters=120, live=live)
         assert np.array_equal(sub_C, full_C[:, live]), size
         assert np.array_equal(sub_f, full_f[live]), size
 
@@ -697,7 +697,7 @@ def _reference_evaluate_exact(X, B, q, shape, C, f0, start, cutoff) -> float:
         return float(np.sqrt((R * R).sum(axis=0)).max())
     if start >= cutoff:
         return start
-    C, f = _inner_solve(X, B, q, shape, C, iters=120)
+    C, f, _ = _inner_solve(X, B, q, shape, C, iters=120)
     _, L = _dual_lower(X, B, q, shape, C)
     # max_(j != i) L_j is the largest bound, or the second largest at its owner.
     lead = int(np.argmax(L))
@@ -726,7 +726,7 @@ def _sequential_evaluate_exact(X, B, q, shape, C, f0, start, cutoff) -> float:
         return start
     reach = min(start, np.partition(f0, -2)[-2]) if f0.size > 1 else start
     live = np.flatnonzero(f0 >= reach)
-    C, f = _inner_solve(X, B, q, shape, C, iters=120, live=live)
+    C, f, _ = _inner_solve(X, B, q, shape, C, iters=120, live=live)
     X = X[live]
     _, L = _dual_lower(X, B, q, shape, C)
     # max_(j != i) L_j is the largest bound, or the second largest at its owner.
@@ -790,7 +790,7 @@ def _assert_evaluation_matches_reference(X, B, q, shape):
     start = float(L.max())
     full = _reference_evaluate_exact(X, B, q, shape, C, f0, start, math.inf)
     live = _live(f0, start)
-    solved = _inner_solve(X, B, q, shape, C, iters=120, live=live)
+    solved = _inner_solve(X, B, q, shape, C, iters=120, live=live)[:2]
     cutoffs = [math.inf, math.nextafter(full, math.inf), full, (start + full) / 2, start]
     for cutoff in cutoffs:
         val = _evaluate_exact(X, B, q, shape, live, *solved, start, cutoff)
@@ -884,7 +884,9 @@ def test_raced_stack_keeps_each_bases_lone_solve(data):
     kept, C, f = _inner_solve(X, bases, q, shape, np.stack(lsq), iters=120, live=union, leave=leave)
     assert list(kept) == [j for j in range(len(bases)) if exits[j] >= 122]
     for j, C_j, f_j in zip(kept, C, f):
-        lone_C, lone_f = _inner_solve(X, bases[j], q, shape, lsq[j], iters=120, live=lives[j])
+        lone_C, lone_f, _ = _inner_solve(
+            X, bases[j], q, shape, lsq[j], iters=120, live=lives[j]
+        )
         at = np.searchsorted(union, lives[j])
         assert _same_bits(np.take(C_j, at, axis=-1), lone_C)
         assert _same_bits(np.take(f_j, at), lone_f)
@@ -946,7 +948,7 @@ def test_sandwich_upper_is_the_full_evaluations_value():
 def _full_polish_value(X, B, q, shape):
     """The oracle's exact evaluation with no cutoff: all six top points polished."""
     C = np.linalg.lstsq(B, X.T, rcond=None)[0]
-    C, f = _inner_solve(X, B, q, shape, C, iters=120)
+    C, f, _ = _inner_solve(X, B, q, shape, C, iters=120)
     f = f.copy()
     for i in np.argsort(f)[::-1][:6]:
         val, _ = _polish_point(X[i], B, q, shape, C[:, i])
@@ -998,7 +1000,7 @@ def _cutoff_only_evaluate_exact(X, B, q, shape, C, f0, start, cutoff) -> float:
     if _is_flat_two(q):
         R = X.T - B @ C
         return float(np.sqrt((R * R).sum(axis=0)).max())
-    C, f = _inner_solve(X, B, q, shape, C, iters=120)
+    C, f, _ = _inner_solve(X, B, q, shape, C, iters=120)
     order = np.argsort(f)[::-1]
     bound = float(f[order[_POLISH_TOP]]) if f.size > _POLISH_TOP else -math.inf
     for i in order[:_POLISH_TOP]:

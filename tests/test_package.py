@@ -49,3 +49,22 @@ def test_every_public_name_has_a_program_caller():
     spec.loader.exec_module(spans)
     traced = {name.rsplit(".", 1)[1] for name in spans.target_names()}
     assert [name for name in anisowidth.__all__ if name not in loaded | traced] == []
+
+
+def _imported_modules(path: Path) -> set:
+    """The top-level names of the modules a file imports, relative imports
+    by their module name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_the_exact_layer_imports_no_numpy():
+    # The exact formulas need no numpy of their own (ROADMAP item 16).
+    for name in ("ball_widths", "exponents"):
+        imported = _imported_modules(ROOT / "src" / "anisowidth" / f"{name}.py")
+        assert "numpy" not in imported, name

@@ -106,17 +106,18 @@ def test_sampling_alias_guard():
         samples_to_trigpoly(np.zeros(8), (4,))
 
 
-def test_pad_restrict_roundtrip():
+def test_pad_roundtrip():
     rng = np.random.default_rng(2)
     t = TrigPoly.random_real((2, 3), rng)
     big = t.pad((4, 5))
     assert big.degree == (4, 5)
-    back = big.restrict((2, 3))
-    assert np.array_equal(back.coeff, t.coeff)
-    with pytest.raises(ValidationError):
-        t.restrict((3, 3))
-    with pytest.raises(ValidationError):
+    assert np.array_equal(big.coeff[2:7, 2:9], t.coeff)
+    big.coeff[2:7, 2:9] = 0
+    assert not big.coeff.any()
+    with pytest.raises(ValidationError, match=r"degree \(2, 3\) does not fit in degree \(1, 5\)"):
         t.pad((1, 5))
+    with pytest.raises(ValidationError, match="does not fit"):
+        t.pad((4,))
 
 
 def test_arithmetic_and_reality():
@@ -396,7 +397,6 @@ INTEGER_MISUSES = {
     "TrigPoly degree": lambda: TrigPoly((2.5,)),
     "TrigPoly boolean degree": lambda: TrigPoly((True,)),
     "random_real degree": lambda: TrigPoly.random_real((2.5,), np.random.default_rng(0)),
-    "restrict degree": lambda: _P1.restrict((1.5,)),
     "values grid": lambda: _P1.values((9.5,)),
     "samples_to_trigpoly degree": lambda: samples_to_trigpoly(np.ones(9), (1.5,)),
     "weyl_derivative axis": lambda: weyl_derivative(_P2, 1.5, 1, 0),

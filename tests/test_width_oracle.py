@@ -1,6 +1,7 @@
 """Numerical subspace-width oracle: known widths, certificates, ledgers."""
 
 import csv
+import itertools
 import math
 from dataclasses import fields
 from fractions import Fraction
@@ -369,7 +370,7 @@ def dual_cases(draw, flat_two=False):
 def test_dual_bound_below_every_upper_value(case):
     shape, B, X, q = case
     C0 = B.T @ X.T
-    C, f = width_oracle._inner_solve(X, B, q, shape, C0, iters=30)
+    C, f, _ = width_oracle._inner_solve(X, B, q, shape, C0, iters=30)
     # Its norms at the solved coefficients are the solve's values.
     assert np.array_equal(width_oracle._dual_lower(X, B, q, shape, C)[0], f)
     for start in (C0, C):
@@ -564,6 +565,62 @@ def test_ball_samples_are_scaled_by_the_norm_of_a_tensor(k, p):
     for x in samples:
         arr = rng.standard_normal(k)
         assert np.array_equal(x, arr / mixed_norm(Tensor.from_array(arr), prob.p))
+
+
+def test_uncertified_sandwich_samples_distinct_corner_block_points(monkeypatch):
+    # The 4 x 4 x 4 orbit of a 2 x 2 x 2 block has 21,952 points, over the
+    # budget, so 128 of them are drawn.  Draws used to keep -0.0 where a -1
+    # met a zero, and a byte-keyed check kept repeats: 85 distinct of 128.
+    prob = BallProblem(k=(4, 4, 4), n=2, p=(1.5,) * 3, q=(4,) * 3)
+    seen = {}
+
+    def capture(name):
+        inner = getattr(width_oracle, name)
+
+        def wrapped(*args):
+            seen[name] = (args, inner(*args))
+            return seen[name][1]
+
+        monkeypatch.setattr(width_oracle, name, wrapped)
+
+    capture("_width_upper")
+    capture("_orbit_sample")
+    rep = sandwich_report(prob, OracleConfig(restarts=1, outer_iterations=2))
+    assert not rep.certified
+    (X, _, _, e, _, _), _ = seen["_width_upper"]
+    (_, s, count, _), orbit = seen["_orbit_sample"]
+    assert count == 128 and len(X) == rep.n_points == 256
+    assert len({tuple(row) for row in X.tolist()}) == len(X)
+    scale = math.prod(sj ** (-1 / 1.5) for sj in s)
+    assert len(orbit) == 85  # the distinct ones of the 128 draws
+    for x, row in zip(orbit, X):
+        assert np.array_equal(np.ldexp(scale * np.ravel(x, order="F"), -e), row)
+        assert np.count_nonzero(x) == math.prod(s)
+        assert set(np.abs(x[x != 0]).tolist()) == {1.0}
+        assert not np.signbit(x[x == 0]).any()
+        assert mixed_norm(Tensor.from_array(scale * x), prob.p) == pytest.approx(1, rel=1e-12)
+
+
+def test_orbit_sample_draws_permutations_then_signs():
+    # Each draw takes a permutation of every axis, then a sign vector of
+    # every axis, so the ball samples that follow see one stream.
+    k, s = (3, 1, 4), (2, 1, 3)
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    points = width_oracle._orbit_sample(k, s, 40, rng)
+    want = []
+    for _ in range(40):
+        perms = [ref.permutation(kj) for kj in k]
+        signs = [ref.choice((-1, 1), size=kj) for kj in k]
+        x = np.zeros(k)
+        for idx in itertools.product(*map(range, k)):
+            if all(perm[i] < sj for perm, i, sj in zip(perms, idx, s)):
+                x[idx] = math.prod(sgn[i] for sgn, i in zip(signs, idx))
+        # Every point has a zero, so x and -x are both kept (ROADMAP 9(d)).
+        if not any(np.array_equal(x, w) for w in want):
+            want.append(x)
+    assert len(points) == len(want) < 40
+    assert all(np.array_equal(a, b) for a, b in zip(points, want))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_sandwich_desk_scale_guard():
