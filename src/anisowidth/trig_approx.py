@@ -15,6 +15,15 @@ Each coefficient-space decision (band slices, FFT positions, a multiplier
 along one axis, the exact dyadic degrees, the Weyl multiplier, the
 difference multiplier, the quadrature grid, the norm's route and range
 scaling, degree powers, order checks) is made by one private helper.
+The plans that depend only on degrees and orders are computed once per
+key and kept, at most 256 per kind: the taper weights per ``(N_j, D_j)``
+(:func:`_taper_weights`), the scale degrees per ``(r, m)``
+(:func:`scale_degrees`), the quadrature grid per degree
+(:func:`_norm_grid`), the band's FFT positions per degree and grid
+(:func:`_spectrum_positions`) and the Weyl multiplier per
+``(N, r, alpha, sign)`` (:func:`_weyl_multiplier`).  Kept arrays are
+read-only, and no result shares memory with them; nothing is kept that
+depends on a polynomial's coefficients.
 Kernel and taper orders must be finite and >= 1, Weyl orders finite and
 >= 0, phases finite; anything else is refused with
 :class:`ValidationError`, so no input yields NaN.
@@ -80,15 +89,21 @@ def _band(inner, outer) -> tuple:
     return tuple([slice(No - Ni, No + Ni + 1) for Ni, No in zip(inner, outer)])
 
 
-def _spectrum_positions(degree, grid) -> list:
+@functools.lru_cache(maxsize=256)
+def _spectrum_positions(degree: tuple, grid: tuple) -> tuple:
     """Per axis, the FFT positions of the band ``|k_j| <= N_j`` on a uniform
-    grid that resolves it (``G_j >= 2 N_j + 1``), in frequency order."""
+    grid that resolves it (``G_j >= 2 N_j + 1``), in frequency order:
+    computed once per pair of int tuples and kept read-only (a refusal is
+    not kept, so it is raised again on every call)."""
     if len(grid) != len(degree):
         raise ValidationError(f"grid {grid} and degree {degree} differ in dimension")
     for G, N in zip(grid, degree):
         if G < 2 * N + 1:
             raise ValidationError(f"grid {G} aliases a degree-{N} band (need >= {2 * N + 1})")
-    return [np.arange(-N, N + 1) % G for N, G in zip(degree, grid)]
+    positions = tuple(np.arange(-N, N + 1) % G for N, G in zip(degree, grid))
+    for axis in positions:
+        axis.setflags(write=False)
+    return positions
 
 
 def _along(a: np.ndarray, axis: int, mult: np.ndarray) -> np.ndarray:
@@ -257,7 +272,7 @@ class TrigPoly:
         )
 
 
-def _real_values(coeff: np.ndarray, positions: list, grid: tuple) -> np.ndarray:
+def _real_values(coeff: np.ndarray, positions: tuple, grid: tuple) -> np.ndarray:
     """Values of the real polynomial with conjugate-symmetric ``coeff`` on
     ``grid``, given the band's FFT positions there.
 
@@ -389,7 +404,9 @@ def vp_operator(f: TrigPoly, N: Sequence[int]) -> TrigPoly:
     coefficients without another copy.
     At the degrees ``N_j = max(1, floor(2^(beta_j m)))`` of
     :func:`scale_degrees`, exact in integers for an exact ``r`` and by the
-    float route for a float one, this is :func:`vp_at_scale`.
+    float route for a float one, and computed once per pair ``(r, m)``,
+    this is :func:`vp_at_scale`.  :func:`dyadic_block` subtracts the
+    coarser taper output in place from the finer one, which it owns.
     """
     return _taper(f, _degree(N, 1, "taper degree"))
 
@@ -407,6 +424,11 @@ def _taper(f: TrigPoly, N: tuple) -> TrigPoly:
     return TrigPoly._of(out_deg, coeff)
 
 
+# Each cache of this module (taper weights, scale degrees, Weyl multipliers,
+# quadrature grids, FFT positions) holds at most 256 entries.  One 32-cycle
+# pass of the benchmark's trig workload (seeds 1-10) asks for at most 164
+# weight pairs, 102 scale keys, 191 Weyl keys and 108 grids and position
+# pairs, so every repeated pass finds its plans kept.
 @functools.lru_cache(maxsize=256)
 def _taper_weights(Nj: int, Dj: int) -> np.ndarray:
     """The :func:`vp_multiplier` weights of taper degree ``Nj`` at the
@@ -504,9 +526,28 @@ def scale_degrees(r, m: int) -> tuple:
     power ``2^a`` has at most ``2^18`` bits; finer scales are refused with
     ``ValidationError``.  With a float entry ``beta`` is float and the floor
     is that of :func:`_float_floor_pow2`.
+
+    The degrees are computed once per pair of ``r`` and ``m`` and kept (at
+    most 256 pairs).  An entry of ``r`` is keyed by its type and value:
+    ``0.5`` and ``Fraction(1, 2)``, or ``True`` and ``1``, are equal but
+    take different routes (a boolean is refused).  An ``r`` with an entry
+    that cannot be hashed is computed, and refused, without the cache, and
+    no refusal is kept.
     """
     m = _require_int("scale index", m)
-    rr = smoothness_vector(r)
+    key = tuple([(type(v), v) for v in r])
+    try:
+        hash(key)
+    except TypeError:
+        return _scale_degrees.__wrapped__(key, m)
+    return _scale_degrees(key, m)
+
+
+@functools.lru_cache(maxsize=256)
+def _scale_degrees(key: tuple, m: int) -> tuple:
+    """The degrees of :func:`scale_degrees` for the pairs ``(type, entry)``
+    of ``r`` and an int ``m >= 0``."""
+    rr = smoothness_vector([v for _, v in key])
     ratios = _beta_ratios(rr, m)
     if ratios is not None:
         return tuple(max(1, _floor_pow2(a, b)) for a, b in ratios)
@@ -526,7 +567,15 @@ def dyadic_block(f, r, m: int) -> TrigPoly:
     """
     if m == 0:
         return vp_at_scale(f, r, 0)
-    return vp_at_scale(f, r, m) - vp_at_scale(f, r, m - 1)
+    fine = vp_at_scale(f, r, m)
+    coarse = vp_at_scale(f, r, m - 1)
+    # fine - coarse, written into fine.coeff, which fine alone holds (_taper
+    # makes a fresh array).  Scale degrees do not decrease in m, so fine has
+    # the joined degree, and with _binary's complex multiply by the int sign
+    # this is its result, bit for bit, without its zero fill and copy.
+    assert all(map(operator.le, coarse.degree, fine.degree))
+    fine.coeff[_band(coarse.degree, fine.degree)] += -1 * coarse.coeff
+    return fine
 
 
 def _weyl(t: TrigPoly, axis: int, r, alpha, sign: int) -> TrigPoly:
@@ -539,13 +588,27 @@ def _weyl(t: TrigPoly, axis: int, r, alpha, sign: int) -> TrigPoly:
     if not 0 <= r < math.inf:
         raise ValidationError(f"Weyl order must be finite and >= 0, got {r}")
     alpha = _finite("phase alpha", alpha)
-    N = t.degree[axis - 1]
+    mult = _weyl_multiplier(t.degree[axis - 1], r, alpha, sign)
+    return TrigPoly._of(t.degree, _along(t.coeff, axis - 1, mult))
+
+
+@functools.lru_cache(maxsize=256)
+def _weyl_multiplier(N: int, r: float, alpha: float, sign: int) -> np.ndarray:
+    """The multiplier of :func:`_weyl` at the frequencies ``-N..N`` of one
+    axis, for a validated order ``r`` and phase ``alpha``: computed once
+    per key and kept read-only.  Equal floats give equal bits here: the
+    one pair of equal floats with different bits, ``0.0`` and ``-0.0``,
+    gives the same bytes as ``r`` (a power ``x**0`` is 1) and as ``alpha``
+    (the phase ``exp(+-0i)`` has real part 1, and ``mag * phase`` adds
+    ``+0`` to its imaginary part)."""
     k = np.arange(-N, N + 1, dtype=float)
     phase = np.exp(sign * 1j * np.sign(k) * alpha * math.pi / 2.0)
     mag = np.full(len(k), 0.0 if r > 0 else 1.0)
     nonzero = k != 0
     mag[nonzero] = np.abs(k[nonzero]) ** (sign * r)
-    return TrigPoly(t.degree, _along(t.coeff, axis - 1, mag * phase))
+    mult = mag * phase
+    mult.setflags(write=False)
+    return mult
 
 
 def weyl_derivative(t: TrigPoly, axis: int, r, alpha) -> TrigPoly:
@@ -624,12 +687,13 @@ def _prescaled_parts(coeff: np.ndarray) -> tuple:
     return parts.view(complex), e
 
 
-def _norm_grid(degree) -> tuple:
+@functools.lru_cache(maxsize=256)
+def _norm_grid(degree: tuple) -> tuple:
     """The quadrature grid of :func:`trig_lp_norm`: per axis, the least
     5-smooth length ``2^a 3^b 5^c`` of at least ``8 * max(N, 1) + 1``
-    points.  pocketfft runs such lengths without Bluestein's algorithm,
-    which it needs for a length with a large prime factor (``8N + 1`` often
-    has one: 97, 257, 1761 = 3 * 587)."""
+    points, computed once per degree tuple.  pocketfft runs such lengths
+    without Bluestein's algorithm, which it needs for a length with a large
+    prime factor (``8N + 1`` often has one: 97, 257, 1761 = 3 * 587)."""
     return tuple(_smooth_length(8 * max(N, 1) + 1) for N in degree)
 
 

@@ -4,6 +4,8 @@ and each one has a caller in the program."""
 import ast
 import importlib
 import importlib.util
+import inspect
+import pkgutil
 from pathlib import Path
 
 import anisowidth
@@ -68,3 +70,27 @@ def test_the_exact_layer_imports_no_numpy():
     for name in ("ball_widths", "exponents"):
         imported = _imported_modules(ROOT / "src" / "anisowidth" / f"{name}.py")
         assert "numpy" not in imported, name
+
+
+def test_every_memo_is_bounded():
+    # A memo without a bound grows for the life of the process (aim 3),
+    # unless its function takes no arguments and so keeps one entry at most.
+    memos = []
+    for info in pkgutil.iter_modules(anisowidth.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"anisowidth.{info.name}")
+        for obj in vars(module).values():
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            memos += [
+                f for f in members
+                if hasattr(f, "cache_info") and f.__module__ == module.__name__
+            ]
+    assert memos
+    unbounded = [
+        f"{f.__module__}.{f.__qualname__}"
+        for f in memos
+        if f.cache_parameters()["maxsize"] is None
+        and inspect.signature(f.__wrapped__).parameters
+    ]
+    assert unbounded == []
