@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -164,14 +164,46 @@ class ExponentVector:
         return tuple(out)
 
     def dual(self) -> "ExponentVector":
-        return ExponentVector(tuple(1 - r for r in self.recip))
+        """The conjugate exponents, ``recip' = 1 - recip``, built and planned
+        once per vector and kept; the dual's dual is this vector itself."""
+        dual = self.__dict__.get("_dual")
+        if dual is None:
+            dual = ExponentVector(tuple(1 - r for r in self.recip))
+            object.__setattr__(dual, "_dual", self)
+            object.__setattr__(self, "_dual", dual)
+        return dual
 
 
 def as_exponents(p) -> ExponentVector:
-    """Coerce an ExponentVector or a sequence of exponent values."""
+    """Coerce an ExponentVector or an iterable of exponent values.
+
+    The vector, and its plan once used, is built once per tuple of values and
+    kept (at most 256 tuples).  A value is keyed by its type and value:
+    ``1.5`` and ``Fraction(3, 2)``, or ``True`` and ``1``, are equal but take
+    different routes (a boolean is refused).  A tuple with a value that
+    cannot be hashed is built, and refused, without the cache, and no
+    refusal is kept.  A string or a non-iterable argument is refused.
+    """
     if isinstance(p, ExponentVector):
         return p
-    return ExponentVector(tuple(_recip_of(v) for v in p))
+    try:
+        values = None if isinstance(p, (str, bytes)) else iter(p)
+    except TypeError:
+        values = None
+    if values is None:
+        raise ValidationError(f"exponents must be a sequence, got {type(p).__name__}")
+    key = tuple([(type(v), v) for v in values])
+    try:
+        hash(key)
+    except TypeError:
+        return _exponent_vector.__wrapped__(key)
+    return _exponent_vector(key)
+
+
+@lru_cache(maxsize=256)
+def _exponent_vector(key: tuple) -> ExponentVector:
+    """The vector of :func:`as_exponents` for the pairs ``(type, value)``."""
+    return ExponentVector(tuple(_recip_of(v) for _, v in key))
 
 
 def _is_flat_two(p: ExponentVector) -> bool:

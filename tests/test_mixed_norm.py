@@ -1,5 +1,6 @@
 """Counting-measure mixed norms: frozen values, invariants, duality."""
 
+import importlib
 import math
 from fractions import Fraction
 
@@ -11,15 +12,24 @@ from hypothesis.extra import numpy as hnp
 
 from anisowidth import (
     EPS_TOL,
+    BallProblem,
     ExponentVector,
     Tensor,
+    TrigPoly,
     ValidationError,
     as_exponents,
+    bernstein_ratio,
     holder_interpolation_check,
     mixed_norm,
+    nikolskii_ratio,
     norm_duality_lower,
     norming_functional,
+    trig_lp_norm,
+    width_exponent,
 )
+
+# The package attribute ``mixed_norm`` is the function, not the module.
+mn = importlib.import_module("anisowidth.mixed_norm")
 
 # exponent pools used by the random suites
 P_POOL = [1, Fraction(3, 2), 2, 3, math.inf]
@@ -79,6 +89,92 @@ def test_exponent_validation():
         as_exponents((-1,))
     with pytest.raises(ValidationError):
         as_exponents((0,))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mixed_norm(Tensor((2,), [1.0, 2.0]), 4),
+        lambda: mixed_norm(Tensor((2,), [1.0, 2.0]), "inf"),
+        lambda: trig_lp_norm(TrigPoly((1,), [0, 1, 0]), 4),
+        lambda: BallProblem(k=(4,), n=1, p=2, q=(4,)),
+        lambda: width_exponent(4, (4,), (1,)),
+        lambda: as_exponents(b"\x04"),
+        lambda: as_exponents(Fraction(3, 2)),
+        lambda: as_exponents(np.float64(2.0)),
+    ],
+    ids=["mixed_norm", "string", "trig_lp_norm", "BallProblem", "width_exponent",
+         "bytes", "Fraction", "numpy_float"],
+)
+def test_scalar_or_string_exponents_refused(call):
+    # A scalar is not iterable, and a string is a sequence of characters,
+    # not of exponents: both are refused by type, with no raw TypeError.
+    with pytest.raises(ValidationError, match="exponents must be a sequence, got"):
+        call()
+
+
+def test_interned_float_and_fraction_keep_their_routes():
+    # 1.5 == Fraction(3, 2) and the two hash alike, but one gives a float
+    # reciprocal and the other an exact one, whichever is kept first.
+    for order in [(1.5, Fraction(3, 2)), (Fraction(3, 2), 1.5)]:
+        mn._exponent_vector.cache_clear()
+        for _ in range(2):
+            for value in order:
+                recip = as_exponents((value,)).recip
+                exact = type(value) is Fraction
+                assert recip == ((Fraction(2, 3),) if exact else (1 / 1.5,))
+                assert type(recip[0]) is (Fraction if exact else float)
+
+
+def test_interned_vectors_keep_refusals_apart():
+    assert as_exponents((1,)).recip == (Fraction(1),)
+    size = mn._exponent_vector.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="unsupported exponent type bool"):
+            as_exponents((True,))
+        with pytest.raises(ValidationError, match="unsupported exponent type list"):
+            as_exponents(([2],))
+        with pytest.raises(ValidationError, match="exponent must be positive"):
+            as_exponents((2, 0))
+        assert mn._exponent_vector.cache_info().currsize == size
+    assert as_exponents((np.int64(2),)).recip == (Fraction(1, 2),)
+    assert as_exponents(iter([2, 4])).recip == (Fraction(1, 2), Fraction(1, 4))
+
+
+def test_equal_typed_keys_share_one_vector():
+    v = as_exponents((2, 4))
+    assert as_exponents([2, 4]) is v
+    assert as_exponents(iter((2, 4))) is v
+    assert as_exponents((2.0, 4)) is not v
+    assert as_exponents((2.0, 4)) == v
+    assert v.dual() is v.dual()
+    assert v.dual().dual() is v
+
+
+def test_warm_calls_parse_and_plan_no_exponent(monkeypatch):
+    t = TrigPoly((3, 2), np.arange(35.0).reshape(7, 5) - 17.0)
+    x = Tensor((2, 3), [1.0, -2.0, 3.0, 0.5, 0.0, 4.0])
+
+    def calls():
+        nikolskii_ratio(t, (2, Fraction(3, 2)), (4, math.inf))
+        bernstein_ratio(t, (1, 2), (0.5, 0), (3, 2.5))
+        trig_lp_norm(t, (1, 4))
+        mixed_norm(x, [3, math.inf])
+        width_exponent((1,), (4,), (2,))
+
+    calls()
+    counts = {"_recip_of": 0, "_axis_step": 0}
+    for name in counts:
+        real = getattr(mn, name)
+
+        def spy(*args, name=name, real=real):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(mn, name, spy)
+    for _ in range(3):
+        calls()
+    assert counts == {"_recip_of": 0, "_axis_step": 0}
 
 
 def test_nan_rejected():
