@@ -31,6 +31,7 @@ from .mixed_norm import (
     as_exponents,
     _require_dim,
     _require_int,
+    _require_ints,
 )
 from .exponents import _HALF, _require_two_blocks, _sorted_axes
 
@@ -79,10 +80,6 @@ class PowerProduct:
     @classmethod
     def one(cls) -> "PowerProduct":
         return cls()
-
-    @classmethod
-    def power(cls, base: int, exp) -> "PowerProduct":
-        return cls(Fraction(1), ((base, exp),))
 
     @property
     def is_exact(self) -> bool:
@@ -243,7 +240,7 @@ class BallProblem:
     q: ExponentVector
 
     def __post_init__(self):
-        object.__setattr__(self, "k", tuple(_require_int("box side", v, 1) for v in self.k))
+        object.__setattr__(self, "k", _require_ints("box side", self.k, 1))
         object.__setattr__(self, "n", _require_int("n", self.n))
         object.__setattr__(self, "p", as_exponents(self.p))
         object.__setattr__(self, "q", as_exponents(self.q))
@@ -423,8 +420,8 @@ class VSet:
     s: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "k", tuple(_require_int("box side", v, 1) for v in self.k))
-        object.__setattr__(self, "s", tuple(_require_int("block side", v, 1) for v in self.s))
+        object.__setattr__(self, "k", _require_ints("box side", self.k, 1))
+        object.__setattr__(self, "s", _require_ints("block side", self.s, 1))
         if len(self.k) != len(self.s):
             raise ValidationError("k and s must have the same length")
         for kj, sj in zip(self.k, self.s):

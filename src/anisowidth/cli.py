@@ -39,6 +39,7 @@ from .mixed_norm import (
     norm_duality_lower,
     norming_functional,
     _require_int,
+    _require_ints,
 )
 from .exponents import _h_family, _tables, _width_exponent, width_exponent_low_q
 from .ball_widths import (
@@ -108,7 +109,7 @@ def load_problem(path: str) -> dict:
         k = obj.get("k")
         if not isinstance(k, list):
             raise ValidationError("'k' must be a list of integers")
-        out["k"] = tuple(_require_int("box side", v, 1) for v in k)
+        out["k"] = _require_ints("box side", k, 1)
         out["n"] = _require_int("n", obj.get("n"))
         out["p"] = _vector(obj, "p")
         out["q"] = _vector(obj, "q")

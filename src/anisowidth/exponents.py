@@ -30,6 +30,7 @@ from .mixed_norm import (
     ExponentVector,
     ValidationError,
     as_exponents,
+    _entries,
     _recip_of,
     _require_int,
 )
@@ -62,17 +63,17 @@ class NotCompactError(ValidationError):
 
 
 def smoothness_vector(r) -> tuple:
-    """Validate a smoothness vector: positive finite entries whose
-    reciprocals ``1/r_j`` are finite too.  With a float entry the exponent
-    formulas sum the reciprocals in floats, so their sum must then stay
-    finite in every summation order; exact (``Fraction``) sums are not
-    bounded.
+    """Validate a smoothness vector, a vector argument (:func:`_entries`) of
+    positive finite entries whose reciprocals ``1/r_j`` are finite too.
+    With a float entry the exponent formulas sum the reciprocals in floats,
+    so their sum must then stay finite in every summation order; exact
+    (``Fraction``) sums are not bounded.
 
     Integer-valued floats are upgraded to ``Fraction`` so that common inputs
     like ``2.0`` keep the exact-arithmetic path.
     """
     out = []
-    for v in r:
+    for v in _entries("smoothness vector", r):
         if isinstance(v, bool) or isinstance(v, str):
             raise ValidationError(f"bad smoothness entry {v!r}")
         if isinstance(v, (int, Fraction)):

@@ -22,6 +22,7 @@ Conventions
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -62,6 +63,27 @@ def _require_int(name: str, value, least: int = 0) -> int:
     if value < least:
         raise ValidationError(f"{name} must be at least {least}, got {value}")
     return int(value)
+
+
+def _entries(what: str, v) -> tuple:
+    """The entries of the vector argument ``v``, in order: a tuple, a list,
+    or any other iterable, an iterator too.  A string, bytes, a mapping, a
+    set (whose order is not that of the axes) or a non-iterable is refused."""
+    if isinstance(v, (tuple, list)):
+        return tuple(v)
+    try:
+        entries = None if isinstance(v, (str, bytes, Mapping, Set)) else iter(v)
+    except TypeError:
+        entries = None
+    if entries is None:
+        raise ValidationError(f"{what} must be a sequence, got {type(v).__name__}")
+    return tuple(entries)
+
+
+def _require_ints(what: str, v, least: int = 0) -> tuple:
+    """The entries of the vector argument ``v`` (:func:`_entries`) as ints,
+    each checked by :func:`_require_int`."""
+    return tuple([_require_int(what, x, least) for x in _entries(what, v)])
 
 
 def _require_dim(n, K: int) -> int:
@@ -175,35 +197,38 @@ class ExponentVector:
 
 
 def as_exponents(p) -> ExponentVector:
-    """Coerce an ExponentVector or an iterable of exponent values.
+    """Coerce an ExponentVector or a vector argument (:func:`_entries`) of
+    exponent values.
 
-    The vector, and its plan once used, is built once per tuple of values and
-    kept (at most 256 tuples).  A value is keyed by its type and value:
-    ``1.5`` and ``Fraction(3, 2)``, or ``True`` and ``1``, are equal but take
-    different routes (a boolean is refused).  A tuple with a value that
-    cannot be hashed is built, and refused, without the cache, and no
-    refusal is kept.  A string or a non-iterable argument is refused.
+    The vector, and its plan once used, is kept by the package's memo rule
+    (:func:`_kept`).
     """
     if isinstance(p, ExponentVector):
         return p
-    try:
-        values = None if isinstance(p, (str, bytes)) else iter(p)
-    except TypeError:
-        values = None
-    if values is None:
-        raise ValidationError(f"exponents must be a sequence, got {type(p).__name__}")
-    key = tuple([(type(v), v) for v in values])
-    try:
-        hash(key)
-    except TypeError:
-        return _exponent_vector.__wrapped__(key)
-    return _exponent_vector(key)
+    return _kept(_exponent_vector, *_entries("exponents", p))
 
 
-@lru_cache(maxsize=256)
-def _exponent_vector(key: tuple) -> ExponentVector:
-    """The vector of :func:`as_exponents` for the pairs ``(type, value)``."""
-    return ExponentVector(tuple(_recip_of(v) for _, v in key))
+def _kept(memo, *args):
+    """``memo(*args)``, or the memo's function called directly when an
+    argument cannot be hashed.
+
+    The package's memo rule: every memo is ``lru_cache(maxsize=256,
+    typed=True)``, so it keeps at most 256 entries, keyed by the arguments
+    and their types (``1.5`` and ``Fraction(3, 2)`` are two keys), and no
+    refusal is kept.  The hash is probed first, so a ``TypeError`` raised
+    inside the function is not taken for an unhashable argument.
+    """
+    try:
+        hash(args)
+    except TypeError:
+        return memo.__wrapped__(*args)
+    return memo(*args)
+
+
+@lru_cache(maxsize=256, typed=True)
+def _exponent_vector(*values) -> ExponentVector:
+    """The vector of :func:`as_exponents` for the exponent ``values``."""
+    return ExponentVector(tuple(_recip_of(v) for v in values))
 
 
 def _is_flat_two(p: ExponentVector) -> bool:
@@ -217,7 +242,7 @@ class Tensor:
     __slots__ = ("shape", "_flat")
 
     def __init__(self, shape: Sequence[int], data):
-        shape = tuple(_require_int("tensor side", s, 1) for s in shape)
+        shape = _require_ints("tensor side", shape, 1)
         if not shape:
             raise ValidationError("bad tensor shape ()")
         flat = np.asarray(data, dtype=np.float64).reshape(-1)

@@ -15,18 +15,16 @@ Each coefficient-space decision (band slices, FFT positions, a multiplier
 along one axis, the exact dyadic degrees, the Weyl multiplier, the
 difference multiplier, the quadrature grid, the norm's route and range
 scaling, degree powers, order checks) is made by one private helper.
-The plans that depend only on degrees and orders are computed once per
-key and kept, at most 256 per kind: the taper weights per ``(N_j, D_j)``
-(:func:`_taper_weights`), the scale degrees per ``(r, m)``
-(:func:`scale_degrees`), the quadrature grid per degree
-(:func:`_norm_grid`), the band's FFT positions per degree and grid
-(:func:`_spectrum_positions`) and the Weyl multiplier per
-``(N, r, alpha, sign)`` (:func:`_weyl_multiplier`).  Kept arrays are
-read-only, and no result shares memory with them; nothing is kept that
-depends on a polynomial's coefficients.
+The plans that depend only on degrees and orders (taper weights, scale
+degrees, quadrature grids, FFT positions, Weyl multipliers) are kept by
+the package's memo rule, ``lru_cache(maxsize=256, typed=True)``
+(:func:`anisowidth.mixed_norm._kept`); kept arrays are read-only, no
+result shares memory with them, and nothing is kept that depends on a
+polynomial's coefficients.
 Kernel and taper orders must be finite and >= 1, Weyl orders finite and
->= 0, phases finite; anything else is refused with
-:class:`ValidationError`, so no input yields NaN.
+>= 0, phases and other real scalars finite numbers (:func:`_finite`);
+anything else is refused with :class:`ValidationError`, so no input
+yields NaN.
 """
 
 from __future__ import annotations
@@ -45,11 +43,14 @@ from .mixed_norm import (
     ExponentVector,
     ValidationError,
     as_exponents,
+    _entries,
     _is_flat_two,
+    _kept,
     _ldexp,
     _magnitude_norm,
     _prescaled,
     _require_int,
+    _require_ints,
 )
 from .exponents import _beta_ratios, dyadic_beta, smoothness_vector
 
@@ -89,7 +90,7 @@ def _band(inner, outer) -> tuple:
     return tuple([slice(No - Ni, No + Ni + 1) for Ni, No in zip(inner, outer)])
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)
 def _spectrum_positions(degree: tuple, grid: tuple) -> tuple:
     """Per axis, the FFT positions of the band ``|k_j| <= N_j`` on a uniform
     grid that resolves it (``G_j >= 2 N_j + 1``), in frequency order:
@@ -113,21 +114,25 @@ def _along(a: np.ndarray, axis: int, mult: np.ndarray) -> np.ndarray:
     return a * mult.reshape(shape)
 
 
-def _degree(degree, least: int = 0, what: str = "degree") -> tuple:
-    """A degree vector (or grid) as a tuple of ints, each at least ``least``."""
-    return tuple(_require_int(what, N, least) for N in degree)
-
-
 def _require_order(m, what: str = "kernel order") -> None:
     if not 1 <= m < math.inf:
         raise ValidationError(f"{what} must be finite and >= 1, got {m}")
 
 
 def _finite(what: str, v) -> float:
-    v = float(v)
-    if not math.isfinite(v):
-        raise ValidationError(f"{what} must be finite, got {v}")
-    return v
+    """The real scalar ``v`` as a finite float.  A string, anything else
+    that ``float`` cannot take, and a value that is not finite are refused."""
+    try:
+        f = None if isinstance(v, (str, bytes)) else float(v)
+    except (TypeError, ValueError):
+        f = None
+    except OverflowError:
+        f = math.inf
+    if f is None:
+        raise ValidationError(f"{what} must be a real number, got {v!r}")
+    if not math.isfinite(f):
+        raise ValidationError(f"{what} must be finite, got {f}")
+    return f
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -153,7 +158,7 @@ class TrigPoly:
     __slots__ = ("degree", "coeff")
 
     def __init__(self, degree: Sequence[int], coeff=None):
-        degree = _degree(degree)
+        degree = _require_ints("degree", degree)
         if not degree:
             raise ValidationError("bad degree vector ()")
         shape = tuple(2 * N + 1 for N in degree)
@@ -207,7 +212,8 @@ class TrigPoly:
     @classmethod
     def random_real(cls, degree, rng) -> "TrigPoly":
         """Random real-valued polynomial: conjugate-symmetric coefficients."""
-        shape = tuple(2 * N + 1 for N in _degree(degree))
+        degree = _require_ints("degree", degree)
+        shape = tuple(2 * N + 1 for N in degree)
         raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         return cls(degree, 0.5 * (raw + np.conj(np.flip(raw))))
 
@@ -242,7 +248,7 @@ class TrigPoly:
     def __mul__(self, scalar):
         if isinstance(scalar, TrigPoly):
             raise ValidationError("only scalar multiplication is supported")
-        _finite("scalar factor", abs(scalar))
+        _finite("scalar factor", abs(scalar) if np.iscomplexobj(scalar) else scalar)
         return TrigPoly(self.degree, self.coeff * scalar)
 
     __rmul__ = __mul__
@@ -260,7 +266,7 @@ class TrigPoly:
         conjugate-symmetric, and give the complex array of the real
         polynomials ``h`` and ``b``.
         """
-        grid = _degree(grid, 1, "grid size")
+        grid = _require_ints("grid size", grid, 1)
         positions = _spectrum_positions(self.degree, grid)
         mirror = np.conj(np.flip(self.coeff))
         odd = self.coeff - mirror
@@ -310,7 +316,7 @@ def samples_to_trigpoly(values: np.ndarray, degree) -> TrigPoly:
     those of ``fftn(values)[band] / prod(grid)`` bit for bit.
     """
     values = spec = np.asarray(values)
-    degree = _degree(degree)
+    degree = _require_ints("degree", degree)
     positions = _spectrum_positions(degree, values.shape)
     for axis in reversed(range(values.ndim)):
         spec = np.fft.fft(spec, axis=axis).take(positions[axis], axis=axis)
@@ -360,7 +366,8 @@ def bernoulli_kernel(r, alpha, x, truncation: int) -> Union[float, np.ndarray]:
     by ``~ truncation^(-r)/|sin(x/2)|`` away from the lattice points.
     """
     _require_int("truncation", truncation, 1)
-    if not float(r) > 0:
+    r = _finite("kernel smoothness r", r)
+    if not r > 0:
         raise ValidationError("kernel smoothness r must be positive")
     xa = np.asarray(x, dtype=float)
     phase = _finite("phase alpha", alpha) * math.pi / 2.0
@@ -368,7 +375,7 @@ def bernoulli_kernel(r, alpha, x, truncation: int) -> Union[float, np.ndarray]:
     chunk = 2048
     for start in range(1, truncation + 1, chunk):
         k = np.arange(start, min(start + chunk, truncation + 1), dtype=float)
-        out = out + 2.0 * (np.cos(np.multiply.outer(xa, k) - phase) * k ** (-float(r))).sum(
+        out = out + 2.0 * (np.cos(np.multiply.outer(xa, k) - phase) * k ** -r).sum(
             axis=-1
         )
     return _like(x, out)
@@ -408,7 +415,7 @@ def vp_operator(f: TrigPoly, N: Sequence[int]) -> TrigPoly:
     this is :func:`vp_at_scale`.  :func:`dyadic_block` subtracts the
     coarser taper output in place from the finer one, which it owns.
     """
-    return _taper(f, _degree(N, 1, "taper degree"))
+    return _taper(f, _require_ints("taper degree", N, 1))
 
 
 def _taper(f: TrigPoly, N: tuple) -> TrigPoly:
@@ -424,12 +431,9 @@ def _taper(f: TrigPoly, N: tuple) -> TrigPoly:
     return TrigPoly._of(out_deg, coeff)
 
 
-# Each cache of this module (taper weights, scale degrees, Weyl multipliers,
-# quadrature grids, FFT positions) holds at most 256 entries.  One 32-cycle
-# pass of the benchmark's trig workload (seeds 1-10) asks for at most 164
-# weight pairs, 102 scale keys, 191 Weyl keys and 108 grids and position
-# pairs, so every repeated pass finds its plans kept.
-@functools.lru_cache(maxsize=256)
+# Every memo of the package follows one rule (mixed_norm._kept):
+# lru_cache(maxsize=256, typed=True), keyed by its arguments and their types.
+@functools.lru_cache(maxsize=256, typed=True)
 def _taper_weights(Nj: int, Dj: int) -> np.ndarray:
     """The :func:`vp_multiplier` weights of taper degree ``Nj`` at the
     frequencies ``-Dj..Dj``, computed once per pair of ints and kept
@@ -527,27 +531,17 @@ def scale_degrees(r, m: int) -> tuple:
     ``ValidationError``.  With a float entry ``beta`` is float and the floor
     is that of :func:`_float_floor_pow2`.
 
-    The degrees are computed once per pair of ``r`` and ``m`` and kept (at
-    most 256 pairs).  An entry of ``r`` is keyed by its type and value:
-    ``0.5`` and ``Fraction(1, 2)``, or ``True`` and ``1``, are equal but
-    take different routes (a boolean is refused).  An ``r`` with an entry
-    that cannot be hashed is computed, and refused, without the cache, and
-    no refusal is kept.
+    The degrees are kept by the package's memo rule (:func:`_kept`).
     """
     m = _require_int("scale index", m)
-    key = tuple([(type(v), v) for v in r])
-    try:
-        hash(key)
-    except TypeError:
-        return _scale_degrees.__wrapped__(key, m)
-    return _scale_degrees(key, m)
+    return _kept(_scale_degrees, m, *_entries("smoothness vector", r))
 
 
-@functools.lru_cache(maxsize=256)
-def _scale_degrees(key: tuple, m: int) -> tuple:
-    """The degrees of :func:`scale_degrees` for the pairs ``(type, entry)``
-    of ``r`` and an int ``m >= 0``."""
-    rr = smoothness_vector([v for _, v in key])
+@functools.lru_cache(maxsize=256, typed=True)
+def _scale_degrees(m: int, *r) -> tuple:
+    """The degrees of :func:`scale_degrees` for an int ``m >= 0`` and the
+    entries of ``r``."""
+    rr = smoothness_vector(r)
     ratios = _beta_ratios(rr, m)
     if ratios is not None:
         return tuple(max(1, _floor_pow2(a, b)) for a, b in ratios)
@@ -584,15 +578,15 @@ def _weyl(t: TrigPoly, axis: int, r, alpha, sign: int) -> TrigPoly:
     to zero for ``r > 0`` and keeps its phase factor 1 for ``r = 0``."""
     if _require_int("axis", axis, 1) > t.d:
         raise ValidationError(f"axis {axis} outside 1..{t.d}")
-    r = float(r)
-    if not 0 <= r < math.inf:
+    r = _finite("Weyl order", r)
+    if r < 0:
         raise ValidationError(f"Weyl order must be finite and >= 0, got {r}")
     alpha = _finite("phase alpha", alpha)
     mult = _weyl_multiplier(t.degree[axis - 1], r, alpha, sign)
     return TrigPoly._of(t.degree, _along(t.coeff, axis - 1, mult))
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)
 def _weyl_multiplier(N: int, r: float, alpha: float, sign: int) -> np.ndarray:
     """The multiplier of :func:`_weyl` at the frequencies ``-N..N`` of one
     axis, for a validated order ``r`` and phase ``alpha``: computed once
@@ -687,7 +681,7 @@ def _prescaled_parts(coeff: np.ndarray) -> tuple:
     return parts.view(complex), e
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)
 def _norm_grid(degree: tuple) -> tuple:
     """The quadrature grid of :func:`trig_lp_norm`: per axis, the least
     5-smooth length ``2^a 3^b 5^c`` of at least ``8 * max(N, 1) + 1``
@@ -754,12 +748,14 @@ def bernstein_ratio(t: TrigPoly, r, alpha, p) -> float:
     derivative is only defined under that hypothesis).
     """
     p = as_exponents(p)
-    r = tuple(r)
-    alpha = tuple(alpha)
+    r = _entries("derivative orders r", r)
+    alpha = _entries("phases alpha", alpha)
     if not (len(r) == len(alpha) == t.d == p.d):
         raise ValidationError("dimension mismatch among t, r, alpha, p")
+    r = [_finite("derivative order", rj) for rj in r]
+    alpha = [_finite("phase alpha", aj) for aj in alpha]
     for j, (rj, aj) in enumerate(zip(r, alpha)):
-        if float(rj) == 0 and float(aj) != 0:
+        if rj == 0 and aj != 0:
             raise ValidationError(
                 f"axis {j + 1}: phase must vanish where the order is zero"
             )
@@ -769,10 +765,10 @@ def bernstein_ratio(t: TrigPoly, r, alpha, p) -> float:
         raise ValidationError("zero polynomial has no norm ratio")
     dt = t
     for j, (rj, aj) in enumerate(zip(r, alpha)):
-        if float(rj) != 0:
+        if rj != 0:
             dt = weyl_derivative(dt, j + 1, rj, aj)
     num = trig_lp_norm(dt, p)
-    return num / (base * _degree_power(t.degree, [float(rj) for rj in r]))
+    return num / (base * _degree_power(t.degree, r))
 
 
 def fejer_shift_sum_check(m: int, h: float) -> float:
@@ -781,6 +777,7 @@ def fejer_shift_sum_check(m: int, h: float) -> float:
     ``SHIFT_SUM_WINDOW``; the value is bounded by a constant depending only
     on the window."""
     m = _require_int("kernel order", m, 1)
+    h = _finite("shift step h", h)
     prod = m * h
     if not (SHIFT_SUM_WINDOW[0] <= prod <= SHIFT_SUM_WINDOW[1]):
         raise ValidationError(
@@ -903,7 +900,6 @@ def smoothness_margin(t: TrigPoly, r, p) -> float:
 class RateResult:
     slope: float
     errors: tuple
-    scales: tuple
 
 
 def approximation_rate(
@@ -932,7 +928,7 @@ def approximation_rate(
     slope = -math.inf
     if len(ms) >= 2:
         slope = _slope(ms, [math.log2(errors[m]) for m in ms])
-    return RateResult(slope=slope, errors=tuple(errors), scales=tuple(range(m_max + 1)))
+    return RateResult(slope=slope, errors=tuple(errors))
 
 
 def _slope(xs: list, ys: list) -> float:
@@ -1006,7 +1002,7 @@ def lacunary_1d(r, levels: int = 10, p=(2,)) -> TrigPoly:
 def tensor_series_2d(r, terms=(96, 48), p=(2, 2)) -> TrigPoly:
     """Two-axis tensor-product probe in the unit class for ``r = (r_1, r_2)``."""
     rr = smoothness_vector(r)
-    terms = _degree(terms, 1, "terms")
+    terms = _require_ints("terms", terms, 1)
     if len(rr) != 2 or len(terms) != 2:
         raise ValidationError("tensor probe is two-dimensional")
     axes = []

@@ -88,7 +88,6 @@ from .ball_widths import (
 
 __all__ = [
     "OracleConfig",
-    "SubspaceCandidate",
     "harmonic_frame",
     "WidthEstimate",
     "width_upper",
@@ -111,25 +110,6 @@ class OracleConfig:
         _require_int("outer_iterations", self.outer_iterations, 1)
         _require_int("point_budget", self.point_budget, 2)
         _require_int("seed", self.seed)
-
-
-@dataclass
-class SubspaceCandidate:
-    """An n-dimensional candidate subspace."""
-
-    basis: np.ndarray
-
-    def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=np.float64)
-        if basis.ndim != 2:
-            raise ValidationError("basis must be a 2-d array (dim x n)")
-        if not np.isfinite(basis).all():
-            raise ValidationError("basis has non-finite entries")
-        if basis.shape[1] > 0:
-            sv = np.linalg.svd(basis, compute_uv=False)
-            if sv[-1] <= 1e-8 * max(1.0, sv[0]):
-                raise ValidationError("basis is rank-deficient (tolerance 1e-8)")
-        self.basis = basis
 
 
 def harmonic_frame(K: int, n: int) -> np.ndarray:
@@ -318,8 +298,10 @@ def _polish_point(x_flat, B, q, shape, c0, floor=-math.inf):
 
 @dataclass
 class WidthEstimate:
+    """``value`` is attained by the span of ``witness``, a ``K x n`` basis."""
+
     value: float
-    witness: SubspaceCandidate
+    witness: np.ndarray
     iterations: int
 
 
@@ -624,11 +606,11 @@ def _width_upper(X, shape, n, e, q, cfg) -> WidthEstimate:
         val = _mixed_norm_array(X.T.reshape(shape + (X.shape[0],), order="F"), q).max()
         return WidthEstimate(
             value=_ldexp(float(val), e),
-            witness=SubspaceCandidate(np.zeros((K, 0))),
+            witness=np.zeros((K, 0)),
             iterations=0,
         )
     if n == K:
-        return WidthEstimate(value=0.0, witness=SubspaceCandidate(np.eye(K)), iterations=0)
+        return WidthEstimate(value=0.0, witness=np.eye(K), iterations=0)
 
     inits = [harmonic_frame(K, n)]
     M = X.T @ X
@@ -665,7 +647,7 @@ def _width_upper(X, shape, n, e, q, cfg) -> WidthEstimate:
                 best_val, best_i = val, i
     return WidthEstimate(
         value=_ldexp(best_val, e),
-        witness=SubspaceCandidate(cands[best_i]),
+        witness=cands[best_i],
         iterations=cfg.outer_iterations * len(inits),
     )
 

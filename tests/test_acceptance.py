@@ -60,9 +60,9 @@ def _reference_order(N, n, q):
     """min(1, n^(-1/2) N^(1/q)) as an exact power product."""
     if n == 0:
         return PowerProduct.one()
-    term = PowerProduct.power(N, Fraction(1, q))
+    term = PowerProduct(1, [(N, Fraction(1, q))])
     if n > 1:
-        term = term * PowerProduct.power(n, Fraction(-1, 2))
+        term = term * PowerProduct(1, [(n, Fraction(-1, 2))])
     return term if term < PowerProduct.one() else PowerProduct.one()
 
 

@@ -62,7 +62,6 @@ from anisowidth.mixed_norm import (
 from anisowidth._powell import powell
 from anisowidth.width_oracle import (
     _POLISH_TOP,
-    SubspaceCandidate,
     WidthEstimate,
     _descend,
     _dual_lower,
@@ -777,7 +776,7 @@ def _sequential_width_upper(X, shape, n, e, q, cfg, evaluate=_sequential_evaluat
             best_val, best_i = val, i
     return WidthEstimate(
         value=_ldexp(best_val, e),
-        witness=SubspaceCandidate(cands[best_i]),
+        witness=cands[best_i],
         iterations=cfg.outer_iterations * len(inits),
     )
 
@@ -914,7 +913,7 @@ def test_race_keeps_the_sequential_width_upper(q, shape, n, P, seed):
     est = _width_upper(*stacked, q, cfg)
     reference = _sequential_width_upper(*stacked, q, cfg)
     assert _same_bits(est.value, reference.value)
-    assert _same_bits(est.witness.basis, reference.witness.basis)
+    assert _same_bits(est.witness, reference.witness)
     assert est.iterations == reference.iterations
 
 
@@ -930,7 +929,7 @@ def test_race_keeps_the_sequential_width_upper_on_a_tied_orbit(n):
     est = _width_upper(*stacked, prob.q, ORACLE_CFG)
     reference = _sequential_width_upper(*stacked, prob.q, ORACLE_CFG)
     assert _same_bits(est.value, reference.value)
-    assert _same_bits(est.witness.basis, reference.witness.basis)
+    assert _same_bits(est.witness, reference.witness)
 
 
 def test_sandwich_upper_is_the_full_evaluations_value():
@@ -1040,7 +1039,7 @@ def _fixed_order_width_upper(points, n, q, cfg):
                 best_val, best_B = val, B
     return WidthEstimate(
         value=_ldexp(best_val, e),
-        witness=SubspaceCandidate(best_B),
+        witness=best_B,
         iterations=cfg.outer_iterations * len(inits),
     )
 
@@ -1141,7 +1140,7 @@ def test_polish_cutoff_keeps_width_upper_exact(shape, n, q, extra):
     for est, counts in runs.values():
         assert est.value == value
         assert est.iterations == iterations
-        assert np.array_equal(est.witness.basis, basis)
+        assert np.array_equal(est.witness, basis)
         assert counts["polish"] < full_polishes
     counts = runs[None][1]
     reference = runs[_cutoff_only_evaluate_exact][1]
@@ -1197,7 +1196,7 @@ def test_race_keeps_the_fixed_order_result_with_fewer_solves_and_polishes():
         reference, est = runs[True][0], runs[False][0]
         assert est.value == reference.value
         assert est.iterations == reference.iterations
-        assert np.array_equal(est.witness.basis, reference.witness.basis)
+        assert np.array_equal(est.witness, reference.witness)
         for fixed_order, (_, counts) in runs.items():
             totals[fixed_order] += (counts["polish"], counts["solve"], counts["passes"])
     assert (totals[False] < totals[True]).all(), totals

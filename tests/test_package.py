@@ -73,8 +73,10 @@ def test_the_exact_layer_imports_no_numpy():
 
 
 def test_every_memo_is_bounded():
-    # A memo without a bound grows for the life of the process (aim 3),
-    # unless its function takes no arguments and so keeps one entry at most.
+    # One rule for every memo: at most 256 entries (a memo without a bound
+    # grows for the life of the process), keyed by the arguments and their
+    # types (equal arguments of two types may take two routes).  A function
+    # of no arguments keeps one entry at most and is exempt.
     memos = []
     for info in pkgutil.iter_modules(anisowidth.__path__):
         if info.name == "__main__":
@@ -87,10 +89,10 @@ def test_every_memo_is_bounded():
                 if hasattr(f, "cache_info") and f.__module__ == module.__name__
             ]
     assert memos
-    unbounded = [
+    off_rule = [
         f"{f.__module__}.{f.__qualname__}"
         for f in memos
-        if f.cache_parameters()["maxsize"] is None
+        if f.cache_parameters() != {"maxsize": 256, "typed": True}
         and inspect.signature(f.__wrapped__).parameters
     ]
-    assert unbounded == []
+    assert off_rule == []

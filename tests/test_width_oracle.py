@@ -18,7 +18,6 @@ from anisowidth import (
     BallProblem,
     OracleConfig,
     SandwichReport,
-    SubspaceCandidate,
     Tensor,
     ValidationError,
     DeskScaleError,
@@ -89,15 +88,6 @@ def test_harmonic_frame_refuses_non_integers(K, n):
         harmonic_frame(K, n)
 
 
-def test_subspace_candidate_rejects_rank_deficient():
-    B = np.ones((5, 2))
-    with pytest.raises(ValidationError):
-        SubspaceCandidate(basis=B)
-    good = SubspaceCandidate(basis=np.eye(5, dtype=int)[:, :2])
-    assert good.basis.dtype == np.float64
-    assert np.array_equal(good.basis, np.eye(5)[:, :2])
-
-
 def test_oracle_config_validation():
     assert [f.name for f in fields(OracleConfig)] == [
         "restarts", "outer_iterations", "point_budget", "seed"
@@ -160,7 +150,7 @@ def test_distance_flat_two_matches_projector():
     for _ in range(10):
         X = rng.standard_normal((3, 6))
         est = width_upper([Tensor.from_array(x) for x in X], 2, (2,))
-        B = est.witness.basis
+        B = est.witness
         resid = X - (X @ B) @ B.T
         assert est.value == pytest.approx(float(np.linalg.norm(resid, axis=1).max()), rel=1e-12)
 
@@ -209,7 +199,7 @@ def test_width_upper_edge_ranks():
     for q in [(4, 2, 1), (Fraction(3, 2), math.inf, 3)]:
         est0 = width_upper(mixed, 0, q)
         assert est0.value == max(mixed_norm(x, q) for x in mixed)
-        assert est0.witness.basis.shape == (12, 0)
+        assert est0.witness.shape == (12, 0)
 
 
 def test_width_upper_scaling_homogeneous():
@@ -305,7 +295,7 @@ def test_fixed_order_keeps_the_first_minimal_candidate(case, pruned_to_cutoff):
     assert order == list(range(len(values)))
     winner = values.index(min(values))
     assert est.value == values[winner]
-    assert np.array_equal(est.witness.basis, cands[winner])
+    assert np.array_equal(est.witness, cands[winner])
 
 
 def _mirror_ascent_q2_lower(points, n, steps=150):
