@@ -32,6 +32,7 @@ from .mixed_norm import (
     _require_dim,
     _require_int,
     _require_ints,
+    _require_type,
 )
 from .exponents import _HALF, _require_two_blocks, _sorted_axes
 
@@ -299,6 +300,7 @@ def phi(prob: BallProblem) -> PhiResult:
     branch and the constant branch report the constant branch; ties among
     ``t`` branches report the smallest ``t``.
     """
+    _require_type("prob", prob, BallProblem)
     prof, rqs, rps, oms, ks = prob._axes
     d, mu = prof.d, prof.mu
     prefix = PowerProduct(1, _corner(ks, rqs, rps, 0, mu))
@@ -333,6 +335,7 @@ def ball_order_low_q(prob: BallProblem, nu_split: int) -> float:
     the rest ``q_j <= p_j``.  The order is ``prod_(j>nu) k_j^(1/q_j-1/p_j)``,
     constant in ``n`` over the admissible range ``2n <= prod k``.
     """
+    _require_type("prob", prob, BallProblem)
     _require_two_blocks(prob.p, prob.q, nu_split)
     corner = _corner(prob.k, prob.q.recip, prob.p.recip, nu_split, prob.d)
     return PowerProduct(1, corner).value()
@@ -360,6 +363,7 @@ def lower_bound_plan(prob: BallProblem) -> PlanResult:
     ``s`` is in original axis order; ``predicted`` is the matching order
     value, a pure power product.
     """
+    _require_type("prob", prob, BallProblem)
     prof, rqs, rps, oms, ks = prob._axes
     d, mu, nu = prof.d, prof.mu, prof.nu
 
@@ -439,5 +443,6 @@ class VSet:
 
 def vset_l2_lower(v: VSet, n: int) -> float:
     """Exact Euclidean width lower bound ``sqrt(prod s) * sqrt(1 - n/K)``."""
+    _require_type("v", v, VSet)
     n = _require_dim(n, v.K)
     return math.sqrt(math.prod(v.s)) * math.sqrt(1.0 - n / v.K)

@@ -22,6 +22,8 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
+import reprlib
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -65,6 +67,16 @@ def _require_int(name: str, value, least: int = 0) -> int:
     return int(value)
 
 
+def _require_type(name: str, value, kind: type):
+    """``value`` itself when it is a ``kind``; anything else is refused.  A
+    real scalar is checked with ``kind = numbers.Real`` (ints, floats,
+    ``Fraction``s and numpy reals), so it is not converted and a huge int
+    or a ``Fraction`` stays exact; a string or ``None`` is refused."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _entries(what: str, v) -> tuple:
     """The entries of the vector argument ``v``, in order: a tuple, a list,
     or any other iterable, an iterator too.  A string, bytes, a mapping, a
@@ -78,6 +90,19 @@ def _entries(what: str, v) -> tuple:
     if entries is None:
         raise ValidationError(f"{what} must be a sequence, got {type(v).__name__}")
     return tuple(entries)
+
+
+def _array(what: str, data, dtype=np.float64) -> np.ndarray:
+    """The data argument ``data`` as an array of ``dtype``, as
+    ``np.asarray`` converts it (``Fraction`` entries included).  A string or
+    bytes, an array of them, and whatever numpy cannot take as ``dtype``
+    are refused, so a numeric string is never read as a number."""
+    try:
+        if not isinstance(data, (str, bytes)) and np.asarray(data).dtype.kind not in "SU":
+            return np.asarray(data, dtype=dtype)
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(f"{what} must be numbers, got {reprlib.repr(data)}")
 
 
 def _require_ints(what: str, v, least: int = 0) -> tuple:
@@ -245,7 +270,7 @@ class Tensor:
         shape = _require_ints("tensor side", shape, 1)
         if not shape:
             raise ValidationError("bad tensor shape ()")
-        flat = np.asarray(data, dtype=np.float64).reshape(-1)
+        flat = _array("tensor data", data).reshape(-1)
         size = math.prod(shape)
         if flat.size != size:
             raise ValidationError(
@@ -261,7 +286,7 @@ class Tensor:
 
     @classmethod
     def from_array(cls, arr) -> "Tensor":
-        arr = np.asarray(arr, dtype=np.float64)
+        arr = _array("tensor data", arr)
         if arr.ndim == 0:
             arr = arr.reshape(1)
         return cls(arr.shape, np.ravel(arr, order="F"))
@@ -470,6 +495,7 @@ def mixed_norm(x: Tensor, p) -> float:
         power-of-two scaling of such data.  Data with a NaN or infinite
         entry is refused with :class:`ValidationError`.
     """
+    _require_type("x", x, Tensor)
     p = as_exponents(p)
     if p.d != x.d:
         raise ValidationError(f"exponent vector has {p.d} axes, tensor has {x.d}")
@@ -486,6 +512,7 @@ def norming_functional(x: Tensor, p) -> Tensor:
     so it is computed on ``x`` rescaled by a power of two under the range
     policy of :func:`mixed_norm`.
     """
+    _require_type("x", x, Tensor)
     p = as_exponents(p)
     if p.d != x.d:
         raise ValidationError(f"exponent vector has {p.d} axes, tensor has {x.d}")
@@ -501,6 +528,7 @@ def norm_duality_lower(x: Tensor, p) -> float:
     the rounding of the pairing and of the dual norm.  It is 0.0 when
     ``||y||_{p'}`` is 0.
     """
+    _require_type("x", x, Tensor)
     p = as_exponents(p)
     y = norming_functional(x, p)
     ny = mixed_norm(y, p.dual())
@@ -525,8 +553,9 @@ def holder_interpolation_check(x: Tensor, q, weight) -> InterpolationReport:
     Returns both sides and whether the inequality holds up to relative
     slack ``EPS_TOL``.
     """
+    _require_type("x", x, Tensor)
     q = as_exponents(q)
-    if not (0 <= weight <= 1):
+    if not (0 <= _require_type("interpolation weight", weight, numbers.Real) <= 1):
         raise ValidationError(f"interpolation weight {weight} outside [0, 1]")
     for r in q.recip:
         if r > Fraction(1, 2):

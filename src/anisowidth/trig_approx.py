@@ -14,7 +14,7 @@ counting-measure norms of :mod:`anisowidth.mixed_norm`.
 Each coefficient-space decision (band slices, FFT positions, a multiplier
 along one axis, the exact dyadic degrees, the Weyl multiplier, the
 difference multiplier, the quadrature grid, the norm's route and range
-scaling, degree powers, order checks) is made by one private helper.
+scaling, degree powers) is made by one private helper.
 The plans that depend only on degrees and orders (taper weights, scale
 degrees, quadrature grids, FFT positions, Weyl multipliers) are kept by
 the package's memo rule, ``lru_cache(maxsize=256, typed=True)``
@@ -22,15 +22,19 @@ the package's memo rule, ``lru_cache(maxsize=256, typed=True)``
 result shares memory with them, and nothing is kept that depends on a
 polynomial's coefficients.
 Kernel and taper orders must be finite and >= 1, Weyl orders finite and
->= 0, phases and other real scalars finite numbers (:func:`_finite`);
-anything else is refused with :class:`ValidationError`, so no input
-yields NaN.
+>= 0, phases and other real scalars finite numbers (:func:`_finite`; a
+taper order is checked as a real number without conversion, so a huge
+int stays exact); sample points and coefficients numbers that numpy
+converts, not strings (:func:`anisowidth.mixed_norm._array`); and a
+polynomial argument a :class:`TrigPoly`.  Anything else is refused with
+:class:`ValidationError`, so no input yields NaN.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -43,6 +47,7 @@ from .mixed_norm import (
     ExponentVector,
     ValidationError,
     as_exponents,
+    _array,
     _entries,
     _is_flat_two,
     _kept,
@@ -51,6 +56,7 @@ from .mixed_norm import (
     _prescaled,
     _require_int,
     _require_ints,
+    _require_type,
 )
 from .exponents import _beta_ratios, dyadic_beta, smoothness_vector
 
@@ -114,11 +120,6 @@ def _along(a: np.ndarray, axis: int, mult: np.ndarray) -> np.ndarray:
     return a * mult.reshape(shape)
 
 
-def _require_order(m, what: str = "kernel order") -> None:
-    if not 1 <= m < math.inf:
-        raise ValidationError(f"{what} must be finite and >= 1, got {m}")
-
-
 def _finite(what: str, v) -> float:
     """The real scalar ``v`` as a finite float.  A string, anything else
     that ``float`` cannot take, and a value that is not finite are refused."""
@@ -165,7 +166,7 @@ class TrigPoly:
         if coeff is None:
             coeff = np.zeros(shape, dtype=complex)
         else:
-            coeff = np.asarray(coeff, dtype=complex)
+            coeff = _array("coefficients", coeff, complex)
             if coeff.shape != shape:
                 raise ValidationError(
                     f"coefficient array shape {coeff.shape} does not match degree {degree}"
@@ -291,6 +292,8 @@ def _real_values(coeff: np.ndarray, positions: tuple, grid: tuple) -> np.ndarray
     is all zeros and would transform to zeros, and each line that is
     transformed holds the same entries as in the full transform, so the
     result is ``irfftn(half_spectrum, grid) * prod(grid)`` bit for bit.
+    On a two-axis grid the first pass so runs over ``N_2 + 1`` lines,
+    about an eighth of the grid's.
     """
     last = coeff.ndim - 1
     out = coeff[..., coeff.shape[last] // 2 :]
@@ -335,7 +338,7 @@ def fejer(m: int, x) -> Union[float, np.ndarray]:
     this kernel only for integer ``m``, so other orders are refused.
     """
     m = _require_int("kernel order", m, 1)
-    xa = np.asarray(x, dtype=float)
+    xa = _array("sample points", x)
     s = np.sin(xa / 2.0)
     near = np.abs(s) < 1e-9
     s_safe = np.where(near, 1.0, s)
@@ -350,7 +353,7 @@ def vp_power_kernel(n: int, r, alpha, x) -> Union[float, np.ndarray]:
     up to ``n``, linearly tapered to zero at ``2n``."""
     _require_int("kernel order", n, 1)
     r = _finite("kernel smoothness r", r)
-    xa = np.asarray(x, dtype=float)
+    xa = _array("sample points", x)
     phase = _finite("phase alpha", alpha) * math.pi / 2.0
     out = np.ones_like(xa)
     for k, w in zip(range(1, 2 * n), vp_multiplier(n, np.arange(1, 2 * n))):
@@ -369,7 +372,7 @@ def bernoulli_kernel(r, alpha, x, truncation: int) -> Union[float, np.ndarray]:
     r = _finite("kernel smoothness r", r)
     if not r > 0:
         raise ValidationError("kernel smoothness r must be positive")
-    xa = np.asarray(x, dtype=float)
+    xa = _array("sample points", x)
     phase = _finite("phase alpha", alpha) * math.pi / 2.0
     out = np.ones_like(xa)
     chunk = 2048
@@ -393,8 +396,9 @@ def vp_multiplier(m: int, k) -> Union[float, np.ndarray]:
     as Python numbers, the weights are ones without that arithmetic, so
     ``m`` is never made a float and no order is too large.
     """
-    _require_order(m, "taper order")
-    ka = np.abs(np.asarray(k, dtype=float))
+    if not 1 <= _require_type("taper order", m, numbers.Real) < math.inf:
+        raise ValidationError(f"taper order must be finite and >= 1, got {m}")
+    ka = np.abs(_array("frequencies", k))
     if ka.size and not float(ka.max()) <= m:
         return _like(k, np.clip((2 * m - ka) / m, 0.0, 1.0))
     return _like(k, np.ones(ka.shape))
@@ -422,6 +426,7 @@ def _taper(f: TrigPoly, N: tuple) -> TrigPoly:
     """:func:`vp_operator` at a validated degree tuple ``N`` of ints.  The
     weights of each axis come from :func:`_taper_weights`; :func:`_along`
     multiplies into a fresh array, so no result shares memory with them."""
+    _require_type("f", f, TrigPoly)
     if f.d != len(N):
         raise ValidationError("degree vector dimension mismatch")
     out_deg = tuple(min(Nf, 2 * Nj - 1) for Nf, Nj in zip(f.degree, N))
@@ -576,6 +581,7 @@ def _weyl(t: TrigPoly, axis: int, r, alpha, sign: int) -> TrigPoly:
     """Multiply frequency ``k != 0`` along a 1-based axis by
     ``|k|^(sign r) e^(i sign sgn(k) alpha pi/2)``; the zero frequency goes
     to zero for ``r > 0`` and keeps its phase factor 1 for ``r = 0``."""
+    _require_type("t", t, TrigPoly)
     if _require_int("axis", axis, 1) > t.d:
         raise ValidationError(f"axis {axis} outside 1..{t.d}")
     r = _finite("Weyl order", r)
@@ -640,13 +646,15 @@ def trig_lp_norm(t: TrigPoly, p) -> float:
     quadrature is exact whenever the exponents are even integers at most
     8, each a multiple of the one before (equal ones, say): each inner norm
     raised to the next exponent is then itself a polynomial the grid
-    resolves.  Approximate otherwise.  For a real polynomial and
-    ``p = inf`` the grid maximum is at least
+    resolves, so any finer grid gives the same value up to rounding.
+    Approximate otherwise.  For a real polynomial and ``p = inf`` the grid
+    maximum is at least
     ``prod_j cos(pi N_j / G_j) >= cos(pi / 8)^d`` of the true
     maximum: along each axis, ``arccos(t / max|t|)`` moves at rate at most
     ``N_j`` (Bernstein's inequality), and a grid point lies within
     ``pi / G_j``.
     """
+    _require_type("t", t, TrigPoly)
     p = as_exponents(p)
     if p.d != t.d:
         raise ValidationError("exponent vector dimension mismatch")
@@ -685,9 +693,10 @@ def _prescaled_parts(coeff: np.ndarray) -> tuple:
 def _norm_grid(degree: tuple) -> tuple:
     """The quadrature grid of :func:`trig_lp_norm`: per axis, the least
     5-smooth length ``2^a 3^b 5^c`` of at least ``8 * max(N, 1) + 1``
-    points, computed once per degree tuple.  pocketfft runs such lengths
-    without Bluestein's algorithm, which it needs for a length with a large
-    prime factor (``8N + 1`` often has one: 97, 257, 1761 = 3 * 587)."""
+    points (100 for ``N = 12``, 540 for ``N = 64``), computed once per
+    degree tuple.  pocketfft runs such lengths without Bluestein's
+    algorithm, which it needs for a length with a large prime factor
+    (``8N + 1`` often has one: 97, 257, 1761 = 3 * 587)."""
     return tuple(_smooth_length(8 * max(N, 1) + 1) for N in degree)
 
 
@@ -724,6 +733,7 @@ def nikolskii_ratio(t: TrigPoly, p, q) -> float:
     from one grid evaluation and its :func:`_magnitudes`, made once and only
     when one of them needs it.
     """
+    _require_type("t", t, TrigPoly)
     p = as_exponents(p)
     q = as_exponents(q)
     if not (p.d == q.d == t.d):
@@ -747,6 +757,7 @@ def bernstein_ratio(t: TrigPoly, r, alpha, p) -> float:
     Requires ``alpha_j = 0`` on every axis with ``r_j = 0`` (the mixed
     derivative is only defined under that hypothesis).
     """
+    _require_type("t", t, TrigPoly)
     p = as_exponents(p)
     r = _entries("derivative orders r", r)
     alpha = _entries("phases alpha", alpha)
@@ -846,6 +857,7 @@ def _magnitude_grid_norm(mags: tuple, p: ExponentVector) -> float:
 
 def _class_args(t: TrigPoly, r, p) -> tuple:
     """The smoothness vector and exponents of a class, checked against ``t``."""
+    _require_type("t", t, TrigPoly)
     p = as_exponents(p)
     rr = smoothness_vector(r)
     if not (p.d == len(rr) == t.d):

@@ -68,6 +68,7 @@ from .mixed_norm import (
     ValidationError,
     as_exponents,
     _each_norm,
+    _entries,
     _is_flat_two,
     _ldexp,
     _mixed_norm_array,
@@ -75,6 +76,7 @@ from .mixed_norm import (
     _prescaled,
     _require_dim,
     _require_int,
+    _require_type,
 )
 from .exponents import _HALF, _require_q_range
 from .ball_widths import (
@@ -308,7 +310,9 @@ class WidthEstimate:
 def _stack_points(points: Sequence[Tensor], n) -> tuple:
     """``(X, shape, n, e)``: the points as the rows of ``X``, rescaled by
     ``2**-e`` under the range policy of :func:`mixed_norm`, their common
-    shape, and the checked subspace dimension ``n``."""
+    shape, and the checked subspace dimension ``n``.  ``points`` is a
+    vector argument (:func:`_entries`) whose entries must be tensors."""
+    points = [_require_type("point", pt, Tensor) for pt in _entries("points", points)]
     if not points:
         raise ValidationError("need at least one point")
     shape = points[0].shape
@@ -348,11 +352,10 @@ def _descend(X, B0, q, shape, cfg):
     K, n = B.shape[1:]
     best_val = np.full(len(starts), math.inf)
     best_B = starts
-    C = None
     for it in range(cfg.outer_iterations):
         Bi = B if it else starts
         iters = 4 if it else 30
-        C, f, Y = _inner_solve(X, Bi, q, shape, C, iters=iters)
+        C, f, Y = _inner_solve(X, Bi, q, shape, None, iters=iters)
         fmax = f.max(axis=1)
         improved = fmax < best_val
         best_val = np.where(improved, fmax, best_val)
@@ -366,7 +369,6 @@ def _descend(X, B0, q, shape, cfg):
         gn = np.array([np.linalg.norm(g) for g in G]) + 1e-30
         eta = (0.5 / (1.0 + it / 8.0)) * math.sqrt(n) / gn
         B, _ = np.linalg.qr(B + eta[:, None, None] * G)
-        C = _times(B, X.T, True)
     kept, _, _ = _inner_solve(
         X, B, q, shape, None, iters=60, leave=lambda kept, fmax: fmax < best_val[kept]
     )
@@ -661,6 +663,7 @@ def width_lower_vset(v: VSet, n: int, q) -> float:
     the threshold.  Order-level only: dropped constants may exceed a true
     width, certified comparisons go through the Euclidean route.
     """
+    _require_type("v", v, VSet)
     q = as_exponents(q)
     if q.d != v.d:
         raise ValidationError("exponent vector and block dimension mismatch")
@@ -810,6 +813,7 @@ def sandwich_report(
     without repeated points, and the report is uncertified.  Appends one
     CSV row per call when ``ledger_path`` is given.
     """
+    _require_type("prob", prob, BallProblem)
     cfg = cfg or OracleConfig()
     if prob.K > 64 or prob.n > 8:
         raise DeskScaleError(

@@ -7,7 +7,17 @@ import sys
 
 import pytest
 
-from anisowidth import DeskScaleError, PropertyViolation, cli
+from anisowidth import (
+    BallProblem,
+    DeskScaleError,
+    PropertyViolation,
+    ValidationError,
+    ball_order_low_q,
+    cli,
+    phi,
+    width_exponent,
+    width_exponent_low_q,
+)
 from anisowidth.cli import main
 
 
@@ -160,6 +170,79 @@ def test_bad_numeric_entry(tmp_path, capsys):
         tmp_path, "badnum.json", {"kind": "sobolev", "p": ["two"], "q": [2], "r": [1]}
     )
     assert main(["exponent", "--input", path]) == 2
+
+
+CLASS = {"kind": "sobolev", "p": [2, 2], "q": [4, 4], "r": [1, 2]}
+BALL = {"kind": "ball", "k": [4, 3], "n": 1, "p": [2, 2], "q": [4, 4]}
+
+
+def _api_call(prob):
+    """The library call that the CLI makes for the problem ``prob``."""
+    if prob["kind"] == "ball":
+        bp = BallProblem(k=prob["k"], n=prob["n"], p=prob["p"], q=prob["q"])
+        return ball_order_low_q(bp, prob["nu_split"]) if "nu_split" in prob else phi(bp)
+    if "nu_split" in prob:
+        return width_exponent_low_q(prob["p"], prob["q"], prob["r"], prob["nu_split"])
+    return width_exponent(prob["p"], prob["q"], prob["r"])
+
+
+MALFORMED = [
+    (BALL, "k", ["4", 3]),
+    (CLASS, "p", None),
+    (CLASS, "p", {}),
+    (CLASS, "p", []),
+    (BALL, "k", []),
+    (BALL, "n", True),
+    (CLASS, "nu_split", -1),
+    (BALL, "nu_split", -1),
+    (CLASS, "r", ["inf", 2]),
+    (CLASS, "q", [4, "Infinity"]),
+    (BALL, "p", ["two", 2]),
+    (BALL, "q", 4),
+]
+
+
+@pytest.mark.parametrize(
+    "base, key, value",
+    [
+        pytest.param(base, key, value, id=f"{base['kind']} {key}={json.dumps(value)}")
+        for base, key, value in MALFORMED
+    ],
+)
+def test_malformed_entry_exits_two_with_the_librarys_message(tmp_path, capsys, base, key, value):
+    # The CLI passes a problem file's entries to the library, which alone
+    # checks them: the one error line is the library's own message.
+    prob = {**base, key: value}
+    with pytest.raises(ValidationError) as refused:
+        _api_call(prob)
+    path = write(tmp_path, "bad.json", prob)
+    command = "phi" if prob["kind"] == "ball" else "exponent"
+    assert main([command, "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {refused.value}\n"
+
+
+@pytest.mark.parametrize("spelling", ["INF", "Infinity", "infinity"])
+def test_every_infinity_spelling_of_the_library_is_accepted(tmp_path, capsys, spelling):
+    # One rule for infinity strings, the library's: "inf" or "infinity" in
+    # any case, in a problem file as in an API call.
+    outputs = []
+    for p in ("inf", spelling):
+        path = write(tmp_path, "inf.json", {**CLASS, "p": [p, 2]})
+        assert main(["exponent", "--input", path]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0]
+    api = width_exponent((spelling, 2), CLASS["q"], CLASS["r"]).exponent
+    assert json.loads(outputs[1])["exponent"] == cli._enc(api)
+
+
+@pytest.mark.parametrize("key", ["k", "n", "p", "q"])
+def test_missing_key_is_named(tmp_path, capsys, key):
+    prob = dict(BALL)
+    del prob[key]
+    assert main(["phi", "--input", write(tmp_path, "missing.json", prob)]) == 2
+    assert capsys.readouterr().err == f"error: problem file is missing {key!r}\n"
 
 
 # ---------------------------------------------------------------------------

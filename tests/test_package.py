@@ -53,6 +53,20 @@ def test_every_public_name_has_a_program_caller():
     assert [name for name in anisowidth.__all__ if name not in loaded | traced] == []
 
 
+def test_the_cli_leaves_problem_entries_to_the_library():
+    # A problem file's entries are checked by the library alone: the CLI
+    # has no intake of its own that could disagree with it.
+    path = ROOT / "src" / "anisowidth" / "cli.py"
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    intake = {"_require_int", "_require_ints", "_entries", "_finite"}
+    assert intake & (_loaded_names(path) | imported) == set()
+
+
 def _imported_modules(path: Path) -> set:
     """The top-level names of the modules a file imports, relative imports
     by their module name."""
