@@ -95,10 +95,14 @@ def _entries(what: str, v) -> tuple:
 def _array(what: str, data, dtype=np.float64) -> np.ndarray:
     """The data argument ``data`` as an array of ``dtype``, as
     ``np.asarray`` converts it (``Fraction`` entries included).  A string or
-    bytes, an array of them, and whatever numpy cannot take as ``dtype``
-    are refused, so a numeric string is never read as a number."""
+    bytes, an array of them or holding one among other entries, and
+    whatever numpy cannot take as ``dtype`` are refused, so a numeric
+    string is never read as a number."""
     try:
-        if not isinstance(data, (str, bytes)) and np.asarray(data).dtype.kind not in "SU":
+        raw = None if isinstance(data, (str, bytes)) else np.asarray(data)
+        if raw is not None and raw.dtype.kind not in "SU" and not (
+            raw.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in raw.flat)
+        ):
             return np.asarray(data, dtype=dtype)
     except (TypeError, ValueError):
         pass
@@ -452,22 +456,28 @@ def _each_norm(stack: np.ndarray, p: ExponentVector) -> list:
 
 def _norming_array(arr: np.ndarray, p: ExponentVector) -> tuple:
     """``(norm, y)``: :func:`_mixed_norm_array` and the norming functional
-    of ``arr``, from one set of partial reductions."""
+    of ``arr``, from one set of partial reductions.
+
+    Each partial is read for the last time where the weights of its axis
+    are taken, so they are written over it and no weight array is
+    allocated.  Every ``np.power`` operand is a contiguous array of its
+    own: numpy picks its SIMD ``power`` loop by layout, and a strided
+    operand may take another loop with other bits."""
     partials = [np.abs(arr)]
     for step in p.plan:
         partials.append(_reduce_axis0(partials[-1], step))
     y = np.sign(arr)
     for k, (kind, pf) in enumerate(p.plan):
-        prev, cur = partials[k], partials[k + 1]
+        w, cur = partials[k], partials[k + 1]
         if kind == "max":
-            w = np.zeros_like(prev)
-            idx = np.expand_dims(np.argmax(prev, axis=0), axis=0)
+            idx = np.expand_dims(np.argmax(w, axis=0), axis=0)
+            w.fill(0.0)
             np.put_along_axis(w, idx, 1.0, axis=0)
         else:
             # A "sum" or "pow" norm is at least the fibre's maximum, so there
             # cur == 0 only on an all-zero fibre, which divides to 0; a "two"
             # norm can be 0 over nonzero entries whose squares underflowed.
-            w = np.divide(prev, np.maximum(cur, 5e-324))
+            np.divide(w, np.maximum(cur, 5e-324), out=w)
             if kind == "two":
                 np.copyto(w, 0.0, where=cur == 0)
             np.power(w, pf - 1.0, out=w)

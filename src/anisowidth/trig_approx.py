@@ -25,7 +25,8 @@ Kernel and taper orders must be finite and >= 1, Weyl orders finite and
 >= 0, phases and other real scalars finite numbers (:func:`_finite`; a
 taper order is checked as a real number without conversion, so a huge
 int stays exact); sample points and coefficients numbers that numpy
-converts, not strings (:func:`anisowidth.mixed_norm._array`); and a
+converts, not strings (:func:`anisowidth.mixed_norm._array`), and sample
+points and frequencies finite ones (:func:`_finite_array`); and a
 polynomial argument a :class:`TrigPoly`.  Anything else is refused with
 :class:`ValidationError`, so no input yields NaN.
 """
@@ -36,6 +37,7 @@ import functools
 import math
 import numbers
 import operator
+import reprlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -134,6 +136,16 @@ def _finite(what: str, v) -> float:
     if not math.isfinite(f):
         raise ValidationError(f"{what} must be finite, got {f}")
     return f
+
+
+def _finite_array(what: str, data) -> np.ndarray:
+    """The sample data ``data`` as :func:`anisowidth.mixed_norm._array`
+    converts it, every entry finite: a NaN (``None`` reads as one) or an
+    infinity is refused."""
+    a = _array(what, data)
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what} must be finite, got {reprlib.repr(data)}")
+    return a
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -338,7 +350,7 @@ def fejer(m: int, x) -> Union[float, np.ndarray]:
     this kernel only for integer ``m``, so other orders are refused.
     """
     m = _require_int("kernel order", m, 1)
-    xa = _array("sample points", x)
+    xa = _finite_array("sample points", x)
     s = np.sin(xa / 2.0)
     near = np.abs(s) < 1e-9
     s_safe = np.where(near, 1.0, s)
@@ -353,7 +365,7 @@ def vp_power_kernel(n: int, r, alpha, x) -> Union[float, np.ndarray]:
     up to ``n``, linearly tapered to zero at ``2n``."""
     _require_int("kernel order", n, 1)
     r = _finite("kernel smoothness r", r)
-    xa = _array("sample points", x)
+    xa = _finite_array("sample points", x)
     phase = _finite("phase alpha", alpha) * math.pi / 2.0
     out = np.ones_like(xa)
     for k, w in zip(range(1, 2 * n), vp_multiplier(n, np.arange(1, 2 * n))):
@@ -372,7 +384,7 @@ def bernoulli_kernel(r, alpha, x, truncation: int) -> Union[float, np.ndarray]:
     r = _finite("kernel smoothness r", r)
     if not r > 0:
         raise ValidationError("kernel smoothness r must be positive")
-    xa = _array("sample points", x)
+    xa = _finite_array("sample points", x)
     phase = _finite("phase alpha", alpha) * math.pi / 2.0
     out = np.ones_like(xa)
     chunk = 2048
@@ -398,7 +410,7 @@ def vp_multiplier(m: int, k) -> Union[float, np.ndarray]:
     """
     if not 1 <= _require_type("taper order", m, numbers.Real) < math.inf:
         raise ValidationError(f"taper order must be finite and >= 1, got {m}")
-    ka = np.abs(_array("frequencies", k))
+    ka = np.abs(_finite_array("frequencies", k))
     if ka.size and not float(ka.max()) <= m:
         return _like(k, np.clip((2 * m - ka) / m, 0.0, 1.0))
     return _like(k, np.ones(ka.shape))

@@ -25,9 +25,11 @@ evaluates the candidates left in their fixed order, each with the running
 best as its cutoff, and keeps the first least value, bit for bit.
 
 Each stage stops once its outcome is settled, and every output bit stays
-the same.  Tracked values never rise, so a descent's closing solve drops a
-basis as soon as it beats its best iterate (:func:`_descend`), and the exact
-evaluation solves only the points that can reach the maximum, at least two.
+the same.  Tracked values never rise and never fall below the certified
+bounds, so a descent's closing solve drops a basis as soon as it beats its
+best iterate, or as soon as the bounds from its first pass show that it
+cannot (:func:`_descend`), and the exact evaluation solves only the points
+that can reach the maximum, at least two.
 One rule, for every subspace dimension, keeps their bits: every product is
 taken at full width over zero columns for the points left out, and every
 gather of the solved points is C-ordered (:func:`_inner_solve`); so a
@@ -36,8 +38,10 @@ and the race solves the union of its candidates' points.  A polish is
 skipped, or stops after its first Powell start, once the point's value is
 at most a value that another point reaches.  No kernel pass is taken twice:
 a descent step takes its norming functionals from its solve's last pass,
-and an evaluation takes its start values from the pass that gave its start
-bound.
+a closing solve its bounds from its first, and an evaluation its start
+values from the pass that gave its start bound.  A pass costs its kernel
+and little else: a solve stacks its bases once and tracks its best values,
+coefficients and functionals in place (:func:`_inner_solve`).
 
 Lower estimates are exact closed forms from corner-block hulls
 (:func:`width_lower_vset`, :func:`anisowidth.ball_widths.vset_l2_lower`).
@@ -145,17 +149,28 @@ def harmonic_frame(K: int, n: int) -> np.ndarray:
 # Bases and coefficients may carry leading batch axes: ``B`` is ``batch +
 # (K, n)`` and ``C`` is ``batch + (n, P)``, one basis and its coefficients per
 # batch entry.  The kernels see the residuals as ``shape + batch + (P,)``,
-# every trailing axis a batch, so one kernel call serves every basis.  ``B``
-# may also be a list of (K, n) bases, each multiplied in its own layout: a
-# matrix-vector product (n = 1, or a single point) goes to BLAS gemv with the
-# vector's stride, and gemv's last bits depend on that stride, so a strided
-# start (the eigenbasis of width_upper) keeps its own bits only as laid out.
-# A C-ordered basis has its own layout in a stack, so the list's C-ordered
-# bases share one batched product and only the others are multiplied alone.
+# every trailing axis a batch, so one kernel call serves every basis.  A list
+# of (K, n) bases is stacked once per solve (:func:`_stacked`), and each basis
+# is multiplied in its own layout: a matrix-vector product (n = 1, or a single
+# point) goes to BLAS gemv with the vector's stride, and gemv's last bits
+# depend on that stride, so a strided start (the eigenbasis of width_upper)
+# keeps its own bits only as laid out.  A C-ordered basis has its own layout
+# in a stack, so the list's C-ordered bases share one batched product and
+# only the others are multiplied alone.
+
+
+def _stacked(B):
+    """A list of bases as ``(stack, alone)``: their stack, and per basis the
+    basis itself where it is not C-ordered, to be multiplied alone (None
+    elsewhere).  An array of bases is returned as it is."""
+    if not isinstance(B, list):
+        return B
+    return np.stack(B), [None if b.flags.c_contiguous else b for b in B]
 
 
 def _times(B, M, transpose: bool = False, live=None, wide=None) -> np.ndarray:
-    """``B M``, or ``B^T M``, for each basis of ``B``.
+    """``B M``, or ``B^T M``, for each basis of ``B``, an array or a pair
+    that :func:`_stacked` gives.
 
     With ``live``, sorted column positions, ``M`` holds only those columns:
     they are written into ``wide``, a zero array of the full width, and the
@@ -164,10 +179,11 @@ def _times(B, M, transpose: bool = False, live=None, wide=None) -> np.ndarray:
     if live is not None:
         wide[..., live] = M
         return np.take(_times(B, wide, transpose), live, axis=-1)
-    if isinstance(B, list):
-        out = _times(np.stack(B), M, transpose)
-        for i, b in enumerate(B):
-            if not b.flags.c_contiguous:
+    if isinstance(B, tuple):
+        B, alone = B
+        out = _times(B, M, transpose)
+        for i, b in enumerate(alone):
+            if b is not None:
                 out[i] = (b.T if transpose else b) @ (M if M.ndim == 2 else M[i])
         return out
     return (B.swapaxes(-1, -2) if transpose else B) @ M
@@ -175,8 +191,10 @@ def _times(B, M, transpose: bool = False, live=None, wide=None) -> np.ndarray:
 
 def _batch_residual(X: np.ndarray, B, C: np.ndarray, shape, live=None, wide=None):
     """The residuals ``x_i - B c_i`` in the kernels' layout, ``B C`` taken as
-    :func:`_times` takes it."""
-    R = X.T - _times(B, C, False, live, wide)
+    :func:`_times` takes it.  The difference is written over the product,
+    which is C-ordered, as numpy would lay out a new difference."""
+    R = _times(B, C, False, live, wide)
+    np.subtract(X.T, R, out=R)
     nb = R.ndim - 2
     R = R.transpose((nb, *range(nb), nb + 1))
     return R.reshape(shape + R.shape[1:], order="F")
@@ -223,14 +241,21 @@ def _inner_solve(X, B, q, shape, C0, iters, live=None, leave=None):
     points, the bits of its lone solve on them.
 
     ``leave`` is for a caller that needs the result only for some bases of
-    a stack: ``leave(kept, fmax)`` marks which of the bases ``kept``
+    a stack: ``leave(kept, fmax, Y)`` marks which of the bases ``kept``
     (indices into the stack) leave the batch, given their largest tracked
-    values ``fmax``.  It is asked before each kernel pass and once after
-    the last, and ``(kept, C, f)`` of the bases that stay to the end is
-    returned instead.  A basis that leaves takes no further pass; the bases
-    that stay run every iteration with their own bits.
+    values ``fmax`` and the norming functionals ``Y`` of the last pass, in
+    the kernels' layout (None before the first).  It is asked before each
+    kernel pass and once after the last, and ``(kept, C, f)`` of the bases
+    that stay to the end is returned instead.  A basis that leaves takes no
+    further pass; the bases that stay run every iteration with their own
+    bits.
+
+    A list of bases is stacked once per solve (:func:`_stacked`), and the
+    tracked values, coefficients and functionals are updated in place: the
+    first pass's arrays become the tracked ones.
     """
     P, K = X.shape
+    B = _stacked(B)
     C = _times(B, X.T, True) if C0 is None else C0
     wide_C = wide_Y = None
     if live is not None:
@@ -240,14 +265,14 @@ def _inner_solve(X, B, q, shape, C0, iters, live=None, leave=None):
         iters = 0
     best_C, best_Y = C, None
     best_f = np.full(C.shape[:-2] + (X.shape[0],), math.inf)
-    kept = None if leave is None else np.arange(len(B))
-    step = 1.0
+    kept = None if leave is None else np.arange(len(best_f))
+    step, Y = 1.0, None
     for it in range(iters + 2):
         if leave is not None:
-            stay = np.flatnonzero(~leave(kept, best_f.max(axis=-1)))
+            stay = np.flatnonzero(~leave(kept, best_f.max(axis=-1), Y))
             if stay.size < kept.size:
                 kept, C, best_C, best_f = kept[stay], C[stay], best_C[stay], best_f[stay]
-                B = [B[i] for i in stay] if isinstance(B, list) else B[stay]
+                B = (B[0][stay], [B[1][i] for i in stay]) if isinstance(B, tuple) else B[stay]
                 if live is not None:
                     wide_C, wide_Y = wide_C[stay], wide_Y[stay]
             if not kept.size:
@@ -255,17 +280,21 @@ def _inner_solve(X, B, q, shape, C0, iters, live=None, leave=None):
         if it > iters:
             break
         f, Y = _norming_array(_batch_residual(X, B, C, shape, live, wide_C), q)
-        improved = f < best_f
-        best_f = np.where(improved, f, best_f)
-        best_C = np.where(improved[..., None, :], C, best_C)
-        if leave is None:
-            best_Y = Y if best_Y is None else np.where(improved, Y, best_Y)
+        if it == 0:
+            best_f, best_C, best_Y = f, (C.copy() if C is C0 else C), Y
+        else:
+            improved = f < best_f
+            np.copyto(best_f, f, where=improved)
+            np.copyto(best_C, C, where=improved[..., None, :])
+            if leave is None:
+                np.copyto(best_Y, Y, where=improved)
         if it == iters:
             continue
         H = _times(B, _flat_functional(Y, K, C.ndim - 2), True, live, wide_Y)
         gn2 = (H * H).sum(axis=-2) + 1e-30
         eta = step * 0.5 * f / gn2
-        C = C + eta[..., None, :] * H
+        H *= eta[..., None, :]
+        C = np.add(C, H, out=H)
         step *= 0.97
     if leave is not None:
         return kept, best_C, best_f
@@ -341,16 +370,25 @@ def _descend(X, B0, q, shape, cfg):
     5 passes, one per iteration and one at its end.
 
     The closing 60-iteration solve only decides whether the last basis beats
-    the best iterate, so a basis leaves it (see :func:`_inner_solve`) once
-    its largest tracked value is under its best value: tracked values never
-    rise, so the full solve would end there too.  Only the bases that never
-    get there run all 60 iterations, and every decision, so every returned
-    basis, is the one the full solve gives.
+    the best iterate, and a basis leaves it (see :func:`_inner_solve`) as
+    soon as that is settled:
+
+    - beaten: its largest tracked value is under its best value.  Tracked
+      values never rise, so the full solve would end there too.
+    - not beaten: after the first pass, the largest certified bound
+      :func:`_dual_bound` gives from that pass's functionals reaches its
+      best value.  Every tracked value is at least its point's distance,
+      and every distance at least its bound (the argument of the cutoff
+      contract of :func:`_evaluate_exact`, with the same margins), so the
+      full solve would end with no value under the best one either.
+
+    Only the bases that neither settles run all 60 iterations, and every
+    decision, so every returned basis, is the one the full solve gives.
     """
     starts = list(B0)
     B = np.stack(starts)
-    K, n = B.shape[1:]
-    best_val = np.full(len(starts), math.inf)
+    S, K, n = B.shape
+    best_val = np.full(S, math.inf)
     best_B = starts
     for it in range(cfg.outer_iterations):
         Bi = B if it else starts
@@ -365,26 +403,50 @@ def _descend(X, B0, q, shape, cfg):
         wts = np.exp((f - fmax[:, None]) / tau[:, None])
         wts /= wts.sum(axis=1, keepdims=True)
         G = _flat_functional(Y, K, 1) @ (wts[:, :, None] * C.swapaxes(1, 2))
-        # One BLAS norm per start, as a lone start computes it.
-        gn = np.array([np.linalg.norm(g) for g in G]) + 1e-30
+        # Each start's Frobenius norm is one BLAS dot, as np.linalg.norm
+        # takes a lone start's, and one batched product takes them all.
+        Gf = G.reshape(S, K * n)
+        gn = np.sqrt((Gf[:, None, :] @ Gf[:, :, None]).reshape(S)) + 1e-30
         eta = (0.5 / (1.0 + it / 8.0)) * math.sqrt(n) / gn
         B, _ = np.linalg.qr(B + eta[:, None, None] * G)
-    kept, _, _ = _inner_solve(
-        X, B, q, shape, None, iters=60, leave=lambda kept, fmax: fmax < best_val[kept]
-    )
-    improved = np.ones(len(B), dtype=bool)
+    settled = None  # the bases the bound settles, once the first pass is in
+
+    def leave(kept, fmax, Y):
+        nonlocal settled
+        beaten = fmax < best_val[kept]
+        if settled is None:
+            if Y is None:
+                return beaten
+            # After the first pass, which no basis leaves before.
+            Yf = _flat_functional(Y, K, 1)
+            L = np.array([_dual_bound(X, b, q, shape, y).max() for b, y in zip(B, Yf)])
+            settled = ~beaten & (L >= best_val)
+        return beaten | settled[kept]
+
+    kept, _, _ = _inner_solve(X, B, q, shape, None, iters=60, leave=leave)
+    improved = ~settled
     improved[kept] = False
     return [b if up else old for b, up, old in zip(B, improved, best_B)]
 
 
-# Relative margin by which :func:`_dual_lower` shrinks its bounds, far above
+# Relative margin by which :func:`_dual_bound` shrinks its bounds, far above
 # the relative rounding of the norms and upper values it is compared with.
 _DUAL_RTOL = 1e-9
 
 
 def _dual_lower(X, B, q, shape, C) -> tuple:
-    """``(f, L)``: each point's residual norm at ``C`` and a certified lower
-    bound on its distance from the span of ``B``, from one kernel pass.
+    """``(f, L)``: each point's residual norm at ``C`` and the certified
+    lower bound :func:`_dual_bound` gives on its distance from the span of
+    ``B``, from one kernel pass."""
+    P, K = X.shape
+    f, Y = _norming_array(_batch_residual(X, B, C, shape), q)
+    return f, _dual_bound(X, B, q, shape, Y.reshape(K, P, order="F"))
+
+
+def _dual_bound(X, B, q, shape, Y) -> np.ndarray:
+    """A certified lower bound on each point's distance from the span of
+    ``B``, from the norming functionals ``Y``, ``(K, P)``, of its residuals
+    at any coefficients.
 
     ``B`` must be orthonormal.  With ``y_i`` the norming functional of the
     residual ``x_i - B c_i`` and ``z_i = y_i - B B^T y_i``, which is
@@ -406,8 +468,6 @@ def _dual_lower(X, B, q, shape, C) -> tuple:
     positive, e.g. for a point inside span ``B``.
     """
     P, K = X.shape
-    f, Y = _norming_array(_batch_residual(X, B, C, shape), q)
-    Y = Y.reshape(K, P, order="F")
     Z = Y - B @ (B.T @ Y)
     w = np.abs(B.T @ Z).sum(axis=0)
     dual_norm = _mixed_norm_array(Z.reshape(shape + (P,), order="F"), q.dual())
@@ -416,7 +476,7 @@ def _dual_lower(X, B, q, shape, C) -> tuple:
     pairing -= K * 2.0**-1074
     bound = np.zeros(P)
     np.divide(pairing, dual_norm + math.sqrt(K) * w, out=bound, where=pairing > 0)
-    return f, (1.0 - _DUAL_RTOL) * bound
+    return (1.0 - _DUAL_RTOL) * bound
 
 
 # Points polished by :func:`_evaluate_exact`: the ones farthest from the
@@ -538,7 +598,7 @@ def _race(X, cands, q, shape, lsq, norms, keys) -> dict:
     union = reduce(np.union1d, lives)
     starts = np.array([keys[i] for i in enter])
 
-    def beaten(kept, fmax):
+    def beaten(kept, fmax, _):
         # A start bound is at most its own largest tracked value, so only
         # another candidate's can be below it: the least of all will do.
         return starts[kept] > fmax.min()

@@ -13,7 +13,9 @@ Its certified early exits are too: ``_evaluate_exact`` must give exactly
 what its version without them gives, below the cutoff, with fewer points
 solved and fewer Powell starts, for every subspace dimension.  The race of
 the candidates through one batched solve must give exactly what the loop
-that solved each candidate on its own gives, with fewer kernel passes.  The
+that solved each candidate on its own gives, with fewer kernel passes; and
+the descents, whose closing solves a certified bound cuts short, exactly
+the bases the lone descent gives, with fewer closing passes.  The
 solve of a subset of the points, and the fact about BLAS products it rests
 on, are checked as properties under three OpenBLAS core types.  The lean
 kernels must give the bits of the kernels that divided by 1 on an all-zero
@@ -876,8 +878,10 @@ def test_raced_stack_keeps_each_bases_lone_solve(data):
     exits = np.array([data.draw(st.sampled_from([0, 1, 7, 121, 500])) for _ in bases])
     passes = [0]
 
-    def leave(kept, fmax):
+    def leave(kept, fmax, Y):
         passes[0] += 1
+        # The functionals of the last pass, none before the first.
+        assert (Y is None) == (passes[0] == 1)
         return exits[kept] < passes[0]
 
     kept, C, f = _inner_solve(X, bases, q, shape, np.stack(lsq), iters=120, live=union, leave=leave)
@@ -1058,13 +1062,15 @@ ORACLE_CFG = OracleConfig(restarts=2, outer_iterations=10)
 def _counted_width_upper(shape, n, q, extra, evaluate=None, fixed_order=False):
     """``width_upper`` on the case's points, with counts: its polishes,
     Powell starts, 120-iteration solves, the columns their kernel passes
-    take (one per basis and solved point), dual bounds, kernel passes, and
-    the evaluations that get past their start bound.  Run as the library
-    runs it, with the candidates racing (``evaluate`` None), or as the
-    sequential best-first loop with the evaluation ``evaluate``, or in the
-    fixed order."""
+    take (one per basis and solved point), dual bounds, kernel passes, the
+    evaluations that get past their start bound, the kernel passes of the
+    descents' closing 60-iteration solves, and the bases that leave a
+    closing solve without beating their best iterate, which only the
+    certified bound decides.  Run as the library runs it, with the
+    candidates racing (``evaluate`` None), or as the sequential best-first
+    loop with the evaluation ``evaluate``, or in the fixed order."""
     points = _unit_vectors_and_l1_points(shape, extra, seed=n)
-    keys = ("polish", "powell", "solve", "columns", "dual", "passes", "evaluated")
+    keys = ("polish", "powell", "solve", "columns", "dual", "passes", "evaluated", "closing", "settled")
     counts = dict.fromkeys(keys, 0)
     real_polish, real_solve, real_dual = _polish_point, _inner_solve, _dual_lower
     real_norming, real_evaluate = width_oracle._norming_array, width_oracle._evaluate_exact
@@ -1079,9 +1085,31 @@ def _counted_width_upper(shape, n, q, extra, evaluate=None, fixed_order=False):
         return real_powell(*args)
 
     solving = [0]  # the point dimension K while a 120-iteration solve runs
+    closing = [False]  # whether a closing 60-iteration solve runs
+    best = [None]  # each start's best value so far in the running descent
 
     def solve(*args, **kwargs):
-        if kwargs.get("iters") != 120:
+        iters = kwargs.get("iters")
+        if iters in (4, 30):
+            # The descent's steps: its first solve has 30 iterations.
+            out = real_solve(*args, **kwargs)
+            fmax = out[1].max(axis=-1)
+            best[0] = fmax if iters == 30 else np.minimum(best[0], fmax)
+            return out
+        if iters == 60:
+            leave = kwargs["leave"]
+
+            def counted_leave(kept, fmax, *rest):
+                out = leave(kept, fmax, *rest)
+                counts["settled"] += int((out & (fmax >= best[0][kept])).sum())
+                return out
+
+            closing[0] = True
+            try:
+                return real_solve(*args, **dict(kwargs, leave=counted_leave))
+            finally:
+                closing[0] = False
+        if iters != 120:
             return real_solve(*args, **kwargs)
         counts["solve"] += 1
         solving[0] = args[0].shape[1]
@@ -1092,6 +1120,7 @@ def _counted_width_upper(shape, n, q, extra, evaluate=None, fixed_order=False):
 
     def norming(*args):
         counts["passes"] += 1
+        counts["closing"] += closing[0]
         if solving[0]:
             counts["columns"] += args[0].size // solving[0]
         return real_norming(*args)
@@ -1210,3 +1239,42 @@ def test_each_candidate_takes_its_start_bound_once():
     for case in PRUNING_CASES:
         counts = _counted_width_upper(*case, None)[1]
         assert counts["dual"] == candidates + counts["evaluated"], (case, counts)
+
+
+# Kernel passes over PRUNING_CASES before the descents' closing solves had
+# their certified exit: in all, and in the closing 60-iteration solves.
+PASSES_BEFORE_THE_CLOSING_EXIT = 1338
+CLOSING_PASSES_BEFORE_THE_CLOSING_EXIT = 305
+
+
+def test_closing_bound_settles_bases_with_no_pass_of_its_own():
+    # The closing solve's bound is taken from the functionals of its first
+    # pass, so no pass is added anywhere, and it settles bases that would
+    # otherwise run all 60 iterations, so the closing passes fall.
+    totals = dict.fromkeys(("passes", "closing", "settled"), 0)
+    for case in PRUNING_CASES:
+        counts = _counted_width_upper(*case, None)[1]
+        for key in totals:
+            totals[key] += counts[key]
+    assert totals["settled"] > 0, totals
+    assert totals["passes"] <= PASSES_BEFORE_THE_CLOSING_EXIT, totals
+    assert totals["closing"] < CLOSING_PASSES_BEFORE_THE_CLOSING_EXIT, totals
+
+
+@pytest.mark.parametrize("shape, n, q, extra", PRUNING_CASES)
+def test_closing_exit_keeps_the_lone_descents(shape, n, q, extra):
+    # On these points the certified bound settles closing-solve bases (see
+    # above), where the lockstep test's Gaussian points may not reach it:
+    # every descended basis must still be the one the lone descent, which
+    # runs its closing solve in full, gives.
+    q = as_exponents(q)
+    X, shape, n, _ = _stack_points(_unit_vectors_and_l1_points(shape, extra, seed=n), n)
+    K = X.shape[1]
+    inits = [harmonic_frame(K, n), np.linalg.eigh(X.T @ X)[1][:, ::-1][:, :n]]
+    for ridx in range(ORACLE_CFG.restarts):
+        rng = np.random.default_rng(np.random.SeedSequence((ORACLE_CFG.seed, ridx)))
+        inits.append(np.linalg.qr(rng.standard_normal((K, n)))[0])
+    descended = _descend(X, inits, q, shape, ORACLE_CFG)
+    for B0, B in zip(inits, descended):
+        B_lone = _lone_descend(X, B0, q, shape, ORACLE_CFG)
+        assert np.array_equal(B, B_lone) and (B is B0) == (B_lone is B0)

@@ -10,6 +10,7 @@ one type check.  Either way the refusal is a ``ValidationError``, never a
 raw ``TypeError``, ``ValueError`` or ``AttributeError``.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -149,14 +150,34 @@ DATA_ARGUMENTS = {
 
 
 @pytest.mark.parametrize(
-    "value", ["x", "1.5", b"2", ["2"], [[1], [1, 2]], {}],
-    ids=["str", "numeric str", "bytes", "str entry", "ragged", "dict"],
+    "value",
+    ["x", "1.5", b"2", ["2"], [[1], [1, 2]], {}, [Fraction(1), "2"], [Fraction(1), b"2"]],
+    ids=["str", "numeric str", "bytes", "str entry", "ragged", "dict", "mixed str", "mixed bytes"],
 )
 @pytest.mark.parametrize("call", DATA_ARGUMENTS.values(), ids=DATA_ARGUMENTS.keys())
 def test_data_arrays_are_refused(call, value):
     # A string, numeric or not, or what numpy cannot convert ended in a raw
-    # ValueError, or was read as a number.
+    # ValueError, or was read as a number; so was a string among other
+    # entries, which numpy converts one by one with float() or complex().
     with pytest.raises(ValidationError, match="must be numbers"):
+        call(value)
+
+
+SAMPLE_ARGUMENTS = {
+    name: call for name, call in DATA_ARGUMENTS.items() if not name.startswith(("Tensor", "TrigPoly"))
+}
+
+
+@pytest.mark.parametrize(
+    "value",
+    [math.nan, [None], math.inf, [0.5, -math.inf]],
+    ids=["nan", "None entry", "inf", "-inf entry"],
+)
+@pytest.mark.parametrize("call", SAMPLE_ARGUMENTS.values(), ids=SAMPLE_ARGUMENTS.keys())
+def test_non_finite_samples_are_refused(call, value):
+    # A NaN or infinite sample point or frequency gave NaN.  Tensor data may
+    # hold an infinity until a norm refuses it, so they are not among these.
+    with pytest.raises(ValidationError, match="must be finite"):
         call(value)
 
 
