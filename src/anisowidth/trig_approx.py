@@ -15,6 +15,12 @@ Each coefficient-space decision (band slices, FFT positions, a multiplier
 along one axis, the exact dyadic degrees, the Weyl multiplier, the
 difference multiplier, the quadrature grid, the norm's route and range
 scaling, degree powers) is made by one private helper.
+Every quadrature norm of grid samples is taken by one helper,
+:func:`_grid_norms`, with the bits of the tensor norm of their magnitudes.
+A grid of at most ``_BLOCK`` (``2**15``) entries, or of one axis, has its
+magnitudes taken at once; a larger one is reduced in blocks of whole
+columns along its last axis, so a norm holds the samples and one block of
+magnitudes, never a second grid.
 The plans that depend only on degrees and orders (taper weights, scale
 degrees, quadrature grids, FFT positions, Weyl multipliers) are kept by
 the package's memo rule, ``lru_cache(maxsize=256, typed=True)``
@@ -51,11 +57,14 @@ from .mixed_norm import (
     as_exponents,
     _array,
     _entries,
+    _in_range,
     _is_flat_two,
     _kept,
     _ldexp,
     _magnitude_norm,
     _prescaled,
+    _rescue,
+    _reduce_axis0,
     _require_int,
     _require_ints,
     _require_type,
@@ -90,6 +99,9 @@ SHIFT_SUM_WINDOW = (0.25, 8.0)
 # steps h of the finite-difference scan in smoothness_margin
 _MARGIN_STEPS = (math.pi / 3, math.pi / 7, math.pi / 16, math.pi / 40)
 _FLAT_2 = as_exponents((2,))  # _l2_norm's exponent, one axis
+# entries of one block of _grid_norms: 2**15 float64 magnitudes (256 KB)
+# stay in a core's L2 cache while each plan's first step reduces them
+_BLOCK = 2**15
 
 
 def _band(inner, outer) -> tuple:
@@ -654,11 +666,14 @@ def trig_lp_norm(t: TrigPoly, p) -> float:
     (Parseval, :func:`_l2_norm`), and no grid is built.  Other exponents
     are taken by quadrature on the grid of :func:`_norm_grid`: at least
     ``8 * max(N, 1) + 1`` points per axis, with the coefficients first
-    moved into range by :func:`_scaled` and the norm scaled back.  The
-    quadrature is exact whenever the exponents are even integers at most
-    8, each a multiple of the one before (equal ones, say): each inner norm
-    raised to the next exponent is then itself a polynomial the grid
-    resolves, so any finer grid gives the same value up to rounding.
+    moved into range by :func:`_scaled` and the norm scaled back; the grid's
+    samples are reduced by :func:`_grid_norms`, in blocks of columns on a
+    grid of more than ``_BLOCK`` entries, so the norm holds the samples and
+    one block of magnitudes, never a second grid.  The quadrature is exact
+    whenever the exponents are even integers at most 8, each a multiple of
+    the one before (equal ones, say): each inner norm raised to the next
+    exponent is then itself a polynomial the grid resolves, so any finer
+    grid gives the same value up to rounding.
     Approximate otherwise.  For a real polynomial and ``p = inf`` the grid
     maximum is at least
     ``prod_j cos(pi N_j / G_j) >= cos(pi / 8)^d`` of the true
@@ -673,7 +688,7 @@ def trig_lp_norm(t: TrigPoly, p) -> float:
     if _is_flat_two(p):
         return _l2_norm(t.coeff)
     t, e = _scaled(t)
-    return _ldexp(_grid_norm(t.values(_norm_grid(t.degree)), p), e)
+    return _ldexp(_grid_norms(t.values(_norm_grid(t.degree)), p)[0], e)
 
 
 def _l2_norm(coeff: np.ndarray) -> float:
@@ -726,6 +741,19 @@ def _smooth_length(n: int) -> int:
     return best
 
 
+def _norms(t: TrigPoly, *ps: ExponentVector) -> list:
+    """The :func:`trig_lp_norm` of ``t`` for each exponent vector of ``ps``,
+    for a ``t`` that :func:`_scaled` leaves as it is: a ``(2, ..., 2)`` norm
+    from the coefficients, the others from one grid evaluation, made only
+    when one of them needs it, through :func:`_grid_norms`."""
+    on_grid = [p for p in ps if not _is_flat_two(p)]
+    grid = iter(_grid_norms(t.values(_norm_grid(t.degree)), *on_grid) if on_grid else ())
+    norms = []
+    for p in ps:
+        norms.append(_l2_norm(t.coeff) if _is_flat_two(p) else next(grid))
+    return norms
+
+
 def _degree_power(degree, exponents) -> float:
     """``prod_j max(N_j, 1)^(e_j)`` over degrees or grid sizes, folded in
     axis order from 1.0."""
@@ -741,22 +769,20 @@ def nikolskii_ratio(t: TrigPoly, p, q) -> float:
     Bounded over all polynomials of a given degree; degree-0 axes count
     as ``N = 1``.  The norms are those of :func:`trig_lp_norm`, taken of
     ``t`` moved into range by :func:`_scaled` (the ratio does not change
-    with scale): a ``(2, ..., 2)`` norm from the coefficients, any other
-    from one grid evaluation and its :func:`_magnitudes`, made once and only
-    when one of them needs it.
+    with scale), by :func:`_norms`: a ``(2, ..., 2)`` norm from the
+    coefficients, any other from one grid evaluation, made once and only
+    when one of them needs it.  When both need it, :func:`_grid_norms`
+    takes both from the same magnitudes: all at once on a grid of at most
+    ``_BLOCK`` entries, block by block of columns on a larger one, each
+    block reduced for both before the next, so the two norms hold the
+    samples and one block, never a second grid.
     """
     _require_type("t", t, TrigPoly)
     p = as_exponents(p)
     q = as_exponents(q)
     if not (p.d == q.d == t.d):
         raise ValidationError("dimension mismatch among t, p, q")
-    t = _scaled(t)[0]
-    mags = None
-    if not (_is_flat_two(p) and _is_flat_two(q)):
-        mags = _magnitudes(t.values(_norm_grid(t.degree)))
-    np_val, nq_val = (
-        _l2_norm(t.coeff) if _is_flat_two(s) else _magnitude_grid_norm(mags, s) for s in (p, q)
-    )
+    np_val, nq_val = _norms(_scaled(t)[0], p, q)
     if np_val == 0:
         raise ValidationError("zero polynomial has no norm ratio")
     gaps = [max(float(rp) - float(rq), 0.0) for rp, rq in zip(p.recip, q.recip)]
@@ -767,7 +793,11 @@ def bernstein_ratio(t: TrigPoly, r, alpha, p) -> float:
     """Derivative-growth ratio ``||D^r_alpha t||_p / (||t||_p prod N^r)``.
 
     Requires ``alpha_j = 0`` on every axis with ``r_j = 0`` (the mixed
-    derivative is only defined under that hypothesis).
+    derivative is only defined under that hypothesis).  Both norms are
+    those of :func:`trig_lp_norm`, taken of ``t`` moved into range by
+    :func:`_scaled` (the ratio does not change with scale) and of its
+    derivative; ``||t||_p`` comes from :func:`_norms`, which does not
+    check the range of the moved ``t`` again.
     """
     _require_type("t", t, TrigPoly)
     p = as_exponents(p)
@@ -782,8 +812,8 @@ def bernstein_ratio(t: TrigPoly, r, alpha, p) -> float:
             raise ValidationError(
                 f"axis {j + 1}: phase must vanish where the order is zero"
             )
-    t = _scaled(t)[0]  # the ratio does not change with scale
-    base = trig_lp_norm(t, p)
+    t = _scaled(t)[0]
+    (base,) = _norms(t, p)
     if base == 0:
         raise ValidationError("zero polynomial has no norm ratio")
     dt = t
@@ -839,32 +869,58 @@ def _difference_multiplier(k: np.ndarray, h: float, order: int) -> np.ndarray:
     return (np.exp(1j * h * k) - 1.0) ** order
 
 
-def _grid_norm(values: np.ndarray, p: ExponentVector) -> float:
-    """Normalized-measure mixed norm of grid samples: the
-    :func:`_magnitude_grid_norm` of their :func:`_magnitudes`."""
-    return _magnitude_grid_norm(_magnitudes(values), p)
+def _grid_norms(values: np.ndarray, *ps: ExponentVector) -> list:
+    """The normalized-measure mixed norms of grid samples, one for each
+    exponent vector of ``ps``.
 
-
-def _magnitudes(values: np.ndarray) -> tuple:
-    """``(arr, e)``: the magnitudes of grid samples, ``np.abs(values,
-    order="F")``, moved into range by :func:`_prescaled`.  Non-finite
-    samples are refused as in :func:`anisowidth.mixed_norm.mixed_norm`."""
-    return _prescaled(np.abs(values, order="F"))
-
-
-def _magnitude_grid_norm(mags: tuple, p: ExponentVector) -> float:
-    """The normalized-measure mixed norm of the grid samples whose
-    :func:`_magnitudes` are ``mags``.
-
-    Those are laid out as ``Tensor.array`` is, so the reductions, and with
-    them the bits, are those of ``mixed_norm(Tensor.from_array(np.abs(values)),
-    p)`` without its two grid-sized copies.  The reductions read the
-    magnitudes without writing to them, so one grid's magnitudes serve
-    every norm taken of it.
+    The reductions, and with them the bits, are those of
+    ``mixed_norm(Tensor.from_array(np.abs(values)), p)``: the magnitudes are
+    taken in Fortran order, as ``Tensor.array`` lays them out, so each plan
+    step reduces every axis-0 fibre contiguously, and the range policy of
+    :func:`_prescaled` is decided once, from the grid's largest magnitude,
+    before any reduction.  A grid of one axis or of at most ``_BLOCK``
+    entries takes all its magnitudes at once, and they serve every vector.
+    A larger grid is reduced in blocks of whole columns along its last
+    axis, ``_BLOCK`` entries or one column each: the first plan step of
+    every vector reduces each block's magnitudes into that vector's
+    partials, a Fortran-ordered array of shape ``values.shape[1:]``, which
+    the remaining steps reduce as a whole.  So a norm holds the samples and
+    one block, never a second grid; only the route of :func:`_rescue` (a
+    norm below ``2**-400``, which after the range scaling only a grid of
+    zeros has) takes the whole grid's magnitudes again.
     """
-    arr, e = mags
-    raw = _ldexp(float(_magnitude_norm(arr, p)), e)
-    return raw * _degree_power(arr.shape, [-float(recip) for recip in p.recip])
+    # plain loops: a comprehension's frame would cost a one-block norm
+    # about a third of a microsecond
+    norms = []
+    if values.ndim == 1 or values.size <= _BLOCK:
+        arr, e = _prescaled(np.abs(values, order="F"))
+        for p in ps:
+            norms.append(_magnitude_norm(arr, p))
+    else:
+        width = max(1, _BLOCK // (values.size // values.shape[-1]))  # columns
+        blocks = [np.s_[..., j : j + width] for j in range(0, values.shape[-1], width)]
+        if np.isrealobj(values):
+            tops = [values.max(), -values.min()]
+        else:
+            tops = [np.abs(values[b]).max() for b in blocks]
+        e = _prescaled(np.array(tops))[1]
+        partials = [np.empty(values.shape[1:], order="F") for _ in ps]
+        for b in blocks:
+            mags = np.abs(values[b], order="F")
+            if e:
+                np.ldexp(mags, -e, out=mags)
+            for p, partial in zip(ps, partials):
+                partial[b] = _reduce_axis0(mags, p.plan[0])
+        for p, r in zip(ps, partials):
+            for step in p.plan[1:]:
+                r = _reduce_axis0(r, step)
+            if not _in_range(r):
+                r = _rescue(_prescaled(np.abs(values, order="F"))[0], p, r)
+            norms.append(r)
+    for i, p in enumerate(ps):
+        weight = _degree_power(values.shape, [-float(recip) for recip in p.recip])
+        norms[i] = _ldexp(float(norms[i]), e) * weight
+    return norms
 
 
 def _class_args(t: TrigPoly, r, p) -> tuple:
@@ -885,12 +941,16 @@ def smoothness_margin(t: TrigPoly, r, p) -> float:
     class on the sampled steps.  An order ``r_j`` for which ``(pi/40)**r_j``
     is below the normal float range is refused with ``ValidationError``.
     The norms are those of :func:`trig_lp_norm`, taken of ``t`` moved into
-    range by :func:`_scaled` and scaled back.  For ``p = (2, ..., 2)`` they come from the difference
-    coefficients ``c_k (e^(i k_j h) - 1)^(l_j)`` along axis ``j``, with no
-    grid.  Other exponents take them on the quadrature grid of
-    :func:`_norm_grid`, from one evaluation of ``t`` and one ``rfft`` per
-    axis (two for a complex ``t``: real and imaginary part) for all four
-    steps; each difference goes back through :func:`_difference`.
+    range by :func:`_scaled` and scaled back.  For ``p = (2, ..., 2)`` they
+    come from the difference coefficients ``c_k (e^(i k_j h) - 1)^(l_j)``
+    along axis ``j``, with no grid.  Other exponents take them on the
+    quadrature grid of :func:`_norm_grid`, from one evaluation of ``t`` and
+    one ``rfft`` per axis (two for a complex ``t``: real and imaginary part)
+    for all four steps; each difference goes back through
+    :func:`_difference` and is reduced by :func:`_grid_norms`, in blocks of
+    columns on a grid of more than ``_BLOCK`` entries, so beside the
+    samples, their spectra and the difference a norm holds one block of
+    magnitudes, never another grid.
     """
     rr, p = _class_args(t, r, p)
     for j, rj in enumerate(rr):
@@ -914,7 +974,7 @@ def smoothness_margin(t: TrigPoly, r, p) -> float:
         else:
             spectra = _half_spectra(vals, j)
             diff = (_difference(spectra, h, j, lj, vals.shape[j]) for h in _MARGIN_STEPS)
-            norms = (_grid_norm(values, p) for values in diff)
+            norms = (_grid_norms(values, p)[0] for values in diff)
         for h, norm in zip(_MARGIN_STEPS, norms):
             worst = max(worst, norm / float(h) ** float(rj))
     return _ldexp(worst, e)

@@ -2,6 +2,7 @@
 real inverse transform for real polynomials), and the work they skip."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,13 +14,14 @@ from anisowidth import (
     TrigPoly,
     ValidationError,
     approximation_rate,
+    bernstein_ratio,
     mixed_norm,
     nikolskii_ratio,
     samples_to_trigpoly,
     trig_lp_norm,
 )
 from anisowidth.mixed_norm import as_exponents
-from anisowidth.trig_approx import _degree_power, _grid_norm, _norm_grid, smoothness_margin
+from anisowidth.trig_approx import _degree_power, _grid_norms, _norm_grid, smoothness_margin
 
 EXPONENTS = (1, 1.5, 2, 3, 4, math.inf)
 
@@ -188,6 +190,17 @@ def scaled(values, e):
     return out
 
 
+def complex_poly(degree, seed):
+    shape = tuple(2 * N + 1 for N in degree)
+    rng = np.random.default_rng(seed)
+    return TrigPoly(degree, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+# Grids of several blocks (_BLOCK = 2**15 entries): the block width is
+# _BLOCK // 600 = 54 columns for (600, 120), 64 for (512, 128), 27 for
+# (40, 30, 100) and 32 for (32, 32, 96), and one column of 40,000 entries
+# for (200, 200, 3).  So the last axes of (512, 128) and (32, 32, 96) are
+# multiples of the width, and the others are not.
 @settings(max_examples=300, deadline=None)
 @given(
     polys_on_grids(),
@@ -195,36 +208,86 @@ def scaled(values, e):
     st.sampled_from(("C", "F")),
     st.integers(-1070, 1015),
     st.lists(st.sampled_from(EXPONENTS), min_size=3, max_size=3),
+    st.lists(st.sampled_from(EXPONENTS), min_size=3, max_size=3),
+    st.integers(0, 12),
 )
-@example((TrigPoly((1,), [1, 2, 3]), (5,)), True, "C", 400, [2, 2, 2])
-@example((TrigPoly((2, 1), np.ones((5, 3))), (5, 4)), False, "F", -400, [1, 3, 2])
-def test_grid_norm_is_the_tensor_norm_bit_for_bit(case, real, order, e, p):
-    # on data beyond 2**+-300 both take the power-of-two rescaling route
+@example((TrigPoly((1,), [1, 2, 3]), (5,)), True, "C", 400, [2, 2, 2], [1, 1, 1], 0)
+@example((TrigPoly((2, 1), np.ones((5, 3))), (5, 4)), False, "F", -400, [1, 3, 2], [4, 4, 4], 0)
+@example((TrigPoly.random_real((3, 2), np.random.default_rng(1)), (600, 120)),
+         True, "C", 290, [3, 2, 1], [math.inf, 1.5, 1], 54)
+@example((complex_poly((3, 2), 1), (600, 120)), False, "F", 290, [2, 1, 1], [1, 3, 1], 12)
+@example((complex_poly((2, 3), 2), (600, 120)), False, "F", 700, [1, 4, 1], [2, 2, 1], 0)
+@example((complex_poly((2, 3), 3), (512, 128)), False, "C", -700, [math.inf, 3, 1], [1.5, 1, 1], 0)
+@example((TrigPoly.random_real((4, 4), np.random.default_rng(4)), (512, 128)),
+         True, "F", 515, [2, 4, 1], [1, math.inf, 1], 0)
+@example((TrigPoly.random_real((2, 2, 3), np.random.default_rng(5)), (40, 30, 100)),
+         True, "F", -700, [4, 1, 1.5], [math.inf, 3, 2], 30)
+@example((complex_poly((1, 1, 1), 6), (32, 32, 96)), False, "C", 290, [1.5, 2, 3], [1, 1, 4], 40)
+@example((complex_poly((2, 1, 2), 7), (40, 30, 100)), True, "C", -1000, [3, math.inf, 1], [2, 2, 2], 0)
+@example((TrigPoly.random_real((1, 1, 1), np.random.default_rng(8)), (200, 200, 3)),
+         False, "F", 700, [1, 2, 4], [math.inf, 1.5, 3], 1)
+@example((TrigPoly((1, 1)), (600, 120)), True, "C", 0, [3, 2, 1], [1, math.inf, 1], 0)
+def test_grid_norm_is_the_tensor_norm_bit_for_bit(case, real, order, e, p, q, tiny):
+    # on data beyond 2**+-300 both take the power-of-two rescaling route;
+    # the first and the last `tiny` columns along the last axis are moved
+    # 2**-660 below the rest, so that whole blocks can lie below 2**-300 in a
+    # grid whose largest entry lies in range (e = 290), which a rescaling
+    # by the tiny blocks' maximum would make overflow
     t, grid = case
     values = t.values(grid)
     if real:
         values = values.real
     values = np.asarray(scaled(values, e), order=order)
-    p = as_exponents(p[: len(grid)])
-    assert same_bytes(_grid_norm(values, p), full_grid_norm(values, p))
+    for ends in (np.s_[..., :tiny], np.s_[..., grid[-1] - tiny :]):
+        values[ends] = scaled(values[ends], -660)
+    p, q = as_exponents(p[: len(grid)]), as_exponents(q[: len(grid)])
+    got = _grid_norms(values, p, q)
+    assert same_bytes(got, [full_grid_norm(values, p), full_grid_norm(values, q)])
+    assert same_bytes(_grid_norms(values, q)[0], got[1])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_grid_norm_refuses_non_finite_samples_as_the_tensor_norm_does(bad, order):
-    t = TrigPoly.random_real((2, 3), np.random.default_rng(4))
-    values = np.asarray(t.values((7, 9)), order=order)
-    values[3, 5] = bad
-    p = as_exponents((2, 3))
-    with pytest.raises(ValidationError) as want:
-        full_grid_norm(values, p)
-    with pytest.raises(ValidationError) as got:
-        _grid_norm(values, p)
-    assert str(got.value) == str(want.value)
+    # one grid of one block, and real and complex grids of several blocks
+    # with the bad entry in their last block
+    real = TrigPoly.random_real((2, 3), np.random.default_rng(4))
+    for t, grid, at in [
+        (real, (7, 9), (3, 5)),
+        (real, (600, 120), (590, 115)),
+        (complex_poly((2, 3), 4), (600, 120), (7, 119)),
+    ]:
+        values = np.asarray(t.values(grid), order=order)
+        values[at] = bad
+        p = as_exponents((2, 3))
+        with pytest.raises(ValidationError) as want:
+            full_grid_norm(values, p)
+        with pytest.raises(ValidationError) as got:
+            _grid_norms(values, p)
+        assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
 # work done
+
+
+def test_bernstein_ratio_holds_less_than_two_grids():
+    # A 64 x 64 polynomial's quadrature grid is 540 x 540.  Each norm holds
+    # its samples and one block of magnitudes, never a second grid; a
+    # Fortran-ordered copy of the magnitudes beside the samples, and the
+    # powers of either, would take the peak past two grids.
+    t = TrigPoly.random_real((64, 64), np.random.default_rng(1))
+    args = (t, (1, 1), (0, 0), (3, 3))
+    bernstein_ratio(*args)  # keeps the grid's plans
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        bernstein_ratio(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 540 * 540 * 8
 
 
 def test_nikolskii_ratio_evaluates_the_polynomial_once(monkeypatch):

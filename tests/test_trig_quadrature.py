@@ -15,7 +15,7 @@ from anisowidth.trig_approx import (
     _MARGIN_STEPS,
     _degree_power,
     _difference,
-    _grid_norm,
+    _grid_norms,
     _half_spectra,
     _norm_grid,
     _smooth_length,
@@ -46,9 +46,9 @@ def grid_margin(t, r):
     two = as_exponents((2,) * t.d)
     values = t.values(_norm_grid(t.degree))
     return max(
-        _grid_norm(
+        _grid_norms(
             _difference(_half_spectra(values, j), h, j, math.floor(rj) + 1, values.shape[j]), two
-        ) / h**rj
+        )[0] / h**rj
         for j, rj in enumerate(r)
         for h in _MARGIN_STEPS
     )
