@@ -29,7 +29,7 @@ from .mixed_norm import (
     PropertyViolation,
     ValidationError,
     as_exponents,
-    _require_dim,
+    _require_axes,
     _require_int,
     _require_ints,
     _require_type,
@@ -245,12 +245,8 @@ class BallProblem:
         object.__setattr__(self, "n", _require_int("n", self.n))
         object.__setattr__(self, "p", as_exponents(self.p))
         object.__setattr__(self, "q", as_exponents(self.q))
-        if not (self.p.d == self.q.d == self.d):
-            raise ValidationError("dimension mismatch among k, p, q")
-        if 2 * self.n > self.K:
-            raise ValidationError(
-                f"n={self.n} exceeds half the total dimension K={self.K}"
-            )
+        _require_axes("k, p, q", self.d, self.p.d, self.q.d)
+        _require_int("n", self.n, most=self.K // 2)
 
     @property
     def K(self) -> int:
@@ -426,11 +422,9 @@ class VSet:
     def __post_init__(self):
         object.__setattr__(self, "k", _require_ints("box side", self.k, 1))
         object.__setattr__(self, "s", _require_ints("block side", self.s, 1))
-        if len(self.k) != len(self.s):
-            raise ValidationError("k and s must have the same length")
+        _require_axes("k, s", len(self.k), len(self.s))
         for kj, sj in zip(self.k, self.s):
-            if sj > kj:
-                raise ValidationError(f"block side {sj} outside [1, {kj}]")
+            _require_int("block side", sj, 1, kj)
 
     @property
     def K(self) -> int:
@@ -444,5 +438,5 @@ class VSet:
 def vset_l2_lower(v: VSet, n: int) -> float:
     """Exact Euclidean width lower bound ``sqrt(prod s) * sqrt(1 - n/K)``."""
     _require_type("v", v, VSet)
-    n = _require_dim(n, v.K)
+    n = _require_int("n", n, most=v.K)
     return math.sqrt(math.prod(v.s)) * math.sqrt(1.0 - n / v.K)

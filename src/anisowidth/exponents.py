@@ -32,6 +32,7 @@ from .mixed_norm import (
     as_exponents,
     _entries,
     _recip_of,
+    _require_axes,
     _require_int,
 )
 
@@ -184,8 +185,7 @@ def sorted_profile(p, q) -> SortedProfile:
     """Compute weights, the stable sort, and the split points mu, nu, J."""
     p = as_exponents(p)
     q = as_exponents(q)
-    if p.d != q.d:
-        raise ValidationError(f"dimension mismatch: p has {p.d} axes, q has {q.d}")
+    _require_axes("p, q", p.d, q.d)
     _require_q_range(q)
     return _profile(p, q)
 
@@ -230,10 +230,7 @@ def _tables(p, q, r):
     p = as_exponents(p)
     q = as_exponents(q)
     rr = smoothness_vector(r)
-    if not (p.d == q.d == len(rr)):
-        raise ValidationError(
-            f"dimension mismatch: p has {p.d}, q has {q.d}, r has {len(rr)} axes"
-        )
+    _require_axes("p, q, r", p.d, q.d, len(rr))
     return _sorted_axes(p, q, [1 / v for v in rr])
 
 
@@ -266,8 +263,7 @@ def _require_two_blocks(p: ExponentVector, q: ExponentVector, nu_split: int):
     """The two-block pattern: ``1 <= p_j <= q_j <= 2`` on the first
     ``nu_split`` axes, ``q_j <= p_j`` on the rest."""
     d = p.d
-    if _require_int("nu_split", nu_split) > d:
-        raise ValidationError(f"nu_split={nu_split} outside 0..{d}")
+    _require_int("nu_split", nu_split, most=d)
     for j in range(nu_split):
         if not (p.recip[j] >= q.recip[j] >= _HALF):
             raise ValidationError(
@@ -343,9 +339,7 @@ def width_exponent_low_q(p, q, r, nu_split: int) -> WidthOrder:
     p = as_exponents(p)
     q = as_exponents(q)
     rr = smoothness_vector(r)
-    d = p.d
-    if not (q.d == d == len(rr)):
-        raise ValidationError("dimension mismatch among p, q, r")
+    _require_axes("p, q, r", p.d, q.d, len(rr))
     _require_two_blocks(p, q, nu_split)
     ir = [1 / v for v in rr]
     theta = _margin(ir, q.recip, p.recip, 0, nu_split) / sum(ir)

@@ -57,14 +57,28 @@ class ValidationError(ValueError):
     """Malformed input: bad shapes, exponents out of range, NaN data."""
 
 
-def _require_int(name: str, value, least: int = 0) -> int:
-    """``value`` as an ``int``; a boolean, a non-integer or an integer below
-    ``least`` is refused.  Numpy integers are accepted."""
+def _require_int(name: str, value, least: int = 0, most=None) -> int:
+    """``value`` as an ``int``; a boolean, a non-integer, an integer below
+    ``least`` or one above ``most`` (when given) is refused.  Numpy
+    integers are accepted."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValidationError(f"{name} must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise ValidationError(f"{name} must be at most {most}, got {value}")
     return int(value)
+
+
+def _require_axes(what: str, *counts: int) -> int:
+    """The axis count shared by the arguments named in ``what``, whose
+    counts are ``counts`` in that order; counts that differ are refused,
+    each named."""
+    if len(set(counts)) > 1:
+        raise ValidationError(
+            f"dimension mismatch among {what}: {', '.join(map(str, counts))} axes"
+        )
+    return counts[0]
 
 
 def _require_type(name: str, value, kind: type):
@@ -94,15 +108,18 @@ def _entries(what: str, v) -> tuple:
 
 def _array(what: str, data, dtype=np.float64) -> np.ndarray:
     """The data argument ``data`` as an array of ``dtype``, as
-    ``np.asarray`` converts it (``Fraction`` entries included).  A string or
-    bytes, an array of them or holding one among other entries, and
-    whatever numpy cannot take as ``dtype`` are refused, so a numeric
-    string is never read as a number."""
+    ``np.asarray`` converts it (``Fraction`` entries included); ``dtype =
+    None`` picks ``complex`` for data that numpy reads as complex and
+    ``float64`` for the rest.  A string or bytes, an array of them or
+    holding one among other entries, and whatever numpy cannot take as
+    ``dtype`` are refused, so a numeric string is never read as a number."""
     try:
         raw = None if isinstance(data, (str, bytes)) else np.asarray(data)
         if raw is not None and raw.dtype.kind not in "SU" and not (
             raw.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in raw.flat)
         ):
+            if dtype is None:
+                dtype = complex if raw.dtype.kind == "c" else np.float64
             return np.asarray(data, dtype=dtype)
     except (TypeError, ValueError):
         pass
@@ -113,14 +130,6 @@ def _require_ints(what: str, v, least: int = 0) -> tuple:
     """The entries of the vector argument ``v`` (:func:`_entries`) as ints,
     each checked by :func:`_require_int`."""
     return tuple([_require_int(what, x, least) for x in _entries(what, v)])
-
-
-def _require_dim(n, K: int) -> int:
-    """The subspace dimension ``n`` as an ``int`` in ``[0, K]``."""
-    n = _require_int("n", n)
-    if n > K:
-        raise ValidationError(f"need 0 <= n <= {K}, got n={n}")
-    return n
 
 
 class PropertyViolation(AssertionError):
@@ -507,8 +516,7 @@ def mixed_norm(x: Tensor, p) -> float:
     """
     _require_type("x", x, Tensor)
     p = as_exponents(p)
-    if p.d != x.d:
-        raise ValidationError(f"exponent vector has {p.d} axes, tensor has {x.d}")
+    _require_axes("x, p", x.d, p.d)
     arr, e = _prescaled(x.array)
     return _ldexp(float(_mixed_norm_array(arr, p)), e)
 
@@ -524,8 +532,7 @@ def norming_functional(x: Tensor, p) -> Tensor:
     """
     _require_type("x", x, Tensor)
     p = as_exponents(p)
-    if p.d != x.d:
-        raise ValidationError(f"exponent vector has {p.d} axes, tensor has {x.d}")
+    _require_axes("x, p", x.d, p.d)
     return Tensor.from_array(_norming_array(_prescaled(x.array)[0], p)[1])
 
 

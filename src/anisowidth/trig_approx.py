@@ -28,12 +28,13 @@ the package's memo rule, ``lru_cache(maxsize=256, typed=True)``
 result shares memory with them, and nothing is kept that depends on a
 polynomial's coefficients.
 Kernel and taper orders must be finite and >= 1, Weyl orders finite and
->= 0, phases and other real scalars finite numbers (:func:`_finite`; a
-taper order is checked as a real number without conversion, so a huge
-int stays exact); sample points and coefficients numbers that numpy
-converts, not strings (:func:`anisowidth.mixed_norm._array`), and sample
-points and frequencies finite ones (:func:`_finite_array`); and a
-polynomial argument a :class:`TrigPoly`.  Anything else is refused with
+>= 0 and small enough that the result's coefficients stay finite, phases
+and other real scalars finite numbers (:func:`_finite`; a taper order is
+checked as a real number without conversion, so a huge int stays exact);
+sample points, samples and coefficients finite numbers that numpy
+converts, not strings (:func:`_finite_array`, through
+:func:`anisowidth.mixed_norm._array`); and a polynomial argument a
+:class:`TrigPoly`.  Anything else is refused with
 :class:`ValidationError`, so no input yields NaN.
 """
 
@@ -65,6 +66,7 @@ from .mixed_norm import (
     _prescaled,
     _rescue,
     _reduce_axis0,
+    _require_axes,
     _require_int,
     _require_ints,
     _require_type,
@@ -116,8 +118,7 @@ def _spectrum_positions(degree: tuple, grid: tuple) -> tuple:
     grid that resolves it (``G_j >= 2 N_j + 1``), in frequency order:
     computed once per pair of int tuples and kept read-only (a refusal is
     not kept, so it is raised again on every call)."""
-    if len(grid) != len(degree):
-        raise ValidationError(f"grid {grid} and degree {degree} differ in dimension")
+    _require_axes("grid, degree", len(grid), len(degree))
     for G, N in zip(grid, degree):
         if G < 2 * N + 1:
             raise ValidationError(f"grid {G} aliases a degree-{N} band (need >= {2 * N + 1})")
@@ -150,11 +151,11 @@ def _finite(what: str, v) -> float:
     return f
 
 
-def _finite_array(what: str, data) -> np.ndarray:
-    """The sample data ``data`` as :func:`anisowidth.mixed_norm._array`
-    converts it, every entry finite: a NaN (``None`` reads as one) or an
+def _finite_array(what: str, data, dtype=np.float64) -> np.ndarray:
+    """The data ``data`` as :func:`anisowidth.mixed_norm._array` converts
+    it to ``dtype``, every entry finite: a NaN (``None`` reads as one) or an
     infinity is refused."""
-    a = _array(what, data)
+    a = _array(what, data, dtype)
     if not np.isfinite(a).all():
         raise ValidationError(f"{what} must be finite, got {reprlib.repr(data)}")
     return a
@@ -190,7 +191,7 @@ class TrigPoly:
         if coeff is None:
             coeff = np.zeros(shape, dtype=complex)
         else:
-            coeff = _array("coefficients", coeff, complex)
+            coeff = _finite_array("coefficients", coeff, complex)
             if coeff.shape != shape:
                 raise ValidationError(
                     f"coefficient array shape {coeff.shape} does not match degree {degree}"
@@ -219,9 +220,8 @@ class TrigPoly:
     def _index(self, k) -> tuple:
         """Array index of the integer frequency vector ``k`` (an int when d = 1)."""
         k = (k,) if np.ndim(k) == 0 else tuple(k)
-        index = tuple(_require_int("frequency", kj, -Nj) + Nj for kj, Nj in zip(k, self.degree))
-        if len(k) != self.d or any(i > 2 * Nj for i, Nj in zip(index, self.degree)):
-            raise ValidationError(f"frequency {k} is not an integer vector in box {self.degree}")
+        index = tuple(_require_int("frequency", kj, -Nj, Nj) + Nj for kj, Nj in zip(k, self.degree))
+        _require_axes("k, degree", len(k), self.d)
         return index
 
     def c(self, k: Sequence[int]) -> complex:
@@ -231,7 +231,11 @@ class TrigPoly:
     def from_coeff_dict(cls, degree, entries: dict) -> "TrigPoly":
         out = cls(degree)
         for k, v in entries.items():
-            out.coeff[out._index(k)] = v
+            index = out._index(k)
+            value = _finite_array("coefficients", v, complex)
+            if value.ndim:
+                raise ValidationError(f"coefficients must be numbers, got {reprlib.repr(v)}")
+            out.coeff[index] = value
         return out
 
     @classmethod
@@ -342,7 +346,7 @@ def samples_to_trigpoly(values: np.ndarray, degree) -> TrigPoly:
     the same entries as in the full transform, so the coefficients are
     those of ``fftn(values)[band] / prod(grid)`` bit for bit.
     """
-    values = spec = np.asarray(values)
+    values = spec = _finite_array("samples", values, None)
     degree = _require_ints("degree", degree)
     positions = _spectrum_positions(degree, values.shape)
     for axis in reversed(range(values.ndim)):
@@ -451,8 +455,7 @@ def _taper(f: TrigPoly, N: tuple) -> TrigPoly:
     weights of each axis come from :func:`_taper_weights`; :func:`_along`
     multiplies into a fresh array, so no result shares memory with them."""
     _require_type("f", f, TrigPoly)
-    if f.d != len(N):
-        raise ValidationError("degree vector dimension mismatch")
+    _require_axes("f, N", f.d, len(N))
     out_deg = tuple(min(Nf, 2 * Nj - 1) for Nf, Nj in zip(f.degree, N))
     coeff = f.coeff[_band(out_deg, f.degree)]
     for axis, (Nj, Dj) in enumerate(zip(N, out_deg)):
@@ -604,16 +607,22 @@ def dyadic_block(f, r, m: int) -> TrigPoly:
 def _weyl(t: TrigPoly, axis: int, r, alpha, sign: int) -> TrigPoly:
     """Multiply frequency ``k != 0`` along a 1-based axis by
     ``|k|^(sign r) e^(i sign sgn(k) alpha pi/2)``; the zero frequency goes
-    to zero for ``r > 0`` and keeps its phase factor 1 for ``r = 0``."""
+    to zero for ``r > 0`` and keeps its phase factor 1 for ``r = 0``.  An
+    order that takes a coefficient of the result out of the float range
+    (an infinite multiplier gives NaN next to a zero coefficient) is
+    refused."""
     _require_type("t", t, TrigPoly)
-    if _require_int("axis", axis, 1) > t.d:
-        raise ValidationError(f"axis {axis} outside 1..{t.d}")
+    _require_int("axis", axis, 1, t.d)
     r = _finite("Weyl order", r)
     if r < 0:
         raise ValidationError(f"Weyl order must be finite and >= 0, got {r}")
     alpha = _finite("phase alpha", alpha)
-    mult = _weyl_multiplier(t.degree[axis - 1], r, alpha, sign)
-    return TrigPoly._of(t.degree, _along(t.coeff, axis - 1, mult))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mult = _weyl_multiplier(t.degree[axis - 1], r, alpha, sign)
+        coeff = _along(t.coeff, axis - 1, mult)
+    if not np.isfinite(coeff).all():
+        raise ValidationError(f"Weyl order {r} takes a coefficient out of the float range")
+    return TrigPoly._of(t.degree, coeff)
 
 
 @functools.lru_cache(maxsize=256, typed=True)
@@ -641,7 +650,8 @@ def weyl_derivative(t: TrigPoly, axis: int, r, alpha) -> TrigPoly:
     Frequency ``k`` picks up ``|k|^r e^(i sgn(k) alpha pi/2)``; the zero
     frequency is annihilated for ``r > 0`` and kept for ``r = 0`` (so
     ``r = 0, alpha = 0`` is the identity).  ``axis`` is 1-based; ``r`` must
-    be finite and ``>= 0`` and ``alpha`` finite.
+    be finite and ``>= 0``, small enough that every coefficient of the
+    result is finite, and ``alpha`` finite.
     """
     return _weyl(t, axis, r, alpha, 1)
 
@@ -683,8 +693,7 @@ def trig_lp_norm(t: TrigPoly, p) -> float:
     """
     _require_type("t", t, TrigPoly)
     p = as_exponents(p)
-    if p.d != t.d:
-        raise ValidationError("exponent vector dimension mismatch")
+    _require_axes("t, p", t.d, p.d)
     if _is_flat_two(p):
         return _l2_norm(t.coeff)
     t, e = _scaled(t)
@@ -780,8 +789,7 @@ def nikolskii_ratio(t: TrigPoly, p, q) -> float:
     _require_type("t", t, TrigPoly)
     p = as_exponents(p)
     q = as_exponents(q)
-    if not (p.d == q.d == t.d):
-        raise ValidationError("dimension mismatch among t, p, q")
+    _require_axes("t, p, q", t.d, p.d, q.d)
     np_val, nq_val = _norms(_scaled(t)[0], p, q)
     if np_val == 0:
         raise ValidationError("zero polynomial has no norm ratio")
@@ -803,8 +811,7 @@ def bernstein_ratio(t: TrigPoly, r, alpha, p) -> float:
     p = as_exponents(p)
     r = _entries("derivative orders r", r)
     alpha = _entries("phases alpha", alpha)
-    if not (len(r) == len(alpha) == t.d == p.d):
-        raise ValidationError("dimension mismatch among t, r, alpha, p")
+    _require_axes("t, r, alpha, p", t.d, len(r), len(alpha), p.d)
     r = [_finite("derivative order", rj) for rj in r]
     alpha = [_finite("phase alpha", aj) for aj in alpha]
     for j, (rj, aj) in enumerate(zip(r, alpha)):
@@ -928,8 +935,7 @@ def _class_args(t: TrigPoly, r, p) -> tuple:
     _require_type("t", t, TrigPoly)
     p = as_exponents(p)
     rr = smoothness_vector(r)
-    if not (p.d == len(rr) == t.d):
-        raise ValidationError("dimension mismatch among t, r, p")
+    _require_axes("t, r, p", t.d, len(rr), p.d)
     return rr, p
 
 

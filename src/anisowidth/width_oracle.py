@@ -78,7 +78,7 @@ from .mixed_norm import (
     _mixed_norm_array,
     _norming_array,
     _prescaled,
-    _require_dim,
+    _require_axes,
     _require_int,
     _require_type,
 )
@@ -108,14 +108,16 @@ class OracleConfig:
 
     restarts: int = 4
     outer_iterations: int = 60
-    point_budget: int = 256
     seed: int = 0
 
     def __post_init__(self):
         _require_int("restarts", self.restarts)
         _require_int("outer_iterations", self.outer_iterations, 1)
-        _require_int("point_budget", self.point_budget, 2)
         _require_int("seed", self.seed)
+
+
+# points of a sandwich report: the corner-block orbit, then ball points
+_POINT_BUDGET = 256
 
 
 def harmonic_frame(K: int, n: int) -> np.ndarray:
@@ -130,7 +132,7 @@ def harmonic_frame(K: int, n: int) -> np.ndarray:
     of the real Fourier basis.
     """
     K = _require_int("K", K, 1)
-    n = _require_dim(n, K)
+    n = _require_int("n", n, most=K)
     if n == 0:
         return np.zeros((K, 0))
     i = np.arange(K)
@@ -349,7 +351,7 @@ def _stack_points(points: Sequence[Tensor], n) -> tuple:
         if pt.shape != shape:
             raise ValidationError("all points must share one shape")
     X = np.stack([pt.data for pt in points])
-    n = _require_dim(n, X.shape[1])
+    n = _require_int("n", n, most=X.shape[1])
     X, e = _prescaled(X)
     return X, shape, n, e
 
@@ -662,8 +664,7 @@ def _width_upper(X, shape, n, e, q, cfg) -> WidthEstimate:
     cfg = cfg or OracleConfig()
     q = as_exponents(q)
     K = X.shape[1]
-    if q.d != len(shape):
-        raise ValidationError("exponent vector and point dimension mismatch")
+    _require_axes("points, q", len(shape), q.d)
     if n == 0:
         val = _mixed_norm_array(X.T.reshape(shape + (X.shape[0],), order="F"), q).max()
         return WidthEstimate(
@@ -725,9 +726,8 @@ def width_lower_vset(v: VSet, n: int, q) -> float:
     """
     _require_type("v", v, VSet)
     q = as_exponents(q)
-    if q.d != v.d:
-        raise ValidationError("exponent vector and block dimension mismatch")
-    n = _require_dim(n, v.K)
+    _require_axes("v, q", v.d, q.d)
+    n = _require_int("n", n, most=v.K)
     _require_q_range(q)
     if _is_flat_two(q):
         return vset_l2_lower(v, n)
@@ -864,11 +864,12 @@ def sandwich_report(
     plus ball points, so ``upper`` is the width witnessed by one subspace
     for the hull of those sampled points, not a certified upper bound on
     the ball's width: the hull is the whole ball only when every ``p_j`` is
-    1 or inf and all of the ball's vertices fit in the point budget;
-    otherwise the ball points are random boundary samples.  The orbit is
-    enumerated by :func:`_orbit_points` when it fits the point budget, and
-    the report is then ``certified``: the bracket must hold and is
-    asserted, and a violated bracket raises :class:`PropertyViolation`.
+    1 or inf and all of the ball's vertices fit in the point budget
+    (``_POINT_BUDGET``, 256 points); otherwise the ball points are random
+    boundary samples.  The orbit is enumerated by :func:`_orbit_points`
+    when it fits the point budget, and the report is then ``certified``:
+    the bracket must hold and is asserted, and a violated bracket raises
+    :class:`PropertyViolation`.
     A larger orbit is sampled by :func:`_orbit_sample` for half the budget,
     without repeated points, and the report is uncertified.  Appends one
     CSV row per call when ``ledger_path`` is given.
@@ -884,11 +885,11 @@ def sandwich_report(
     scale = PowerProduct(1, [(s, -rp) for s, rp in zip(plan.s, prob.p.recip)]).value()
 
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 31337)))
-    orbit = _orbit_points(v.k, v.s, cfg.point_budget)
-    certified = orbit is not None and len(orbit) <= cfg.point_budget
+    orbit = _orbit_points(v.k, v.s, _POINT_BUDGET)
+    certified = orbit is not None and len(orbit) <= _POINT_BUDGET
     if not certified:
-        orbit = _orbit_sample(v.k, v.s, cfg.point_budget // 2, rng)
-    extras = _ball_extras(prob, cfg.point_budget - len(orbit), rng)
+        orbit = _orbit_sample(v.k, v.s, _POINT_BUDGET // 2, rng)
+    extras = _ball_extras(prob, _POINT_BUDGET - len(orbit), rng)
     points = [scale * arr for arr in orbit] + extras
     X, e = _prescaled(np.stack([np.ravel(x, order="F") for x in points]))
 

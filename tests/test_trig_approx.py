@@ -322,6 +322,18 @@ def test_weyl_axis_validation():
         weyl_derivative(t, 1, -1, 0)
 
 
+def test_weyl_order_that_overflows_is_refused():
+    # 2**2000 overflows, and inf * (1+0j) has a NaN imaginary part: the
+    # derivative had NaN coefficients, and bernstein_ratio refused it only as
+    # non-finite tensor data.
+    t = TrigPoly((2,), [1, 0, 0, 0, 1])
+    with pytest.raises(ValidationError, match="Weyl order 2000.0"):
+        weyl_derivative(t, 1, 2000, 0)
+    with pytest.raises(ValidationError, match="Weyl order 2000.0"):
+        bernstein_ratio(t, (2000,), (0,), (2,))
+    assert weyl_derivative(t, 1, 1000, 0).c(2) == 2.0**1000
+
+
 @pytest.mark.parametrize("fn", [weyl_derivative, weyl_integral])
 @pytest.mark.parametrize(
     "r, alpha", [(math.nan, 0), (math.inf, 0), (1, math.nan), (1, math.inf), (0, -math.inf)]

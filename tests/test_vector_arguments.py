@@ -142,6 +142,8 @@ DATA_ARGUMENTS = {
     "Tensor data": lambda v: Tensor((1,), v),
     "Tensor.from_array": lambda v: Tensor.from_array(v),
     "TrigPoly coefficients": lambda v: TrigPoly((0,), v),
+    "from_coeff_dict entry": lambda v: TrigPoly.from_coeff_dict((0,), {0: v}),
+    "samples_to_trigpoly samples": lambda v: samples_to_trigpoly(v, (0,)),
     "fejer points": lambda v: fejer(2, v),
     "vp_multiplier frequencies": lambda v: vp_multiplier(2, v),
     "vp_power_kernel points": lambda v: vp_power_kernel(2, 1, 0, v),
@@ -164,7 +166,7 @@ def test_data_arrays_are_refused(call, value):
 
 
 SAMPLE_ARGUMENTS = {
-    name: call for name, call in DATA_ARGUMENTS.items() if not name.startswith(("Tensor", "TrigPoly"))
+    name: call for name, call in DATA_ARGUMENTS.items() if not name.startswith("Tensor")
 }
 
 
@@ -175,10 +177,27 @@ SAMPLE_ARGUMENTS = {
 )
 @pytest.mark.parametrize("call", SAMPLE_ARGUMENTS.values(), ids=SAMPLE_ARGUMENTS.keys())
 def test_non_finite_samples_are_refused(call, value):
-    # A NaN or infinite sample point or frequency gave NaN.  Tensor data may
-    # hold an infinity until a norm refuses it, so they are not among these.
+    # A NaN or infinite sample point, frequency, sample or coefficient gave
+    # NaN.  Tensor data may hold an infinity until a norm refuses it, so they
+    # are not among these.
     with pytest.raises(ValidationError, match="must be finite"):
         call(value)
+
+
+@pytest.mark.parametrize("value", [[1, 2], [[1j]]], ids=["pair", "nested"])
+def test_a_coefficient_entry_must_be_one_number(value):
+    # An array entry ended in a raw ValueError or TypeError.
+    with pytest.raises(ValidationError, match="coefficients must be numbers"):
+        TrigPoly.from_coeff_dict((1,), {1: value})
+
+
+@pytest.mark.parametrize("samples", [[0, 1, 5, 2, 7, 3, 1], [0.5j, 1, 5, 2, 7, 3, 1]])
+def test_samples_keep_their_kind(samples):
+    # Real samples are taken as float64 and complex ones as complex128, so
+    # the transform sees the array it saw before the intake checked them.
+    band = np.arange(-2, 3) % 7
+    want = np.fft.fft(np.asarray(samples))[band] / 7
+    assert np.array_equal(samples_to_trigpoly(samples, (2,)).coeff, want)
 
 
 def test_fraction_data_is_accepted():

@@ -90,12 +90,10 @@ def test_harmonic_frame_refuses_non_integers(K, n):
 
 def test_oracle_config_validation():
     assert [f.name for f in fields(OracleConfig)] == [
-        "restarts", "outer_iterations", "point_budget", "seed"
+        "restarts", "outer_iterations", "seed"
     ]
     with pytest.raises(ValidationError):
         OracleConfig(restarts=-1)
-    with pytest.raises(ValidationError):
-        OracleConfig(point_budget=1)
 
 
 @pytest.mark.parametrize(
@@ -105,22 +103,21 @@ def test_oracle_config_validation():
         ("restarts", True),
         ("outer_iterations", 2.5),
         ("outer_iterations", np.True_),
-        ("point_budget", 2.5),
         ("seed", -1),
         ("seed", False),
         ("seed", 1.0),
     ],
 )
 def test_oracle_config_refuses_bad_integers(field, value):
-    # Before these checks a float budget was accepted and raised a raw
-    # TypeError later, and a negative seed a ValueError inside SeedSequence.
+    # Before these checks a negative seed raised a ValueError inside
+    # SeedSequence.
     with pytest.raises(ValidationError, match=field):
         OracleConfig(**{field: value})
 
 
 def test_oracle_config_accepts_numpy_integers():
-    cfg = OracleConfig(restarts=np.int64(1), point_budget=np.int32(8), seed=np.uint8(3))
-    assert (cfg.restarts, cfg.point_budget, cfg.seed) == (1, 8, 3)
+    cfg = OracleConfig(restarts=np.int64(1), outer_iterations=np.int32(8), seed=np.uint8(3))
+    assert (cfg.restarts, cfg.outer_iterations, cfg.seed) == (1, 8, 3)
 
 
 # ---------------------------------------------------------------------------
