@@ -19,6 +19,7 @@ so this module is exact arithmetic alone and imports no numpy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -29,6 +30,9 @@ from .mixed_norm import (
     PropertyViolation,
     ValidationError,
     as_exponents,
+    _entries,
+    _exact,
+    _real,
     _require_axes,
     _require_int,
     _require_ints,
@@ -57,30 +61,50 @@ class PowerProduct:
     """Positive quantity ``coeff * prod base_i ** exp_i`` with exact order.
 
     Bases are integers ``>= 2`` after normalization, ``coeff`` is a positive
-    ``Fraction``.  Exponents are ``int`` or ``Fraction`` (exact path), or
-    float (the comparison then falls back to logarithms).
+    finite real converted by :func:`anisowidth.mixed_norm._exact`, a
+    ``Fraction`` or a float.  Exponents are ``int`` or ``Fraction`` (exact
+    path), or float (the comparison then falls back to logarithms); see
+    :func:`_exponent`.
     """
 
     __slots__ = ("coeff", "factors")
 
     def __init__(self, coeff=Fraction(1), factors=()):
-        coeff = Fraction(coeff) if not isinstance(coeff, float) else coeff
-        if not coeff > 0:
-            raise ValidationError(f"PowerProduct coefficient {coeff} must be positive")
+        self._set(
+            _exact("PowerProduct coefficient", coeff),
+            map(_factor, _entries("PowerProduct factors", factors)),
+        )
+
+    @classmethod
+    def _of(cls, coeff, factors) -> "PowerProduct":
+        """The product of parts already checked, as the arithmetic makes
+        them, without the public intake."""
+        out = object.__new__(cls)
+        out._set(coeff, factors)
+        return out
+
+    def _set(self, coeff, factors) -> None:
+        """Store ``coeff`` and ``factors``, equal bases merged and zero
+        exponents dropped.  Float arithmetic can leave the float range, so
+        a coefficient that is not positive and finite, and a float exponent
+        that is not finite, are refused here, compared rather than passed
+        to ``math.isfinite``, which overflows on a huge ``Fraction``."""
+        if not 0 < coeff < math.inf:
+            raise ValidationError(f"PowerProduct coefficient {coeff} must be positive and finite")
         merged = {}
         for base, exp in factors:
-            base = _require_int("PowerProduct base", base, 1)
             if base == 1 or exp == 0:
                 continue
             merged[base] = merged.get(base, 0) + exp
         self.coeff = coeff
-        self.factors = tuple(
-            (b, e) for b, e in sorted(merged.items()) if e != 0
-        )
+        self.factors = tuple((b, e) for b, e in sorted(merged.items()) if e != 0)
+        for _, e in self.factors:
+            if type(e) is float and not -math.inf < e < math.inf:
+                raise ValidationError(f"PowerProduct exponent must be finite, got {e}")
 
     @classmethod
     def one(cls) -> "PowerProduct":
-        return cls()
+        return cls._of(Fraction(1), ())
 
     @property
     def is_exact(self) -> bool:
@@ -111,26 +135,27 @@ class PowerProduct:
 
     def __mul__(self, other) -> "PowerProduct":
         other = _as_power(other)
-        return PowerProduct(self.coeff * other.coeff, self.factors + other.factors)
+        return PowerProduct._of(self.coeff * other.coeff, self.factors + other.factors)
 
     def __truediv__(self, other) -> "PowerProduct":
         return self * _as_power(other)._inv()
 
     def _inv(self) -> "PowerProduct":
-        return PowerProduct(1 / self.coeff, tuple((b, -e) for b, e in self.factors))
+        return PowerProduct._of(1 / self.coeff, tuple((b, -e) for b, e in self.factors))
 
     def __pow__(self, exp) -> "PowerProduct":
+        exp = _exponent("PowerProduct power", exp)
         if exp == 0:
             return PowerProduct.one()
+        coeff = Fraction(1)
         if self.coeff != 1:
-            if isinstance(exp, int) or (isinstance(exp, Fraction) and exp.denominator == 1):
-                return PowerProduct(
-                    self.coeff ** int(exp), tuple((b, e * exp) for b, e in self.factors)
+            whole = _exact("PowerProduct power", exp)
+            if not (isinstance(whole, Fraction) and whole.denominator == 1):
+                raise ValidationError(
+                    "fractional power of a PowerProduct with a non-unit coefficient"
                 )
-            raise ValidationError(
-                "fractional power of a PowerProduct with a non-unit coefficient"
-            )
-        return PowerProduct(Fraction(1), tuple((b, e * exp) for b, e in self.factors))
+            coeff = self.coeff ** int(whole)
+        return PowerProduct._of(coeff, tuple((b, e * exp) for b, e in self.factors))
 
     def _cmp(self, other) -> int:
         ratio = self / _as_power(other)
@@ -180,7 +205,7 @@ class PowerProduct:
         return self._cmp(other) >= 0
 
     def __eq__(self, other):
-        if not isinstance(other, (PowerProduct, int, Fraction)):
+        if not isinstance(other, (PowerProduct, numbers.Real)):
             return NotImplemented
         return self._cmp(other) == 0
 
@@ -223,12 +248,32 @@ class PowerProduct:
         return f"PowerProduct({self.coeff}{' * ' + body if body else ''})"
 
 
+def _factor(pair) -> tuple:
+    """A factor ``(base, exponent)`` of :class:`PowerProduct`: an int base
+    ``>= 1`` and an exponent (:func:`_exponent`)."""
+    pair = _entries("PowerProduct factor", pair)
+    if len(pair) != 2:
+        raise ValidationError(f"PowerProduct factor must be a (base, exponent) pair, got {pair}")
+    base, exp = pair
+    return _require_int("PowerProduct base", base, 1), _exponent("PowerProduct exponent", exp)
+
+
+def _exponent(what: str, value):
+    """The real scalar ``value`` (:func:`_real`) as an exponent of
+    :class:`PowerProduct`, kept in its kind: an integral value as an int,
+    a ``Fraction`` as :func:`_exact` gives it, any other real as a float.
+    Unlike :func:`_exact`, an integer-valued float stays a float: a float
+    exponent stands for a rounded real, so the product is not exact and is
+    compared by logarithms (``is_exact``)."""
+    if isinstance(_real(what, value), numbers.Integral):
+        return int(value)
+    if isinstance(value, Fraction):
+        return _exact(what, value)
+    return float(value)
+
+
 def _as_power(v) -> PowerProduct:
-    if isinstance(v, PowerProduct):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return PowerProduct(Fraction(v))
-    raise ValidationError(f"cannot interpret {v!r} as a positive product")
+    return v if isinstance(v, PowerProduct) else PowerProduct(v)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .mixed_norm import (
     ValidationError,
     as_exponents,
     _entries,
+    _exact,
     _recip_of,
     _require_axes,
     _require_int,
@@ -70,25 +71,18 @@ def smoothness_vector(r) -> tuple:
     so their sum must then stay finite in every summation order; exact
     (``Fraction``) sums are not bounded.
 
-    Integer-valued floats are upgraded to ``Fraction`` so that common inputs
-    like ``2.0`` keep the exact-arithmetic path.
+    Each entry is converted by :func:`anisowidth.mixed_norm._exact`, so an
+    integer-valued float such as ``2.0`` keeps the exact-arithmetic path.
     """
     out = []
-    for v in _entries("smoothness vector", r):
-        if isinstance(v, bool) or isinstance(v, str):
-            raise ValidationError(f"bad smoothness entry {v!r}")
-        if isinstance(v, (int, Fraction)):
-            if v <= 0:
-                raise ValidationError(f"smoothness entries must be positive, got {v}")
-            out.append(Fraction(v))
-        elif isinstance(v, float):
-            if not (math.isfinite(v) and v > 0):
-                raise ValidationError(f"smoothness entries must be positive, got {v}")
-            if math.isinf(1 / v):
-                raise ValidationError(f"smoothness entry {v!r} has no finite reciprocal 1/r")
-            out.append(Fraction(int(v)) if v.is_integer() else v)
-        else:
-            raise ValidationError(f"bad smoothness entry type {type(v).__name__}")
+    for value in _entries("smoothness vector", r):
+        v = _exact("smoothness entry", value)
+        # compared as given: an int or a float compares faster than a Fraction
+        if not 0 < value < math.inf:
+            raise ValidationError(f"smoothness entries must be positive, got {value}")
+        if isinstance(v, float) and math.isinf(1 / v):
+            raise ValidationError(f"smoothness entry {v!r} has no finite reciprocal 1/r")
+        out.append(v)
     if not out:
         raise ValidationError("smoothness vector must have at least one axis")
     if any(isinstance(v, float) for v in out):

@@ -12,8 +12,9 @@ Normalized grid norms for periodic functions live in
 Conventions
 -----------
 * Exponents are stored through their reciprocals, ``recip = 1/p`` with
-  ``recip = 0`` meaning ``p = inf``.  Integer and ``Fraction`` inputs keep
-  exact rational reciprocals; float inputs degrade that entry to float.
+  ``recip = 0`` meaning ``p = inf``.  Integer, ``Fraction`` and
+  integer-valued float inputs keep exact rational reciprocals; other float
+  inputs degrade that entry to float.
 * A :class:`Tensor` stores a flat ``float64`` buffer in which axis 1 is the
   fastest-varying index.  For a nested list input this means the innermost
   list runs along axis 1.
@@ -59,9 +60,10 @@ class ValidationError(ValueError):
 
 def _require_int(name: str, value, least: int = 0, most=None) -> int:
     """``value`` as an ``int``; a boolean, a non-integer, an integer below
-    ``least`` or one above ``most`` (when given) is refused.  Numpy
-    integers are accepted."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+    ``least`` or one above ``most`` (when given) is refused.  Any
+    ``numbers.Integral``, a numpy integer too, is accepted."""
+    # the concrete type first: it is found faster than the ABC
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValidationError(f"{name} must be at least {least}, got {value}")
@@ -81,11 +83,35 @@ def _require_axes(what: str, *counts: int) -> int:
     return counts[0]
 
 
+def _real(what: str, value):
+    """``value`` itself when it is a real scalar: a ``numbers.Real`` that is
+    not a ``bool`` (ints, floats, ``Fraction``s and numpy reals), not
+    converted, so a huge int or a ``Fraction`` stays exact.  Anything else
+    is refused: a bool (numpy's too), a string, ``None``, a ``Decimal``, a
+    complex number or an array."""
+    # the concrete types first: they are found faster than the ABC
+    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction, numbers.Real)):
+        raise ValidationError(f"{what} must be a real number, got {reprlib.repr(value)}")
+    return value
+
+
+def _exact(what: str, value) -> Union[Fraction, float]:
+    """The real scalar ``value`` (:func:`_real`) as a ``Fraction`` when it
+    is integral, a ``Fraction`` or an integer-valued float, so that ``2.0``
+    keeps the exact path; any other real as a float."""
+    # int() first: a Fraction of a numpy integer keeps numpy arithmetic,
+    # which wraps around
+    if isinstance(_real(what, value), Fraction):
+        n, d = value.numerator, value.denominator
+        return value if type(n) is type(d) is int else Fraction(int(n), int(d))
+    if not isinstance(value, float) and isinstance(value, (int, numbers.Integral)):
+        return Fraction(int(value))
+    value = float(value)
+    return Fraction(int(value)) if value.is_integer() else value
+
+
 def _require_type(name: str, value, kind: type):
-    """``value`` itself when it is a ``kind``; anything else is refused.  A
-    real scalar is checked with ``kind = numbers.Real`` (ints, floats,
-    ``Fraction``s and numpy reals), so it is not converted and a huge int
-    or a ``Fraction`` stays exact; a string or ``None`` is refused."""
+    """``value`` itself when it is a ``kind``; anything else is refused."""
     if not isinstance(value, kind):
         raise ValidationError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
     return value
@@ -141,28 +167,15 @@ class DeskScaleError(ValueError):
 
 
 def _recip_of(value) -> Union[Fraction, float]:
-    """Reciprocal of an exponent value, exact for int/Fraction inputs."""
-    if isinstance(value, np.integer):
-        value = int(value)
-    elif isinstance(value, np.floating):
-        value = float(value)
-    if value == math.inf:
+    """Reciprocal of an exponent value (:func:`_exact`), exact for an
+    integral, a ``Fraction`` or an integer-valued float; ``inf`` and the
+    strings ``"inf"`` and ``"infinity"`` give 0."""
+    if isinstance(value, str) and value.lower() in ("inf", "infinity"):
         return Fraction(0)
-    if isinstance(value, str):
-        if value.lower() in ("inf", "infinity"):
-            return Fraction(0)
-        raise ValidationError(f"bad exponent string {value!r}")
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        if value <= 0:
-            raise ValidationError(f"exponent must be positive, got {value}")
-        return Fraction(1, 1) / Fraction(value)
-    if isinstance(value, float):
-        if not value > 0:
-            raise ValidationError(f"exponent must be positive, got {value}")
-        if value.is_integer():
-            return Fraction(1, int(value))
-        return 1.0 / value
-    raise ValidationError(f"unsupported exponent type {type(value).__name__}")
+    v = _exact("exponent", value)
+    if not value > 0:
+        raise ValidationError(f"exponent must be positive, got {value}")
+    return Fraction(0) if value == math.inf else 1 / v
 
 
 def _axis_step(recip) -> tuple:
@@ -185,8 +198,9 @@ def _axis_step(recip) -> tuple:
 class ExponentVector:
     """Vector of norm exponents in ``[1, inf]``, stored as reciprocals.
 
-    ``recip[j] == 0`` encodes ``p_j = inf``.  Entries are ``Fraction`` when
-    the exponent was given exactly, ``float`` otherwise.  ``plan`` holds the
+    ``recip[j] == 0`` encodes ``p_j = inf``.  Entries are real scalars
+    converted by :func:`_exact`: ``Fraction`` when the exponent was given
+    exactly, ``float`` otherwise.  ``plan`` holds the
     per-axis reduction step ``(kind, pf)`` of :func:`_axis_step`, decided on
     first use and cached, so the norm kernels do no ``Fraction`` arithmetic
     per call.
@@ -195,9 +209,14 @@ class ExponentVector:
     recip: tuple
 
     def __post_init__(self):
-        if not self.recip:
+        recip = tuple(
+            _exact("reciprocal exponent", r)
+            for r in _entries("reciprocal exponents", self.recip)
+        )
+        if not recip:
             raise ValidationError("exponent vector must have at least one axis")
-        for r in self.recip:
+        object.__setattr__(self, "recip", recip)
+        for r in recip:
             if not (0 <= r <= 1):
                 raise ValidationError(
                     f"reciprocal exponent {r} outside [0, 1] (i.e. p outside [1, inf])"
@@ -572,7 +591,7 @@ def holder_interpolation_check(x: Tensor, q, weight) -> InterpolationReport:
     """
     _require_type("x", x, Tensor)
     q = as_exponents(q)
-    if not (0 <= _require_type("interpolation weight", weight, numbers.Real) <= 1):
+    if not (0 <= _real("interpolation weight", weight) <= 1):
         raise ValidationError(f"interpolation weight {weight} outside [0, 1]")
     for r in q.recip:
         if r > Fraction(1, 2):

@@ -40,12 +40,14 @@ converts, not strings (:func:`_finite_array`, through
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import numbers
 import operator
 import reprlib
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -64,6 +66,7 @@ from .mixed_norm import (
     _ldexp,
     _magnitude_norm,
     _prescaled,
+    _real,
     _rescue,
     _reduce_axis0,
     _require_axes,
@@ -136,16 +139,12 @@ def _along(a: np.ndarray, axis: int, mult: np.ndarray) -> np.ndarray:
 
 
 def _finite(what: str, v) -> float:
-    """The real scalar ``v`` as a finite float.  A string, anything else
-    that ``float`` cannot take, and a value that is not finite are refused."""
+    """The real scalar ``v`` (:func:`anisowidth.mixed_norm._real`) as a
+    finite float; a value that is not finite is refused."""
     try:
-        f = None if isinstance(v, (str, bytes)) else float(v)
-    except (TypeError, ValueError):
-        f = None
-    except OverflowError:
+        f = float(_real(what, v))
+    except OverflowError:  # an int or a Fraction beyond the float range
         f = math.inf
-    if f is None:
-        raise ValidationError(f"{what} must be a real number, got {v!r}")
     if not math.isfinite(f):
         raise ValidationError(f"{what} must be finite, got {f}")
     return f
@@ -159,6 +158,17 @@ def _finite_array(what: str, data, dtype=np.float64) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValidationError(f"{what} must be finite, got {reprlib.repr(data)}")
     return a
+
+
+@contextlib.contextmanager
+def _overflow_refused(what: str):
+    """Run the block with float overflow raised, refused as ``what``
+    leaving the float range."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise ValidationError(f"{what} leaves the float range") from None
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -228,9 +238,9 @@ class TrigPoly:
         return complex(self.coeff[self._index(k)])
 
     @classmethod
-    def from_coeff_dict(cls, degree, entries: dict) -> "TrigPoly":
+    def from_coeff_dict(cls, degree, entries: Mapping) -> "TrigPoly":
         out = cls(degree)
-        for k, v in entries.items():
+        for k, v in _require_type("entries", entries, Mapping).items():
             index = out._index(k)
             value = _finite_array("coefficients", v, complex)
             if value.ndim:
@@ -265,7 +275,8 @@ class TrigPoly:
         coeff[_band(self.degree, degree)] = self.coeff
         # times the int sign, a complex multiply: a plain -= would give
         # some signed zeros the other sign
-        coeff[_band(other.degree, degree)] += sign * other.coeff
+        with _overflow_refused("TrigPoly sum" if sign > 0 else "TrigPoly difference"):
+            coeff[_band(other.degree, degree)] += sign * other.coeff
         return TrigPoly._of(degree, coeff)
 
     def __add__(self, other):
@@ -277,8 +288,13 @@ class TrigPoly:
     def __mul__(self, scalar):
         if isinstance(scalar, TrigPoly):
             raise ValidationError("only scalar multiplication is supported")
-        _finite("scalar factor", abs(scalar) if np.iscomplexobj(scalar) else scalar)
-        return TrigPoly(self.degree, self.coeff * scalar)
+        # a complex factor part by part: its modulus can overflow
+        complex_ = isinstance(scalar, numbers.Complex) and not isinstance(scalar, numbers.Real)
+        for part in (scalar.real, scalar.imag) if complex_ else (scalar,):
+            _finite("scalar factor", part)
+        with _overflow_refused("TrigPoly scalar product"):
+            coeff = self.coeff * scalar
+        return TrigPoly(self.degree, coeff)
 
     __rmul__ = __mul__
 
@@ -424,7 +440,7 @@ def vp_multiplier(m: int, k) -> Union[float, np.ndarray]:
     as Python numbers, the weights are ones without that arithmetic, so
     ``m`` is never made a float and no order is too large.
     """
-    if not 1 <= _require_type("taper order", m, numbers.Real) < math.inf:
+    if not 1 <= _real("taper order", m) < math.inf:
         raise ValidationError(f"taper order must be finite and >= 1, got {m}")
     ka = np.abs(_finite_array("frequencies", k))
     if ka.size and not float(ka.max()) <= m:

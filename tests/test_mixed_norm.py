@@ -130,9 +130,9 @@ def test_interned_vectors_keep_refusals_apart():
     assert as_exponents((1,)).recip == (Fraction(1),)
     size = mn._exponent_vector.cache_info().currsize
     for _ in range(2):
-        with pytest.raises(ValidationError, match="unsupported exponent type bool"):
+        with pytest.raises(ValidationError, match=r"^exponent must be a real number, got True$"):
             as_exponents((True,))
-        with pytest.raises(ValidationError, match="unsupported exponent type list"):
+        with pytest.raises(ValidationError, match=r"^exponent must be a real number, got \[2\]$"):
             as_exponents(([2],))
         with pytest.raises(ValidationError, match="exponent must be positive"):
             as_exponents((2, 0))

@@ -67,6 +67,23 @@ def test_the_cli_leaves_problem_entries_to_the_library():
     assert intake & (_loaded_names(path) | imported) == set()
 
 
+def test_real_scalars_have_one_check():
+    # Whether a scalar is real is decided by the numbers tower in _real
+    # alone: no module names a numpy scalar type, and _require_type is not
+    # asked for numbers.Real, which would let a bool through.
+    kinds = ("integer", "floating", "bool_")
+    numpy_types = {f"{np}.{kind}" for np in ("np", "numpy") for kind in kinds}
+    for path in (ROOT / "src" / "anisowidth").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = (path.name, getattr(node, "lineno", None))
+            if isinstance(node, ast.Attribute):
+                assert ast.unparse(node) not in numpy_types, where
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                assert not {alias.name for alias in node.names} & set(kinds), where
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "_require_type":
+                assert not {ast.unparse(a) for a in node.args} & {"numbers.Real", "Real"}, where
+
+
 def _imported_modules(path: Path) -> set:
     """The top-level names of the modules a file imports, relative imports
     by their module name."""
